@@ -2,19 +2,21 @@
 table sweeps, and golden-table regression checks.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 golden-check
-mismatch.  Every CSV output comes with a JSON run manifest (written next to
-the file, or to stderr when printing to stdout).
+mismatch.  Every output comes with a JSON run manifest: embedded in JSON
+output, otherwise written next to the file, or to stderr when printing to
+stdout.
 """
 
 import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 import ionmodes
-from ionmodes import experiments, gaussian, golden, numerics, scalar_field
+from ionmodes import experiments, gaussian, golden, scalar_field
 from ionmodes.fock import TAIL_RELATIVE_TOL
 from ionmodes.ion_chain import GRADIENT_TOL
 from ionmodes.numerics import NumericalError
@@ -95,89 +97,67 @@ def parse_int_range(spec):
         raise UsageError("cannot parse integer range %r" % spec) from None
 
 
-def _emit(args, manifest, header, rows):
-    """Write rows as CSV or JSON per the global flags, plus the manifest."""
+def _emit(args, manifest, body):
+    """Stamp wall_ms and write one command's output to --out or stdout.
+
+    A dict body is a JSON payload and carries the manifest inside it.  A
+    text body gets its manifest next to the file (PATH.manifest.json), or
+    on stderr when printing to stdout.
+    """
     manifest.wall_ms = (time.monotonic() - args._start) * 1000.0
-    if args.format == "json":
-        payload = {
-            "manifest": json.loads(manifest.to_json()),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    embedded = isinstance(body, dict)
+    if embedded:
+        body = json.dumps(dict(body, manifest=asdict(manifest)), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
-        with open(args.out + ".manifest.json", "w") as fh:
-            fh.write(manifest.to_json())
+            fh.write(body)
+        if not embedded:
+            with open(args.out + ".manifest.json", "w") as fh:
+                fh.write(manifest.to_json())
     else:
-        sys.stdout.write(text)
-        sys.stderr.write(manifest.to_json())
+        sys.stdout.write(body)
+        if not embedded:
+            sys.stderr.write(manifest.to_json())
 
 
-def _pool(args):
-    if args.threads > 1:
-        return ThreadPoolExecutor(max_workers=args.threads)
-    return None
+def _rows_body(args, header, rows):
+    """Table rows as a JSON payload for --format json, else as CSV text."""
+    if args.format == "json":
+        return {"rows": [dict(zip(header, row)) for row in rows]}
+    lines = [",".join(header)]
+    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _run_chain(args):
     report = experiments.chain_report(args.n_ions)
     manifest = RunManifest("chain", {"n_ions": args.n_ions, "format": args.format})
     if args.format == "json":
-        manifest.wall_ms = (time.monotonic() - args._start) * 1000.0
-        payload = {"manifest": json.loads(manifest.to_json()), "report": report}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    if args.format == "csv":
+        body = {"report": report}
+    elif args.format == "csv":
         header = ("ion", "position", "frequency")
         rows = [(i, p, f) for i, (p, f) in
                 enumerate(zip(report["positions"], report["frequencies"]))]
-        _emit(args, manifest, header, rows)
-        return EXIT_OK
-    out = sys.stdout if not args.out else open(args.out, "w")
-    try:
-        out.write("ion chain, N = %d (dimensionless units)\n" % report["n_ions"])
-        out.write("equilibrium positions:\n")
-        out.write("  " + "  ".join("%.9g" % p for p in report["positions"]) + "\n")
-        out.write("mode frequencies (units of the center-of-mass mode):\n")
-        out.write("  " + "  ".join("%.9g" % f for f in report["frequencies"]) + "\n")
+        body = _rows_body(args, header, rows)
+    else:
+        lines = ["ion chain, N = %d (dimensionless units)" % report["n_ions"],
+                 "equilibrium positions:",
+                 "  " + "  ".join("%.9g" % p for p in report["positions"]),
+                 "mode frequencies (units of the center-of-mass mode):",
+                 "  " + "  ".join("%.9g" % f for f in report["frequencies"])]
         if "cm" in report:
-            out.write("local-mode covariance matrix (phi_1, pi_1, ...):\n")
-            for row in report["cm"]:
-                out.write("  " + "  ".join("% .9g" % v for v in row) + "\n")
-    finally:
-        if args.out:
-            out.close()
-    manifest.wall_ms = (time.monotonic() - args._start) * 1000.0
-    sys.stderr.write(manifest.to_json())
+            lines.append("local-mode covariance matrix (phi_1, pi_1, ...):")
+            lines.extend("  " + "  ".join("% .9g" % v for v in row) for row in report["cm"])
+        body = "\n".join(lines) + "\n"
+    _emit(args, manifest, body)
     return EXIT_OK
 
 
 def _run_negativity(args):
     separations = parse_int_range(args.separations)
     treatments = experiments.TREATMENTS if args.treatment == "all" else (args.treatment,)
-    pool = _pool(args)
-    try:
-        rows = experiments.negativity_rows(
-            args.system, args.chain_size, args.region_size, separations,
-            treatments, pool=pool)
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = experiments.negativity_rows(
+        args.system, args.chain_size, args.region_size, separations, treatments)
     skipped = [r for r in rows if r[5] is None]
     for row in skipped:
         sys.stderr.write(
@@ -192,64 +172,47 @@ def _run_negativity(args):
         "negativity",
         {"system": args.system, "chain_size": args.chain_size,
          "region_size": args.region_size, "separations": args.separations,
-         "treatment": args.treatment, "threads": args.threads},
+         "treatment": args.treatment},
         metadata={
             "scalar_measurement": "exact infinite-exterior homodyne (Toeplitz symbol inversion)",
             "scalar_mass": scalar_field.DEFAULT_MASS,
             "skipped_separations": [r[3] for r in skipped],
         })
     header = ("system", "chain_size", "region_size", "separation", "treatment", "log_negativity")
-    _emit(args, manifest, header, out_rows)
+    _emit(args, manifest, _rows_body(args, header, out_rows))
     return EXIT_OK
 
 
 def _run_fidelity(args):
     windows = parse_int_range(args.region_sizes)
-    pool = _pool(args)
-    try:
-        rows = experiments.fidelity_rows(args.chain_size, windows, args.self_test, pool=pool)
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = experiments.fidelity_rows(args.chain_size, windows, args.self_test)
     manifest = RunManifest(
         "fidelity",
         {"chain_size": args.chain_size, "region_sizes": args.region_sizes,
-         "self_test": args.self_test, "threads": args.threads},
+         "self_test": args.self_test},
         metadata={"squeeze_bracket": list(gaussian.SQUEEZE_BRACKET),
                   "scalar_mass": scalar_field.DEFAULT_MASS})
     header = ("chain_size", "region_size", "squeeze_z", "fidelity_raw", "fidelity_squeezed")
-    _emit(args, manifest, header, rows)
+    _emit(args, manifest, _rows_body(args, header, rows))
     return EXIT_OK
 
 
 def _run_fock(args):
     dims = parse_int_range(args.dims)
-    pool = _pool(args)
-    try:
-        rows = experiments.fock_rows(dims, pool=pool)
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = experiments.fock_rows(dims)
     manifest = RunManifest(
         "fock",
-        {"dims": args.dims, "threads": args.threads},
+        {"dims": args.dims},
         metadata={"tail_sum": "complement occupancy shells when 1 - P_in cancels below 1e-6"})
     header = ("qudit_dim", "p_out_raw", "p_out_squeezed")
-    _emit(args, manifest, header, rows)
+    _emit(args, manifest, _rows_body(args, header, rows))
     return EXIT_OK
 
 
 def _run_golden_check(args):
     tables = sorted(golden.TABLES) if args.table == "all" else [int(args.table)]
-    pool = _pool(args)
-    reports = []
-    try:
-        for table in tables:
-            reports.append(golden.check_table(
-                table, args.tol_policy, data_dir=args.golden_dir, pool=pool))
-    finally:
-        if pool:
-            pool.shutdown()
+    reports = [golden.check_table(table, args.tol_policy, data_dir=args.golden_dir)
+               for table in tables]
     header = ("table", "row", "column", "golden", "computed", "tolerance", "status")
     rows = []
     for report in reports:
@@ -260,10 +223,10 @@ def _run_golden_check(args):
     n_fail = sum(1 for r in reports for c in r.failures)
     manifest = RunManifest(
         "golden-check",
-        {"table": args.table, "tol_policy": args.tol_policy, "threads": args.threads},
+        {"table": args.table, "tol_policy": args.tol_policy},
         metadata={"cells": len(rows), "failures": n_fail,
                   "worst_margin": max((r.worst.margin for r in reports), default=0.0)})
-    _emit(args, manifest, header, rows)
+    _emit(args, manifest, _rows_body(args, header, rows))
     for report in reports:
         worst = report.worst
         sys.stderr.write(
@@ -285,8 +248,6 @@ def build_parser():
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json", "text"), default="csv",
                         help="output format")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent table cells")
     common.add_argument("--tol-policy", choices=("default", "strict"), default="default",
                         help="significant-figure tolerance policy for golden checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,15 +297,13 @@ def main(argv=None):
     args._start = time.monotonic()
     try:
         return args.run(args)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write("numerical failure: %s\n" % exc)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except NumericalError as exc:
-        sys.stderr.write("numerical failure: %s\n" % exc)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

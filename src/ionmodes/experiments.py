@@ -4,8 +4,6 @@ qudit-subspace occupation deficits."""
 
 import threading
 
-import numpy as np
-
 from ionmodes import fock, gaussian, scalar_field
 from ionmodes.ion_chain import IonChainModel
 
@@ -48,17 +46,6 @@ def field_spec(mass=scalar_field.DEFAULT_MASS):
     return spec
 
 
-def _ion_region_state(model, region):
-    """CM on the A union B modes of the chain for each treatment."""
-    keep = region.region_a + region.region_b
-    traced = gaussian.restrict(model.cm, keep)
-    return {
-        "trace": traced,
-        "phi": gaussian.condition_homodyne(model.cm, region.outside, "phi"),
-        "pi": gaussian.condition_homodyne(model.cm, region.outside, "pi"),
-    }
-
-
 def negativity_cell(system, chain_size, region_size, separation, treatment, mass=None):
     """One log-negativity value, or None when the geometry does not fit.
 
@@ -73,13 +60,14 @@ def negativity_cell(system, chain_size, region_size, separation, treatment, mass
     sep = int(separation)
     if system == "ion":
         n = int(chain_size)
+        cm = chain_model(n).cm  # validates n even when the geometry does not fit
         if 2 * d + sep > n:
             return None
         region = gaussian.RegionSpec(n, d, sep)
         if treatment == "trace":
-            state = gaussian.restrict(chain_model(n).cm, region.region_a + region.region_b)
+            state = gaussian.restrict(cm, region.region_a + region.region_b)
         else:
-            state = gaussian.condition_homodyne(chain_model(n).cm, region.outside, treatment)
+            state = gaussian.condition_homodyne(cm, region.outside, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     if system == "scalar":
         spec = field_spec(mass) if mass else field_spec()
@@ -94,19 +82,12 @@ def negativity_cell(system, chain_size, region_size, separation, treatment, mass
 
 
 def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS,
-                    mass=None, pool=None):
+                    mass=None):
     """Rows (system, chain_size, region_size, separation, treatment, value),
-    value None for infeasible geometry.  Sorted regardless of pool order."""
-    if system == "ion":
-        chain_model(int(chain_size))  # build once outside the pool
-    tasks = [(int(sep), treatment) for sep in separations for treatment in treatments]
-
-    def work(task):
-        sep, treatment = task
-        value = negativity_cell(system, chain_size, region_size, sep, treatment, mass)
-        return (system, int(chain_size), int(region_size), sep, treatment, value)
-
-    rows = list(pool.map(work, tasks)) if pool is not None else [work(t) for t in tasks]
+    value None for infeasible geometry, sorted by separation then treatment."""
+    rows = [(system, int(chain_size), int(region_size), int(sep), treatment,
+             negativity_cell(system, chain_size, region_size, sep, treatment, mass))
+            for sep in separations for treatment in treatments]
     order = {t: i for i, t in enumerate(TREATMENTS)}
     rows.sort(key=lambda r: (r[3], order[r[4]]))
     return rows
@@ -138,18 +119,11 @@ def fidelity_cell(chain_size, window, self_test=False, mass=None):
     return z_star, raw, f_star
 
 
-def fidelity_rows(chain_size, windows, self_test=False, mass=None, pool=None):
-    """Rows (chain_size, window, z_star, fidelity_raw, fidelity_squeezed)."""
-    chain_model(int(chain_size))
-    if mass is None:
-        field_spec()
-
-    def work(window):
-        z, raw, best = fidelity_cell(chain_size, window, self_test, mass)
-        return (int(chain_size), int(window), z, raw, best)
-
-    windows = [int(w) for w in windows]
-    rows = list(pool.map(work, windows)) if pool is not None else [work(w) for w in windows]
+def fidelity_rows(chain_size, windows, self_test=False, mass=None):
+    """Rows (chain_size, window, z_star, fidelity_raw, fidelity_squeezed),
+    sorted by window."""
+    rows = [(int(chain_size), int(w)) + fidelity_cell(chain_size, w, self_test, mass)
+            for w in windows]
     rows.sort(key=lambda r: r[1])
     return rows
 
@@ -171,22 +145,21 @@ def two_ion_states():
 
 
 def fock_cell(dim, states=None):
-    """(P_out raw, P_out squeezed) for the two-ion state at qudit dim."""
-    raw, squeezed = states if states is not None else two_ion_states()
-    return (fock.qudit_subspace_deficit(raw, dim),
-            fock.qudit_subspace_deficit(squeezed, dim))
+    """(P_out raw, P_out squeezed) for the two-ion state at qudit dim.
+
+    states: HusimiData of the raw and squeezed states.  Passing the same
+    pair for every dimension shares their hafnian memos, so each shell tail
+    sum reuses the recursion of the dimensions before it.
+    """
+    if states is None:
+        states = [fock.husimi_data(cm) for cm in two_ion_states()]
+    return tuple(fock.qudit_subspace_deficit(None, dim, hdata=h) for h in states)
 
 
-def fock_rows(dims, pool=None):
-    """Rows (dim, p_out_raw, p_out_squeezed)."""
-    states = two_ion_states()
-
-    def work(dim):
-        raw, squeezed = fock_cell(int(dim), states)
-        return (int(dim), raw, squeezed)
-
-    dims = [int(d) for d in dims]
-    rows = list(pool.map(work, dims)) if pool is not None else [work(d) for d in dims]
+def fock_rows(dims):
+    """Rows (dim, p_out_raw, p_out_squeezed), sorted by dim."""
+    states = [fock.husimi_data(cm) for cm in two_ion_states()]
+    rows = [(int(d),) + fock_cell(int(d), states) for d in dims]
     rows.sort(key=lambda r: r[0])
     return rows
 

@@ -107,31 +107,32 @@ def _repeated_hafnian(h, reps):
     cross branch weight reps_j a_ij.  Identical to the hafnian of the
     explicitly expanded matrix, at polynomial cost in max(reps).
     """
-    a = h.a_mat
-    cache = h._haf_cache
+    return _haf_recurse(h.a_mat, h._haf_cache, tuple(int(k) for k in reps))
 
-    def recurse(r):
-        if not any(r):
-            return 1.0 + 0.0j
-        hit = cache.get(r)
-        if hit is not None:
-            return hit
-        i = next(k for k, c in enumerate(r) if c > 0)
-        total = 0.0 + 0.0j
-        if r[i] >= 2:
+
+def _haf_recurse(a, cache, r):
+    # a module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, which would keep the memo alive until the
+    # cyclic garbage collector runs
+    if not any(r):
+        return 1.0 + 0.0j
+    hit = cache.get(r)
+    if hit is not None:
+        return hit
+    i = next(k for k, c in enumerate(r) if c > 0)
+    total = 0.0 + 0.0j
+    if r[i] >= 2:
+        reduced = list(r)
+        reduced[i] -= 2
+        total += (r[i] - 1) * a[i, i] * _haf_recurse(a, cache, tuple(reduced))
+    for j in range(len(r)):
+        if j != i and r[j] > 0:
             reduced = list(r)
-            reduced[i] -= 2
-            total += (r[i] - 1) * a[i, i] * recurse(tuple(reduced))
-        for j in range(len(r)):
-            if j != i and r[j] > 0:
-                reduced = list(r)
-                reduced[i] -= 1
-                reduced[j] -= 1
-                total += r[j] * a[i, j] * recurse(tuple(reduced))
-        cache[r] = total
-        return total
-
-    return recurse(tuple(int(k) for k in reps))
+            reduced[i] -= 1
+            reduced[j] -= 1
+            total += r[j] * a[i, j] * _haf_recurse(a, cache, tuple(reduced))
+    cache[r] = total
+    return total
 
 
 def matrix_element(h, bra, ket, cap=DEFAULT_OCCUPANCY_CAP):

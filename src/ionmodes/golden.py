@@ -132,7 +132,7 @@ def _check_cell(table, row, column, printed, computed, policy, figures=None, flo
     return CellCheck(table, row, column, printed, float(computed), tol, ok)
 
 
-def check_table(table, policy="default", data_dir=None, pool=None):
+def check_table(table, policy="default", data_dir=None):
     """Recompute one golden table and compare every cell under the policy."""
     if policy not in POLICY_SLACK:
         raise ValueError("policy must be one of %s" % sorted(POLICY_SLACK))
@@ -144,7 +144,7 @@ def check_table(table, policy="default", data_dir=None, pool=None):
         computed = {}
         for system in ("ion", "scalar"):
             rows = experiments.negativity_rows(
-                system, params["chain_size"], params["region_size"], separations, pool=pool)
+                system, params["chain_size"], params["region_size"], separations)
             for _, _, _, sep, treatment, value in rows:
                 computed[("%s_%s" % (system, treatment), sep)] = value
         for row in golden_rows:
@@ -155,7 +155,7 @@ def check_table(table, policy="default", data_dir=None, pool=None):
                     computed[(column, sep)], policy))
     elif kind == "fidelity":
         windows = [int(r["region_size"]) for r in golden_rows]
-        rows = experiments.fidelity_rows(params["chain_size"], windows, pool=pool)
+        rows = experiments.fidelity_rows(params["chain_size"], windows)
         by_window = {r[1]: r for r in rows}
         for row in golden_rows:
             w = int(row["region_size"])
@@ -168,7 +168,7 @@ def check_table(table, policy="default", data_dir=None, pool=None):
                 table, key, "fidelity_squeezed", row["fidelity_squeezed"], squeezed, policy))
     else:
         dims = [int(r["qudit_dim"]) for r in golden_rows]
-        rows = experiments.fock_rows(dims, pool=pool)
+        rows = experiments.fock_rows(dims)
         by_dim = {r[0]: r for r in rows}
         for row in golden_rows:
             dim = int(row["qudit_dim"])

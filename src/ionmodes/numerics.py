@@ -1,6 +1,6 @@
 """Shared numerical kernels: symmetric eigendecomposition with a fixed sign
-convention, principal matrix square roots, exhaustive hafnians, oscillatory
-Brillouin-zone quadrature, and bracketed 1D maximization."""
+convention, principal matrix square roots, oscillatory Brillouin-zone
+quadrature, and bracketed 1D maximization."""
 
 import numpy as np
 import scipy.linalg
@@ -10,7 +10,6 @@ __all__ = [
     "NumericalError",
     "sym_eigen",
     "principal_sqrt",
-    "hafnian",
     "quad_oscillatory",
     "maximize_1d",
 ]
@@ -20,9 +19,6 @@ SYMMETRY_TOL = 1e-12
 
 # residual bound for principal_sqrt, relative to the max-norm of the input
 SQRT_RESIDUAL_TOL = 1e-10
-
-# largest dimension for which exhaustive matching enumeration is permitted
-HAFNIAN_MAX_DIM = 24
 
 
 class NumericalError(RuntimeError):
@@ -86,39 +82,6 @@ def principal_sqrt(mat):
         raise NumericalError(
             "square-root residual %.3e exceeds %.3e" % (residual, SQRT_RESIDUAL_TOL * scale))
     return root
-
-
-def hafnian(mat):
-    """Hafnian by exhaustive enumeration of perfect matchings.
-
-    The sum runs over all (n-1)!! pairings of the indices, so the dimension
-    is capped at 24.  An odd-dimensional matrix has hafnian 0 and the empty
-    matrix has hafnian 1.
-    """
-    b = np.asarray(mat)
-    _check_square(b)
-    n = b.shape[0]
-    if n > HAFNIAN_MAX_DIM:
-        raise ValueError("dimension %d exceeds the enumeration cap %d" % (n, HAFNIAN_MAX_DIM))
-    one = complex(1.0) if np.iscomplexobj(b) else 1.0
-    if n == 0:
-        return one
-    if n % 2 == 1:
-        return 0.0 * one
-    # depth-first walk: the smallest unmatched index pairs with each
-    # remaining partner in turn
-    total = 0.0 * one
-    stack = [(tuple(range(n)), one)]
-    while stack:
-        remaining, partial = stack.pop()
-        if not remaining:
-            total += partial
-            continue
-        i = remaining[0]
-        for t in range(1, len(remaining)):
-            j = remaining[t]
-            stack.append((remaining[1:t] + remaining[t + 1:], partial * b[i, j]))
-    return total
 
 
 def _panel_edges(delta, inner_scale):

@@ -32,6 +32,21 @@ def random_local_symplectic(rng, n_modes, z_max=1.8):
     return s
 
 
+def recursive_hafnian(b):
+    """Textbook recursion: pair index 0 with every partner."""
+    n = b.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    if n % 2 == 1:
+        return 0.0 + 0.0j
+    total = 0.0 + 0.0j
+    rest = list(range(1, n))
+    for t, j in enumerate(rest):
+        keep = rest[:t] + rest[t + 1:]
+        total += b[0, j] * recursive_hafnian(b[np.ix_(keep, keep)])
+    return total
+
+
 def tmsv_cm(r):
     """Two-mode squeezed vacuum CM in the interleaved basis."""
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)

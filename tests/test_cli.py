@@ -6,6 +6,7 @@ import json
 import shutil
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import ionmodes
@@ -125,14 +126,6 @@ class TestNegativity:
         assert row["treatment"] == "pi"
         assert row["log_negativity"] > 0.0
 
-    def test_threads_do_not_change_output(self, capsys):
-        argv = ["negativity", "--system", "ion", "--chain-size", "30",
-                "--region-size", "2", "--separations", "0:3"]
-        code1, out1, _ = run_cli(capsys, argv + ["--threads", "1"])
-        code4, out4, _ = run_cli(capsys, argv + ["--threads", "4"])
-        assert code1 == code4 == 0
-        assert out1 == out4
-
 
 class TestFidelity:
     def test_self_test_csv(self, capsys):
@@ -217,6 +210,17 @@ class TestExitCodes:
             "--region-size", "1", "--separations", "1"])
         assert code == 2
         assert "numerical failure: synthetic failure" in err
+
+    def test_linalg_failure_exit(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(experiments, "negativity_rows", boom)
+        code, out, err = run_cli(capsys, [
+            "negativity", "--system", "ion", "--chain-size", "10",
+            "--region-size", "1", "--separations", "1"])
+        assert code == 2
+        assert "numerical failure: Singular matrix" in err
 
 
 class TestManifestFile:

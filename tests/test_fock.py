@@ -1,16 +1,18 @@
 """Fock-basis machinery: Husimi data, repeated-row hafnians, density
 matrix elements, su(1,1) disentanglement, and qudit subspace deficits."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_local_symplectic, random_physical_cm, tmsv_cm
-from ionmodes import numerics
+from conftest import random_local_symplectic, random_physical_cm, recursive_hafnian, tmsv_cm
+from ionmodes import experiments
 from ionmodes.fock import (
     MAX_QUDIT_DIM,
+    HusimiData,
     check_fock_index,
     husimi_data,
     matrix_element,
@@ -55,6 +57,48 @@ class TestHusimiData:
             husimi_data(0.1 * np.eye(4))
 
 
+def plain_hafnian(b):
+    """Hafnian of a symmetric matrix through the repeated-row recursion,
+    every row taken once."""
+    b = np.asarray(b)
+    return _repeated_hafnian(HusimiData(len(b) // 2, None, b, 1.0), (1,) * len(b))
+
+
+class TestRepeatedHafnian:
+    def test_base_cases(self):
+        assert plain_hafnian(np.zeros((0, 0))) == 1.0
+        assert plain_hafnian(np.array([[5.0]])) == 0.0
+        b = np.array([[1.0, 7.0], [7.0, 2.0]])
+        assert plain_hafnian(b) == 7.0
+
+    def test_4x4_closed_form(self):
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(4, 4))
+        b = b + b.T
+        expect = b[0, 1] * b[2, 3] + b[0, 2] * b[1, 3] + b[0, 3] * b[1, 2]
+        assert np.isclose(plain_hafnian(b), expect, atol=1e-13)
+
+    def test_against_recursive_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            b = b + b.T
+            got = plain_hafnian(b)
+            want = recursive_hafnian(b)
+            assert np.isclose(got, want, atol=1e-10 * max(1.0, abs(want)))
+
+    def test_row_scaling_multilinearity(self):
+        rng = np.random.default_rng(19)
+        b = rng.normal(size=(6, 6))
+        b = b + b.T
+        scaled = b.copy()
+        scaled[2, :] *= 3.0
+        scaled[:, 2] *= 3.0
+        scaled[2, 2] /= 3.0  # diagonal entries never enter a matching
+        assert np.isclose(plain_hafnian(scaled), 3.0 * plain_hafnian(b), atol=1e-10)
+
+
 class TestMatrixElements:
     def test_tmsv_closed_form(self):
         r = 0.55
@@ -78,8 +122,17 @@ class TestMatrixElements:
             if sum(reps) > 8:
                 continue
             got = _repeated_hafnian(h, reps)
-            want = numerics.hafnian(expand_matrix(h.a_mat, reps))
+            want = recursive_hafnian(expand_matrix(h.a_mat, reps))
             assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+    def test_memo_freed_without_cycle_collector(self, two_ion_cm):
+        gc.collect()
+        gc.disable()
+        try:
+            matrix_element(husimi_data(two_ion_cm), (3, 2), (3, 2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_hermiticity_on_rotated_states(self, two_ion_cm):
         from ionmodes.gaussian import apply_symplectic
@@ -196,6 +249,13 @@ class TestQuditDeficit:
         direct = qudit_subspace_deficit(two_ion_cm, 3)
         reused = qudit_subspace_deficit(None, 3, hdata=h)
         assert direct == reused
+
+    def test_rows_sharing_hdata_match_fresh_deficits(self):
+        rows = experiments.fock_rows(range(2, MAX_QUDIT_DIM + 1))
+        raw, squeezed = experiments.two_ion_states()
+        for dim, p_raw, p_squeezed in rows:
+            assert p_raw == qudit_subspace_deficit(raw, dim)
+            assert p_squeezed == qudit_subspace_deficit(squeezed, dim)
 
     def test_dimension_bounds(self, two_ion_cm):
         with pytest.raises(ValueError):

@@ -1,34 +1,17 @@
 """Numerical kernels: deterministic eigendecomposition, matrix square
-root, hafnian enumeration, oscillatory quadrature, golden-section search."""
+root, oscillatory quadrature, golden-section search."""
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from ionmodes.numerics import (
-    HAFNIAN_MAX_DIM,
     NumericalError,
-    hafnian,
     maximize_1d,
     principal_sqrt,
     quad_oscillatory,
     sym_eigen,
 )
-
-
-def recursive_hafnian(b):
-    """Textbook recursion: pair index 0 with every partner."""
-    n = b.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n % 2 == 1:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    rest = list(range(1, n))
-    for t, j in enumerate(rest):
-        keep = rest[:t] + rest[t + 1:]
-        total += b[0, j] * recursive_hafnian(b[np.ix_(keep, keep)])
-    return total
 
 
 class TestSymEigen:
@@ -88,45 +71,6 @@ class TestPrincipalSqrt:
             assert np.allclose(root @ root, m, atol=1e-10 * np.abs(m).max())
             assert np.allclose(root, root.T, atol=1e-10)
             assert np.all(np.linalg.eigvalsh(0.5 * (root + root.T)) > 0.0)
-
-
-class TestHafnian:
-    def test_base_cases(self):
-        assert hafnian(np.zeros((0, 0))) == 1.0
-        assert hafnian(np.array([[5.0]])) == 0.0
-        b = np.array([[1.0, 7.0], [7.0, 2.0]])
-        assert hafnian(b) == 7.0
-
-    def test_4x4_closed_form(self):
-        rng = np.random.default_rng(5)
-        b = rng.normal(size=(4, 4))
-        b = b + b.T
-        expect = b[0, 1] * b[2, 3] + b[0, 2] * b[1, 3] + b[0, 3] * b[1, 2]
-        assert np.isclose(hafnian(b), expect, atol=1e-13)
-
-    def test_against_recursive_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            b = b + b.T
-            got = hafnian(b)
-            want = recursive_hafnian(b)
-            assert np.isclose(got, want, atol=1e-10 * max(1.0, abs(want)))
-
-    def test_row_scaling_multilinearity(self):
-        rng = np.random.default_rng(19)
-        b = rng.normal(size=(6, 6))
-        b = b + b.T
-        scaled = b.copy()
-        scaled[2, :] *= 3.0
-        scaled[:, 2] *= 3.0
-        scaled[2, 2] /= 3.0  # diagonal entries never enter a matching
-        assert np.isclose(hafnian(scaled), 3.0 * hafnian(b), atol=1e-10)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            hafnian(np.zeros((HAFNIAN_MAX_DIM + 2, HAFNIAN_MAX_DIM + 2)))
 
 
 class TestQuadOscillatory:

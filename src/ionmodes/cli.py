@@ -246,17 +246,21 @@ def build_parser():
     parser = _Parser(prog="ionmodes", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json", "text"), default="csv",
-                        help="output format")
     common.add_argument("--tol-policy", choices=("default", "strict"), default="default",
                         help="significant-figure tolerance policy for golden checks")
+    # only the chain report has a text form; tables are CSV or JSON
+    tabular = argparse.ArgumentParser(add_help=False, parents=[common])
+    tabular.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chain", parents=[common], help="chain equilibrium report")
     p.add_argument("n_ions", type=int)
-    p.set_defaults(run=_run_chain, format="text")
+    p.add_argument("--format", choices=("csv", "json", "text"), default="text",
+                   help="output format")
+    p.set_defaults(run=_run_chain)
 
-    p = sub.add_parser("negativity", parents=[common], help="negativity decay sweep")
+    p = sub.add_parser("negativity", parents=[tabular], help="negativity decay sweep")
     p.add_argument("--system", choices=("ion", "scalar"), required=True)
     p.add_argument("--chain-size", type=int, default=150)
     p.add_argument("--region-size", type=int, required=True)
@@ -265,7 +269,7 @@ def build_parser():
     p.add_argument("--treatment", choices=("trace", "phi", "pi", "all"), default="all")
     p.set_defaults(run=_run_negativity)
 
-    p = sub.add_parser("fidelity", parents=[common],
+    p = sub.add_parser("fidelity", parents=[tabular],
                        help="scalar-window fidelity scan with squeeze optimization")
     p.add_argument("--chain-size", type=int, required=True)
     p.add_argument("--region-sizes", required=True, help="integer range like 2:30:2")
@@ -273,11 +277,11 @@ def build_parser():
                    help="diagnostic: target = source, so z* = 1 and F = 1")
     p.set_defaults(run=_run_fidelity)
 
-    p = sub.add_parser("fock", parents=[common], help="qudit subspace deficits")
+    p = sub.add_parser("fock", parents=[tabular], help="qudit subspace deficits")
     p.add_argument("--dims", default="2:8", help="integer range like 2:8")
     p.set_defaults(run=_run_fock)
 
-    p = sub.add_parser("golden-check", parents=[common],
+    p = sub.add_parser("golden-check", parents=[tabular],
                        help="recompute golden tables and compare cell by cell")
     p.add_argument("--table", default="all",
                    choices=[str(k) for k in sorted(golden.TABLES)] + ["all"])

@@ -9,7 +9,6 @@ direct sum of n copies of [[0, 1], [-1, 0]].
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ionmodes.numerics import NumericalError, maximize_1d, principal_sqrt
 
@@ -42,12 +41,20 @@ SYMPLECTIC_TOL = 1e-10
 # physicality margin for sigma + i Omega >= 0
 PHYSICALITY_TOL = 1e-9
 
-# golden-section tolerance in ln z for the global squeeze optimization;
+# Brent tolerance in ln z for the global squeeze optimization;
 # tight enough that reported argmax inherits no optimizer wobble at the
 # 1e-4 level where golden values are printed
 LN_Z_TOL = 1e-7
 
 SQUEEZE_BRACKET = (0.5, 20.0)
+
+# fidelity: largest imaginary part of the auxiliary spectrum, relative to
+# its largest magnitude, still taken for round-off
+AUX_IMAG_TOL = 1e-6
+
+# fidelity: w_k^2 - 1 below -AUX_UNIT_TOL means an auxiliary symplectic
+# eigenvalue fell below 1, which no pair of physical states allows
+AUX_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -299,16 +306,46 @@ def entanglement_entropy(sigma):
     return total
 
 
-def fidelity(sigma_1, sigma_2):
-    """Uhlmann fidelity of two zero-mean Gaussian states.
+def _cholesky(mat, what):
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("%s is not positive definite" % what) from exc
 
-    Evaluated in the hbar = 1 convention (vacuum CM = 1/2), so both inputs
-    are rescaled by 1/2 internally.  Result is clamped to [0, 1].
+
+def _aux_spectrum_blocks(sigma_1, sigma_2):
+    """(w_k^2 - 1, ln det((sigma_1 + sigma_2) / 2)) for two states with no
+    phi-pi cross block, from n x n phi and pi blocks.
+
+    With X and Y the sums of the phi and pi blocks, D_i = Pi_i - Phi_i^-1
+    (zero for a pure state) and R = Phi_1 X^-1 Phi_2, the w_k^2 - 1 are the
+    eigenvalues of Y^-1 D_2 R D_1.  That product is 4 P Q - 1 of the
+    auxiliary matrix V_aux = diag(P, Q) with the identity cancelled
+    exactly, so w_k near 1 lose no digits.
     """
-    sigma_1, n = validate_cm(sigma_1)
-    sigma_2, n2 = validate_cm(sigma_2)
-    if n != n2:
-        raise ValueError("states have different mode counts")
+    n = sigma_1.shape[0] // 2
+    phi_1, pi_1 = sigma_1[0::2, 0::2], sigma_1[1::2, 1::2]
+    phi_2, pi_2 = sigma_2[0::2, 0::2], sigma_2[1::2, 1::2]
+    phi_sum = phi_1 + phi_2
+    pi_sum = pi_1 + pi_2
+    chol_x = _cholesky(phi_sum, "sum of the phi blocks")
+    chol_y = _cholesky(pi_sum, "sum of the pi blocks")
+    try:
+        defect_1 = pi_1 - np.linalg.inv(phi_1)
+        defect_2 = pi_2 - np.linalg.inv(phi_2)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("phi block of a state is singular") from exc
+    parallel = phi_1 @ np.linalg.solve(phi_sum, phi_2)
+    excess = np.linalg.eigvals(np.linalg.solve(pi_sum, defect_2 @ parallel @ defect_1))
+    logdet = 2.0 * float(np.log(np.diag(chol_x)).sum() + np.log(np.diag(chol_y)).sum())
+    return excess, logdet - 2 * n * np.log(2.0)
+
+
+def _aux_spectrum_interleaved(sigma_1, sigma_2):
+    """(w_k^2 - 1, ln det((sigma_1 + sigma_2) / 2)) for any two states, from
+    the auxiliary matrix V_aux, whose V_aux Omega has eigenvalues
+    +-i w_k / 2 (hbar = 1 convention, vacuum CM 1/2)."""
+    n = sigma_1.shape[0] // 2
     v1 = 0.5 * sigma_1
     v2 = 0.5 * sigma_2
     omega = symplectic_form(n)
@@ -317,24 +354,45 @@ def fidelity(sigma_1, sigma_2):
         solved = np.linalg.solve(vsum, 0.25 * omega + v2 @ omega @ v1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("sigma_1 + sigma_2 is singular") from exc
-    vaux = omega.T @ solved
-    t = vaux @ omega
-    try:
-        inv_t2 = np.linalg.inv(t @ t)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("auxiliary matrix V Omega is singular") from exc
-    w = np.eye(2 * n) + 0.25 * inv_t2
-    root_w = scipy.linalg.sqrtm(w)
-    if np.iscomplexobj(root_w):
-        root_w = root_w.real
-    numerator = 2.0 * (root_w + np.eye(2 * n)) @ vaux
-    sign_n, logdet_n = np.linalg.slogdet(numerator)
-    sign_d, logdet_d = np.linalg.slogdet(vsum)
-    if sign_d <= 0.0:
+    sign, logdet = np.linalg.slogdet(vsum)
+    if sign <= 0.0:
         raise NumericalError("sigma_1 + sigma_2 has non-positive determinant")
-    if sign_n <= 0.0:
-        raise NumericalError("fidelity determinant turned non-positive")
-    f = np.exp(0.25 * (logdet_n - logdet_d))
+    vals = np.linalg.eigvals(omega.T @ solved @ omega)
+    # the upper member i w_k / 2 of each conjugate pair
+    w = -2j * vals[np.argsort(vals.imag)[n:]]
+    return w * w - 1.0, float(logdet)
+
+
+def fidelity(sigma_1, sigma_2):
+    """Uhlmann fidelity of two zero-mean Gaussian states.
+
+    Evaluated from the auxiliary symplectic spectrum w_k (Banchi, Braunstein
+    & Pirandola, PRL 115, 260501, 2015) in the hbar = 1 convention (vacuum
+    CM = 1/2):
+
+        ln F = (1/4) [2 sum_k asinh sqrt(w_k^2 - 1) - ln det((sigma_1 + sigma_2) / 2)]
+
+    States with no phi-pi cross block go through n x n phi and pi blocks
+    (`_aux_spectrum_blocks`); any other pair through the 2n x 2n auxiliary
+    matrix.  No matrix square root is taken.  Result is clamped to [0, 1].
+    """
+    sigma_1, n = validate_cm(sigma_1)
+    sigma_2, n2 = validate_cm(sigma_2)
+    if n != n2:
+        raise ValueError("states have different mode counts")
+    if any(s[0::2, 1::2].any() or s[1::2, 0::2].any() for s in (sigma_1, sigma_2)):
+        excess, logdet = _aux_spectrum_interleaved(sigma_1, sigma_2)
+    else:
+        excess, logdet = _aux_spectrum_blocks(sigma_1, sigma_2)
+    scale = max(1.0, float(np.abs(excess).max()))
+    if float(np.abs(excess.imag).max()) > AUX_IMAG_TOL * scale:
+        raise NumericalError("auxiliary symplectic spectrum is not real")
+    excess = excess.real
+    low = float(excess.min())
+    if low < -AUX_UNIT_TOL:
+        raise NumericalError("auxiliary symplectic eigenvalue below 1: w^2 - 1 = %.3e" % low)
+    ln_total = 2.0 * float(np.arcsinh(np.sqrt(np.clip(excess, 0.0, None))).sum())
+    f = np.exp(0.25 * (ln_total - logdet))
     if f > 1.0 + 1e-6:
         raise NumericalError("fidelity %.6f exceeds 1 beyond tolerance" % f)
     return float(min(max(f, 0.0), 1.0))
@@ -344,7 +402,9 @@ def optimize_global_squeeze(sigma_source, sigma_target, bracket=SQUEEZE_BRACKET)
     """Best uniform single-mode squeeze of the source towards the target.
 
     Maximizes F(S_z sigma_source S_z^T, sigma_target) over z in the bracket,
-    with S_z = diag(z, 1/z) on every mode, by golden-section search on ln z.
+    with S_z = diag(z, 1/z) on every mode, by bounded Brent search on ln z.
+    S_z is diagonal, so S_z sigma S_z^T is sigma scaled elementwise by
+    d d^T with d = (z, 1/z, z, 1/z, ...).
 
     Returns:
         (z_star, f_star)
@@ -353,10 +413,11 @@ def optimize_global_squeeze(sigma_source, sigma_target, bracket=SQUEEZE_BRACKET)
     sigma_target, n2 = validate_cm(sigma_target)
     if n != n2:
         raise ValueError("states have different mode counts")
+    exponents = np.tile([1.0, -1.0], n)
 
     def objective(ln_z):
-        s = single_mode_squeeze(n, float(np.exp(ln_z)))
-        return fidelity(s @ sigma_source @ s.T, sigma_target)
+        d = np.exp(ln_z * exponents)
+        return fidelity(sigma_source * np.outer(d, d), sigma_target)
 
     ln_lo, ln_hi = np.log(bracket[0]), np.log(bracket[1])
     ln_star, f_star = maximize_1d(objective, ln_lo, ln_hi, tol=LN_Z_TOL)

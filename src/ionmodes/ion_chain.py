@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import atomic_mass, elementary_charge, epsilon_0, hbar
 
 from ionmodes.gaussian import from_blocks
 from ionmodes.numerics import NumericalError, sym_eigen
@@ -34,6 +33,13 @@ MAX_IONS = 300
 GRADIENT_TOL = 1e-12
 
 COM_FREQUENCY_TOL = 1e-10
+
+# SI constants, CODATA 2022 as in scipy.constants 1.17.1 (kept as literals
+# so importing the package does not load scipy)
+atomic_mass = 1.66053906892e-27  # kg
+elementary_charge = 1.602176634e-19  # C
+epsilon_0 = 8.8541878188e-12  # F / m
+hbar = 1.0545718176461565e-34  # J s
 
 
 def _gradient(z):

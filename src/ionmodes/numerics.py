@@ -1,9 +1,8 @@
 """Shared numerical kernels: symmetric eigendecomposition with a fixed sign
-convention, principal matrix square roots, oscillatory Brillouin-zone
-quadrature, and bracketed 1D maximization."""
+convention, principal square roots of symmetric matrices, oscillatory
+Brillouin-zone quadrature, and bracketed 1D maximization."""
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
@@ -19,6 +18,10 @@ SYMMETRY_TOL = 1e-12
 
 # residual bound for principal_sqrt, relative to the max-norm of the input
 SQRT_RESIDUAL_TOL = 1e-10
+
+# golden-section fraction (3 - sqrt 5) / 2: where Brent's search places its
+# first point, and the share of the larger side a fallback step covers
+_GOLDEN_SECTION = 0.5 * (3.0 - np.sqrt(5.0))
 
 
 class NumericalError(RuntimeError):
@@ -54,29 +57,23 @@ def sym_eigen(mat):
 
 
 def principal_sqrt(mat):
-    """Principal square root R of a real matrix, with R @ R = mat.
+    """Principal square root R of a real symmetric positive-semidefinite
+    matrix, with R @ R = mat, by the eigenvalue route.
 
-    Symmetric positive-semidefinite input goes through the eigenvalue route;
-    anything else falls back to the Schur method.  The reconstruction
-    residual ||R @ R - mat||_max must not exceed 1e-10 * ||mat||_max.
+    Raises ValueError on non-symmetric input.  The reconstruction residual
+    ||R @ R - mat||_max must not exceed 1e-10 * ||mat||_max.
     """
     m = np.asarray(mat, dtype=float)
     _check_square(m)
     scale = float(np.abs(m).max())
     if scale == 0.0:
         return np.zeros_like(m)
-    if float(np.abs(m - m.T).max()) <= SYMMETRY_TOL * scale:
-        vals, vecs = np.linalg.eigh(m)
-        if vals[0] < -SQRT_RESIDUAL_TOL * scale:
-            raise NumericalError(
-                "symmetric input has negative eigenvalue %g" % vals[0])
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    else:
-        root = scipy.linalg.sqrtm(m)
-        if np.iscomplexobj(root):
-            if float(np.abs(root.imag).max()) > SQRT_RESIDUAL_TOL * np.sqrt(scale):
-                raise NumericalError("input has no real principal square root")
-            root = root.real
+    if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    vals, vecs = np.linalg.eigh(m)
+    if vals[0] < -SQRT_RESIDUAL_TOL * scale:
+        raise NumericalError("symmetric input has negative eigenvalue %g" % vals[0])
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     residual = float(np.abs(root @ root - m).max())
     if residual > SQRT_RESIDUAL_TOL * scale:
         raise NumericalError(
@@ -136,39 +133,74 @@ def quad_oscillatory(f, delta, inner_scale=None, nodes_per_panel=24):
     return total / (2.0 * np.pi)
 
 
-def maximize_1d(f, lo, hi, tol=1e-6, max_iter=200):
-    """Golden-section maximization of a unimodal function on [lo, hi].
+def _brent_max(f, a, b, tol, max_iter):
+    """Bounded Brent search for the maximum of f on [a, b].
 
-    If the maximizer lands within tol of a bracket edge, the bracket is
-    widened once on that side and the search retried; hitting an edge again
-    raises NumericalError.  Returns (argmax, max).
+    Parabolic interpolation through the three best points so far, with a
+    golden-section step whenever the parabola leaves the bracket or fails
+    to halve the step before last (Forsythe, Malcolm & Moler, `fmin`).
+    Every step moves at least tol/2 from the best point.  Stops once the
+    best point lies within tol of both bracket ends, so it is within tol of
+    the maximizer.
+    """
+    step_min = 0.5 * tol
+    x = w = v = a + _GOLDEN_SECTION * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(max_iter):
+        if max(x - a, b - x) <= tol:
+            return x, fx
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            # vertex of the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if x + d - a < tol or b - (x + d) < tol:
+                    d = step_min if mid >= x else -step_min
+        if not parabolic:
+            e = (b - x) if x < mid else (a - x)
+            d = _GOLDEN_SECTION * e
+        u = x + (d if abs(d) >= step_min else np.copysign(step_min, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    raise NumericalError("Brent search did not converge in %d iterations" % max_iter)
+
+
+def maximize_1d(f, lo, hi, tol=1e-6, max_iter=200):
+    """Bounded Brent maximization of a unimodal function on [lo, hi].
+
+    The returned argmax is within tol of the maximizer.  If it lands within
+    tol of a bracket edge, the bracket is widened once on that side and the
+    search retried; hitting an edge again raises NumericalError, as does a
+    search that needs more than max_iter steps.  Returns (argmax, max).
     """
     if not hi > lo:
         raise ValueError("empty bracket")
-
-    def search(a, b):
-        inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(max_iter):
-            if b - a <= tol:
-                break
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = f(d)
-            else:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = f(c)
-        else:
-            raise NumericalError("golden-section search did not converge in %d iterations" % max_iter)
-        x = 0.5 * (a + b)
-        return x, f(x)
-
     width = hi - lo
-    x, fx = search(lo, hi)
+    x, fx = _brent_max(f, lo, hi, tol, max_iter)
     if x - lo > tol and hi - x > tol:
         return x, fx
     # widen once towards the edge that was hit, then give up
@@ -176,7 +208,7 @@ def maximize_1d(f, lo, hi, tol=1e-6, max_iter=200):
         lo2, hi2 = lo - width, hi
     else:
         lo2, hi2 = lo, hi + width
-    x, fx = search(lo2, hi2)
+    x, fx = _brent_max(f, lo2, hi2, tol, max_iter)
     if x - lo2 <= tol or hi2 - x <= tol:
         raise NumericalError("maximizer pinned to the bracket edge even after widening")
     return x, fx

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -183,6 +186,18 @@ class TestGoldenCheck:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["negativity", "--system", "ion", "--region-size", "1", "--separations", "1"],
+        ["fidelity", "--chain-size", "10", "--region-sizes", "2"],
+        ["fock", "--dims", "2"],
+        ["golden-check", "--table", "7"],
+    ])
+    def test_text_format_only_on_chain(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--format", "text"])
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'text'" in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, [])
         assert code == 1
@@ -238,3 +253,14 @@ class TestManifestFile:
         assert manifest["wall_ms"] > 0.0
         assert manifest["tolerances"]["golden_slack_default"] == 0.6
         assert manifest["params"]["dims"] == "2"
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    src = os.path.dirname(os.path.dirname(ionmodes.__file__))
+    code = ("import sys, ionmodes.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.constants', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,11 +2,16 @@
 conditioning, symplectic operations, entanglement measures, fidelity, and
 the global squeeze optimizer."""
 
+import functools
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_local_symplectic, random_physical_cm, tmsv_cm
-from ionmodes import gaussian
+from conftest import random_local_symplectic, random_physical_cm, sqrtm_fidelity, tmsv_cm
+from ionmodes import experiments, gaussian, golden, scalar_field
 from ionmodes.gaussian import (
     RegionSpec,
     apply_symplectic,
@@ -259,7 +264,155 @@ class TestFidelity:
             fidelity(np.eye(2), np.eye(4))
 
 
+def _block_state(rng, n, mix):
+    """Random physical CM with no phi-pi cross block: Pi >= Phi^-1, with
+    equality (a pure state) when mix is 0."""
+    a = rng.normal(size=(n, n))
+    phi = a @ a.T + 0.2 * np.eye(n)
+    b = rng.normal(size=(n, n))
+    return from_blocks(phi, np.linalg.inv(phi) + mix * (b @ b.T))
+
+
+class TestFidelityRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           mix_1=st.floats(0.05, 1.0), mix_2=st.floats(0.05, 1.0),
+           angle=st.floats(0.1, 1.4))
+    def test_block_general_and_sqrtm_routes_agree(self, seed, n, mix_1, mix_2, angle):
+        rng = np.random.default_rng(seed)
+        sigma_1 = _block_state(rng, n, mix_1)
+        sigma_2 = _block_state(rng, n, mix_2)
+        block = fidelity(sigma_1, sigma_2)
+        # a common phase rotation keeps F but adds a phi-pi cross block,
+        # which sends the pair through the interleaved route
+        rot = single_mode_rotation(n, angle)
+        turned_1, turned_2 = apply_symplectic(sigma_1, rot), apply_symplectic(sigma_2, rot)
+        assert np.abs(turned_1[0::2, 1::2]).max() > 1e-3
+        general = fidelity(turned_1, turned_2)
+        oracle = sqrtm_fidelity(sigma_1, sigma_2)
+        assert abs(general - block) <= 1e-6 * block
+        assert abs(oracle - block) <= 1e-6 * block
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), mix=st.floats(0.0, 1.0))
+    def test_pure_state_overlap(self, seed, n, mix):
+        # with sigma_1 pure, F^2 = <psi|rho_2|psi> = det((sigma_1 + sigma_2) / 2)^(-1/2)
+        rng = np.random.default_rng(seed)
+        sigma_1 = _block_state(rng, n, 0.0)
+        sigma_2 = _block_state(rng, n, mix)
+        want = np.linalg.det(0.5 * (sigma_1 + sigma_2)) ** -0.25
+        assert abs(fidelity(sigma_1, sigma_2) - want) <= 1e-10 * want
+        rot = single_mode_rotation(n, 0.7)
+        turned = fidelity(apply_symplectic(sigma_1, rot), apply_symplectic(sigma_2, rot))
+        assert abs(turned - want) <= 1e-6 * want
+
+    def test_unphysical_pair_rejected(self):
+        # Pi < Phi^-1: an auxiliary eigenvalue below 1
+        bad = from_blocks(np.eye(2), 0.5 * np.eye(2))
+        with pytest.raises(NumericalError):
+            fidelity(bad, from_blocks(2.0 * np.eye(2), np.eye(2)))
+
+
+def _mp_log_fidelity(phi_1, pi_1, phi_2, pi_2):
+    """ln F at the working precision from 4 P Q - 1 = Y^-1 (1 + Pi_2 Phi_1)
+    X^-1 (1 + Phi_2 Pi_1) - 1, the auxiliary matrix of Banchi, Braunstein &
+    Pirandola with no block algebra beyond the phi/pi split."""
+    eye = mpmath.eye(phi_1.rows)
+    x, y = phi_1 + phi_2, pi_1 + pi_2
+    excess = mpmath.eig(mpmath.inverse(y) * (eye + pi_2 * phi_1) * mpmath.inverse(x)
+                        * (eye + phi_2 * pi_1) - eye, left=False, right=False)
+    assert max(abs(mpmath.im(e)) for e in excess) < mpmath.mpf(10) ** (4 - mpmath.mp.dps)
+    total = 2 * mpmath.fsum(mpmath.asinh(mpmath.sqrt(max(mpmath.re(e), 0))) for e in excess)
+    return (total - mpmath.log(mpmath.det(x / 2)) - mpmath.log(mpmath.det(y / 2))) / 4
+
+
+def _mp_blocks(sigma, sectors):
+    """phi and pi blocks of sigma as mpmath matrices; with sectors, the even
+    and odd parts under the mode reversal of a centrosymmetric state."""
+    out = []
+    for block in (sigma[0::2, 0::2], sigma[1::2, 1::2]):
+        if not sectors:
+            out.append((mpmath.matrix(block.tolist()),))
+            continue
+        m = block.shape[0] // 2
+        near = mpmath.matrix(block[:m, :m].tolist())
+        far = mpmath.matrix(block[:m, m:][:, ::-1].tolist())
+        out.append((near + far, near - far))
+    return list(zip(*out))
+
+
+def _mp_fidelity(sigma_1, sigma_2, sectors=True):
+    """Fidelity at 30 digits of two exact float64 CMs with no phi-pi block.
+
+    For centrosymmetric states of an even number of modes, the mode reversal
+    is a passive symplectic that splits both states into even and odd
+    sectors, so F is the product of two half-size fidelities (8x less work
+    for mpmath's eigensolver)."""
+    with mpmath.workdps(30):
+        pairs = zip(_mp_blocks(sigma_1, sectors), _mp_blocks(sigma_2, sectors))
+        return mpmath.exp(mpmath.fsum(_mp_log_fidelity(p1, q1, p2, q2)
+                                      for (p1, q1), (p2, q2) in pairs))
+
+
+def _reversal(n):
+    return np.arange(2 * n).reshape(n, 2)[::-1].ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _table_pair(chain_size, window, z):
+    """Centered chain window squeezed by z and the lattice vacuum window,
+    both made exactly centrosymmetric in float64, with the 30-digit F."""
+    left = (chain_size - window) // 2
+    source = restrict(experiments.chain_model(chain_size).cm, range(left, left + window))
+    d = np.tile([z, 1.0 / z], window)
+    flip = _reversal(window)
+    pair = []
+    for sigma in (source * np.outer(d, d), scalar_field.scalar_vacuum_cm(window)):
+        pair.append(0.5 * (sigma + sigma[np.ix_(flip, flip)]))
+    return pair[0], pair[1], _mp_fidelity(pair[0], pair[1])
+
+
+MP_CASES = [(30, 10), (30, 30), (50, 50), (150, 50)]
+
+
+class TestFidelityAgainstMpmath:
+    def test_sector_split_matches_full_computation(self):
+        source, target, want = _table_pair(30, 10, 6.0)
+        full = _mp_fidelity(source, target, sectors=False)
+        assert abs(full / want - 1) < 1e-20
+
+    @pytest.mark.parametrize("z", [1.0, 6.0])
+    @pytest.mark.parametrize("chain_size,window", MP_CASES)
+    def test_table_window_within_1e8(self, chain_size, window, z):
+        source, target, want = _table_pair(chain_size, window, z)
+        got = fidelity(source, target)
+        assert abs(got / float(want) - 1.0) < 1e-8
+
+    def test_sqrtm_route_misses_on_large_windows(self):
+        # the route the package used before, off by ~sqrt(eps) per near-unit w_k
+        misses = [abs(sqrtm_fidelity(s, t) / float(f) - 1.0)
+                  for s, t, f in (_table_pair(c, w, z) for c, w in MP_CASES for z in (1.0, 6.0))]
+        assert max(misses) > 1e-7
+
+
 class TestGlobalSqueezeOptimizer:
+    def test_evaluations_per_search_on_tables(self, monkeypatch):
+        counts = []
+        real = gaussian.fidelity
+
+        def counted(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(gaussian, "fidelity", counted)
+        for table in (4, 5, 6):
+            chain_size = golden.TABLES[table][1]["chain_size"]
+            for row in golden.load_table(table):
+                counts.append(-1)  # fidelity_cell's raw fidelity is no search step
+                experiments.fidelity_cell(chain_size, int(row["region_size"]))
+        assert len(counts) == 65
+        assert max(counts) <= 32
+
     def test_self_target_recovers_unit_squeeze(self, chain30):
         source = restrict(chain30.cm, range(10, 20))
         z_star, f_star = optimize_global_squeeze(source, source)

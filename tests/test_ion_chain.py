@@ -3,7 +3,10 @@ matrix, and physical trap scales."""
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import elementary_charge, pi
+
+from ionmodes import ion_chain
 
 from ionmodes.gaussian import symplectic_spectrum
 from ionmodes.ion_chain import (
@@ -177,6 +180,12 @@ class TestPhysicalScales:
         quad = compute_scales(charge=4.0 * elementary_charge, mass=mass, curvature=1.0e8)
         assert np.isclose(quad.spacing_scale / base.spacing_scale,
                           4.0 ** (1.0 / 3.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["atomic_mass", "elementary_charge", "epsilon_0", "hbar"])
+    def test_constants_match_scipy(self, name):
+        # literals copied from scipy.constants (CODATA 2022); a later CODATA
+        # release that moves one shows up here
+        assert getattr(ion_chain, name) == pytest.approx(getattr(scipy.constants, name), rel=1e-12)
 
     def test_requires_exactly_one_confinement_parameter(self):
         mass = ytterbium_mass(171)

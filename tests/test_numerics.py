@@ -1,5 +1,5 @@
-"""Numerical kernels: deterministic eigendecomposition, matrix square
-root, oscillatory quadrature, golden-section search."""
+"""Numerical kernels: deterministic eigendecomposition, symmetric matrix
+square root, oscillatory quadrature, bounded Brent search."""
 
 import numpy as np
 import pytest
@@ -72,6 +72,10 @@ class TestPrincipalSqrt:
             assert np.allclose(root, root.T, atol=1e-10)
             assert np.all(np.linalg.eigvalsh(0.5 * (root + root.T)) > 0.0)
 
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError):
+            principal_sqrt([[4.0, 1.0], [0.0, 9.0]])
+
 
 class TestQuadOscillatory:
     def test_orthogonality_of_harmonics(self):
@@ -102,13 +106,36 @@ class TestMaximize1d:
         assert abs(x - 2.5) < 1e-6
         assert fx <= 0.0
 
+    @pytest.mark.parametrize("f,lo,hi,argmax", [
+        (lambda x: x * np.exp(-x), 0.0, 5.0, 1.0),
+        (lambda x: 3.0 * x - np.exp(x), -2.0, 4.0, np.log(3.0)),
+        (lambda x: -np.cosh(x - 0.3) - 0.1 * (x - 0.3) ** 4, -5.0, 1.0, 0.3),
+    ])
+    def test_argmax_within_tol(self, f, lo, hi, argmax):
+        tol = 1e-7
+        calls = []
+        x, fx = maximize_1d(lambda t: calls.append(t) or f(t), lo, hi, tol=tol)
+        assert abs(x - argmax) <= tol
+        assert fx == f(x)
+        assert len(calls) < 40  # golden section alone needs ~40 at this tol
+
     def test_widens_bracket_once(self):
         x, _ = maximize_1d(lambda x: -(x - 1.2) ** 2, 0.0, 1.0, tol=1e-9)
         assert abs(x - 1.2) < 1e-6
+        x, _ = maximize_1d(lambda x: -(x + 0.3) ** 2, 0.0, 1.0, tol=1e-9)
+        assert abs(x + 0.3) < 1e-6
 
     def test_monotone_function_fails(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="even after widening"):
             maximize_1d(lambda x: x, 0.0, 1.0, tol=1e-9)
+
+    def test_maximum_beyond_widened_bracket_fails(self):
+        with pytest.raises(NumericalError, match="even after widening"):
+            maximize_1d(lambda x: -(x - 2.5) ** 2, 0.0, 1.0, tol=1e-9)
+
+    def test_non_convergence_within_max_iter(self):
+        with pytest.raises(NumericalError, match="did not converge"):
+            maximize_1d(lambda x: -np.cosh(x - 0.37), 0.0, 1.0, tol=1e-12, max_iter=5)
 
     def test_empty_bracket(self):
         with pytest.raises(ValueError):

@@ -120,12 +120,16 @@ def from_blocks(phi_block, pi_block, cross_block=None):
 
 
 def validate_cm(sigma):
-    """Check shape and symmetry; return (sigma, n_modes)."""
+    """Check shape, finiteness and symmetry; return (sigma, n_modes)."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ValueError("covariance matrix must be square of even dimension")
-    scale = max(1.0, float(np.abs(sigma).max()))
-    if float(np.abs(sigma - sigma.T).max()) > 1e-12 * scale:
+    largest = float(np.abs(sigma).max())
+    if not np.isfinite(largest):
+        raise NumericalError("covariance matrix has non-finite entries")
+    scale = max(1.0, largest)
+    asym = sigma - sigma.T
+    if max(float(asym.max()), -float(asym.min())) > 1e-12 * scale:
         raise ValueError("covariance matrix is not symmetric")
     return sigma, sigma.shape[0] // 2
 
@@ -173,7 +177,8 @@ def condition_homodyne(sigma, measured, quadrature):
         return sigma.copy()
     if measured[0] < 0 or measured[-1] >= n:
         raise ValueError("measured mode indices out of range")
-    kept = [m for m in range(n) if m not in set(measured)]
+    measured_set = set(measured)
+    kept = [m for m in range(n) if m not in measured_set]
     if not kept:
         raise ValueError("cannot measure every mode")
     if quadrature == "phi":

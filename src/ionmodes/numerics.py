@@ -2,6 +2,8 @@
 convention, principal square roots of symmetric matrices, oscillatory
 Brillouin-zone quadrature, and bracketed 1D maximization."""
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -81,6 +83,15 @@ def principal_sqrt(mat):
     return root
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    x, w = leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_edges(delta, inner_scale):
     """Panel boundaries on (0, pi] for the Brillouin-zone quadrature.
 
@@ -114,7 +125,8 @@ def quad_oscillatory(f, delta, inner_scale=None, nodes_per_panel=24):
     Composite Gauss-Legendre quadrature split at k = 0 (where the lattice
     dispersion has a derivative kink), with panels sized to resolve the
     cos(k * delta) oscillation and optionally graded towards k = 0 down to
-    inner_scale.  Uses at least 32 * max(1, |delta|) nodes.
+    inner_scale.  Uses at least 32 * max(1, |delta|) nodes.  All nodes of
+    one half of the zone go to f in a single array, so f is called twice.
 
     Args:
         f: vectorized integrand over k.
@@ -122,14 +134,12 @@ def quad_oscillatory(f, delta, inner_scale=None, nodes_per_panel=24):
         inner_scale: optional width of the sharpest feature near k = 0.
     """
     edges = _panel_edges(delta, inner_scale)
-    x, w = leggauss(nodes_per_panel)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for sign in (1.0, -1.0):
-            k = sign * (half * x + mid)
-            total += half * float(np.dot(w, f(k)))
+    x, w = _gauss_legendre(nodes_per_panel)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    k = (half[:, None] * x + mid[:, None]).ravel()
+    weights = (half[:, None] * w).ravel()
+    total = float(np.dot(weights, f(k))) + float(np.dot(weights, f(-k)))
     return total / (2.0 * np.pi)
 
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, sqrtm
 
-from ionmodes import experiments, gaussian, scalar_field
+from ionmodes import experiments, gaussian, numerics, scalar_field
 
 
 def random_physical_cm(rng, n_modes, thermal_max=2.0, strength=0.6):
@@ -69,6 +70,23 @@ def sqrtm_fidelity(sigma_1, sigma_2):
     _, logdet_n = np.linalg.slogdet(2.0 * (root + np.eye(2 * n)) @ vaux)
     _, logdet_d = np.linalg.slogdet(vsum)
     return float(np.exp(0.25 * (logdet_n - logdet_d)))
+
+
+def panel_loop_quad(f, delta, inner_scale=None, nodes_per_panel=24):
+    """Brillouin-zone quadrature as numerics.quad_oscillatory computed it
+    before it went to whole arrays: the same panels and Gauss-Legendre
+    rule, with f called once per panel and sign of k, summed in that
+    order."""
+    edges = numerics._panel_edges(delta, inner_scale)
+    x, w = leggauss(nodes_per_panel)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        for sign in (1.0, -1.0):
+            k = sign * (half * x + mid)
+            total += half * float(np.dot(w, f(k)))
+    return total / (2.0 * np.pi)
 
 
 def tmsv_cm(r):

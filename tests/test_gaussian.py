@@ -85,6 +85,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             validate_cm(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_cm_rejects_non_finite(self, bad):
+        sigma = np.eye(4)
+        sigma[2, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            validate_cm(sigma)
+        with pytest.raises(NumericalError, match="non-finite"):
+            log_negativity(sigma, [0], [1])
+
     def test_assert_physical(self):
         assert_physical(np.eye(4))
         with pytest.raises(NumericalError):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from conftest import panel_loop_quad
+from ionmodes import numerics
 from ionmodes.numerics import (
     NumericalError,
     maximize_1d,
@@ -77,6 +79,19 @@ class TestPrincipalSqrt:
             principal_sqrt([[4.0, 1.0], [0.0, 9.0]])
 
 
+def _phi_integrand(delta, mass):
+    return lambda k: np.cos(k * delta) / np.sqrt(mass**2 + 4.0 * np.sin(0.5 * k) ** 2)
+
+
+def _pi_integrand(delta, mass):
+    return lambda k: np.cos(k * delta) * np.sqrt(mass**2 + 4.0 * np.sin(0.5 * k) ** 2)
+
+
+def _odd_part_integrand(delta, mass):
+    # not even in k, so the +k and -k halves contribute differently
+    return lambda k: np.cos(k * delta) + np.sin(k) * k**2
+
+
 class TestQuadOscillatory:
     def test_orthogonality_of_harmonics(self):
         for delta in range(0, 7):
@@ -98,6 +113,32 @@ class TestQuadOscillatory:
         want = np.arcsinh(np.pi / m) / np.pi
         got = quad_oscillatory(f, 0, inner_scale=m)
         assert abs(got - want) < 1e-10
+
+    @pytest.mark.parametrize("integrand", [_phi_integrand, _pi_integrand, _odd_part_integrand])
+    @pytest.mark.parametrize("inner_scale", [None, 1e-10, 1e-3, 1.0])
+    @pytest.mark.parametrize("delta", [0, 1, 7, 20, 150, 298, 300])
+    def test_matches_panel_loop(self, delta, inner_scale, integrand):
+        # the per-panel loop this kernel replaced: same nodes and weights,
+        # summed in another order
+        f = integrand(delta, 1e-10 if inner_scale is None else inner_scale)
+        want = panel_loop_quad(f, delta, inner_scale)
+        got = quad_oscillatory(f, delta, inner_scale)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("delta", [0, 1, 150, 298])
+    def test_integrand_called_at_most_twice(self, delta):
+        calls = []
+        f = _pi_integrand(delta, 1e-10)
+
+        def counted(k):
+            calls.append(k.size)
+            return f(k)
+
+        quad_oscillatory(counted, delta, inner_scale=1e-10)
+        assert len(calls) <= 2
+        # every node of the panel layout is still evaluated
+        panels = len(numerics._panel_edges(delta, 1e-10)) - 1
+        assert sum(calls) == 2 * 24 * panels
 
 
 class TestMaximize1d:

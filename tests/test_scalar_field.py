@@ -12,10 +12,11 @@ from ionmodes.scalar_field import ScalarFieldSpec, measured_vacuum_cm, scalar_va
 
 class TestCorrelationEntries:
     def test_momentum_entries_closed_form(self, field_spec):
-        # (1 / 2 pi) Int 2|sin(k/2)| cos(k d) dk = 4 / (pi (1 - 4 d^2))
-        for delta in range(0, 7):
+        # (1 / 2 pi) Int 2|sin(k/2)| cos(k d) dk = 4 / (pi (1 - 4 d^2)), out
+        # to the far separations of a 300-site scan
+        for delta in (*range(0, 7), 50, 150, 298):
             want = 4.0 / (math.pi * (1.0 - 4.0 * delta * delta))
-            assert abs(field_spec.pi_entry(delta) - want) < 1e-10
+            assert abs(field_spec.pi_entry(delta) - want) < 1e-12, delta
 
     def test_field_entry_differences_closed_form(self, field_spec):
         # phi(d) - phi(0) = -(2 / pi) sum_{j=1..d} 1 / (2 j - 1); the

@@ -70,7 +70,7 @@ def negativity_cell(system, chain_size, region_size, separation, treatment, mass
             state = gaussian.condition_homodyne(cm, region.outside, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     if system == "scalar":
-        spec = field_spec(mass) if mass else field_spec()
+        spec = field_spec() if mass is None else field_spec(mass)
         region = gaussian.RegionSpec(2 * d + sep, d, sep)
         sites = region.region_a + region.region_b
         if treatment == "trace":
@@ -112,7 +112,7 @@ def fidelity_cell(chain_size, window, self_test=False, mass=None):
     if self_test:
         target = source
     else:
-        spec = field_spec(mass) if mass else field_spec()
+        spec = field_spec() if mass is None else field_spec(mass)
         target = scalar_field.scalar_vacuum_cm(int(window), spec)
     raw = gaussian.fidelity(source, target)
     z_star, f_star = gaussian.optimize_global_squeeze(source, target)

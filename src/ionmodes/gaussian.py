@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ionmodes.numerics import NumericalError, maximize_1d, principal_sqrt
+from ionmodes.numerics import NumericalError, maximize_1d
 
 __all__ = [
     "RegionSpec",
@@ -124,6 +124,8 @@ def validate_cm(sigma):
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ValueError("covariance matrix must be square of even dimension")
+    if not sigma.size:
+        raise ValueError("covariance matrix needs at least one mode")
     largest = float(np.abs(sigma).max())
     if not np.isfinite(largest):
         raise NumericalError("covariance matrix has non-finite entries")
@@ -245,18 +247,14 @@ def single_mode_rotation(n_modes, phi, targets=None):
 def symplectic_spectrum(sigma):
     """Symplectic eigenvalues nu_k >= 0 of a positive-definite CM, ascending.
 
-    Computed from the symmetric product sigma^(1/2) Omega^T sigma Omega
-    sigma^(1/2), whose ordinary eigenvalues are the nu_k^2, each doubled.
+    With the Cholesky factor sigma = L L^T, the antisymmetric L^T Omega L is
+    similar to sigma Omega, so its singular values are the nu_k, each twice.
     """
-    sigma, n = validate_cm(sigma)
-    vals = np.linalg.eigvalsh(sigma)
-    if vals[0] <= 0.0:
-        raise NumericalError("covariance matrix is not positive definite")
-    root = principal_sqrt(sigma)
-    omega = symplectic_form(n)
-    squared = np.linalg.eigvalsh(root @ omega.T @ sigma @ omega @ root)
-    nu = np.sqrt(np.abs(squared))
-    nu.sort()
+    sigma, _ = validate_cm(sigma)
+    chol = _cholesky(sigma, "covariance matrix")
+    # Omega L: each row pair (2j, 2j+1) of L becomes (row 2j+1, -row 2j)
+    omega_chol = np.stack((chol[1::2], -chol[0::2]), axis=1).reshape(chol.shape)
+    nu = np.linalg.svd(chol.T @ omega_chol, compute_uv=False)[::-1]  # svd sorts descending
     pair_gap = float(np.abs(nu[0::2] - nu[1::2]).max())
     if pair_gap > 1e-6 * max(1.0, nu[-1]):
         raise NumericalError("symplectic spectrum failed to pair up (gap %.3e)" % pair_gap)

@@ -55,12 +55,18 @@ class ScalarFieldSpec:
         return self._pi_cache[d]
 
     def phi_block(self, sites):
-        sites = [int(s) for s in sites]
-        return np.array([[self.phi_entry(a - b) for b in sites] for a in sites])
+        return self._toeplitz_block(self.phi_entry, sites)
 
     def pi_block(self, sites):
-        sites = [int(s) for s in sites]
-        return np.array([[self.pi_entry(a - b) for b in sites] for a in sites])
+        return self._toeplitz_block(self.pi_entry, sites)
+
+    @staticmethod
+    def _toeplitz_block(entry, sites):
+        """entry(a - b) over pairs of sites, looked up once per distinct gap |a - b|."""
+        sites = np.array([int(s) for s in sites])
+        gap = np.abs(sites[:, None] - sites)
+        row = [entry(g) if count else 0.0 for g, count in enumerate(np.bincount(gap.ravel()))]
+        return np.array(row)[gap]
 
 
 def scalar_vacuum_cm(window, spec=None):
@@ -72,14 +78,9 @@ def scalar_vacuum_cm(window, spec=None):
     """
     if spec is None:
         spec = ScalarFieldSpec()
-    if np.isscalar(window):
-        if int(window) < 1:
-            raise ValueError("window must contain at least one site")
-        sites = list(range(int(window)))
-    else:
-        sites = sorted(set(int(s) for s in window))
-        if not sites:
-            raise ValueError("window must contain at least one site")
+    sites = range(int(window)) if np.isscalar(window) else sorted(set(int(s) for s in window))
+    if not sites:
+        raise ValueError("window must contain at least one site")
     return from_blocks(spec.phi_block(sites), spec.pi_block(sites))
 
 

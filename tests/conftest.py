@@ -72,6 +72,25 @@ def sqrtm_fidelity(sigma_1, sigma_2):
     return float(np.exp(0.25 * (logdet_n - logdet_d)))
 
 
+def sqrt_spectrum(sigma):
+    """Symplectic spectrum by the route gaussian.symplectic_spectrum took
+    before its Cholesky form: the ordinary eigenvalues of sigma^(1/2)
+    Omega^T sigma Omega sigma^(1/2) are the nu_k^2, each doubled, with
+    sigma^(1/2) from numerics.principal_sqrt.
+
+    Squaring the spectrum costs it ~1e-13 absolute near nu = 1, where the
+    Cholesky route keeps ~1e-16.
+    """
+    sigma, n = gaussian.validate_cm(sigma)
+    if np.linalg.eigvalsh(sigma)[0] <= 0.0:
+        raise numerics.NumericalError("covariance matrix is not positive definite")
+    root = numerics.principal_sqrt(sigma)
+    omega = gaussian.symplectic_form(n)
+    nu = np.sort(np.sqrt(np.abs(np.linalg.eigvalsh(root @ omega.T @ sigma @ omega @ root))))
+    assert np.abs(nu[0::2] - nu[1::2]).max() <= 1e-6 * max(1.0, nu[-1])
+    return 0.5 * (nu[0::2] + nu[1::2])
+
+
 def panel_loop_quad(f, delta, inner_scale=None, nodes_per_panel=24):
     """Brillouin-zone quadrature as numerics.quad_oscillatory computed it
     before it went to whole arrays: the same panels and Gauss-Legendre

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_symplectic, random_physical_cm, sqrtm_fidelity, tmsv_cm
+from conftest import (
+    random_local_symplectic,
+    random_physical_cm,
+    sqrt_spectrum,
+    sqrtm_fidelity,
+    tmsv_cm,
+)
 from ionmodes import experiments, gaussian, golden, scalar_field
 from ionmodes.gaussian import (
     RegionSpec,
@@ -94,6 +100,10 @@ class TestBasics:
         with pytest.raises(NumericalError, match="non-finite"):
             log_negativity(sigma, [0], [1])
 
+    def test_validate_cm_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one mode"):
+            validate_cm(np.zeros((0, 0)))
+
     def test_assert_physical(self):
         assert_physical(np.eye(4))
         with pytest.raises(NumericalError):
@@ -173,6 +183,39 @@ class TestSymplectics:
             n = int(rng.integers(1, 5))
             sigma, _, nu = random_physical_cm(rng, n)
             assert np.allclose(symplectic_spectrum(sigma), np.sort(nu), atol=1e-9)
+
+
+class TestSpectrumRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), transpose=st.booleans())
+    def test_cholesky_and_sqrt_routes_agree(self, seed, n, transpose):
+        rng = np.random.default_rng(seed)
+        sigma, _, _ = random_physical_cm(rng, n)
+        if transpose:
+            sigma = partial_transpose(sigma, rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                        replace=False))
+        assert np.abs(symplectic_spectrum(sigma) - sqrt_spectrum(sigma)).max() <= 1e-9
+
+    @pytest.mark.parametrize("sigma", [np.diag([1.0, 0.0]), np.diag([2.0, -1.0, 1.0, 1.0])])
+    def test_rejects_non_positive_definite(self, sigma):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            symplectic_spectrum(sigma)
+
+    def test_near_separable_table_cell_against_mpmath(self):
+        # table 3, separation 29, ion_trace: E_N ~ 4.5e-8 hangs on the
+        # smallest partially transposed nu_k, 1 - 3e-8
+        region = RegionSpec(150, 5, 29)
+        state = restrict(experiments.chain_model(150).cm, region.region_a + region.region_b)
+        flipped = partial_transpose(state, range(5, 10))
+        with mpmath.workdps(40):
+            omega = mpmath.matrix(symplectic_form(10).tolist())
+            vals = mpmath.eig(omega * mpmath.matrix(flipped.tolist()), left=False, right=False)
+            nu = [mpmath.im(v) for v in vals if mpmath.im(v) > 0]
+            want = float(-mpmath.fsum(mpmath.log(v, 2) for v in nu if v < 1))
+        got = experiments.negativity_cell("ion", 150, 5, 29, "trace")
+        oracle = -sum(np.log2(v) for v in sqrt_spectrum(flipped) if v < 1.0)
+        assert abs(got - want) < 1e-15
+        assert abs(oracle - want) > 1e-13
 
 
 class TestEntanglementMeasures:

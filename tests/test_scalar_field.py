@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ionmodes import gaussian, scalar_field
+from ionmodes import experiments, gaussian, scalar_field
 from ionmodes.scalar_field import ScalarFieldSpec, measured_vacuum_cm, scalar_vacuum_cm
 
 
@@ -48,6 +48,17 @@ class TestVacuumCM:
             for j in range(5):
                 assert block[i, j] == field_spec.pi_entry(abs(i - j))
 
+    def test_gapped_block_looks_up_each_distinct_gap_once(self, monkeypatch):
+        spec = ScalarFieldSpec()
+        sites = [0, 1, 40, 41]
+        lookups = []
+        real = spec.phi_entry
+        monkeypatch.setattr(spec, "phi_entry", lambda d: lookups.append(d) or real(d))
+        block = spec.phi_block(sites)
+        assert sorted(lookups) == [0, 1, 39, 40, 41]
+        assert sorted(spec._phi_cache) == [0, 1, 39, 40, 41]  # no gap 2..38 integrated
+        assert np.array_equal(block, [[real(a - b) for b in sites] for a in sites])
+
     def test_window_count_equals_site_list(self, field_spec):
         assert np.array_equal(scalar_vacuum_cm(4, field_spec),
                               scalar_vacuum_cm([0, 1, 2, 3], field_spec))
@@ -57,12 +68,30 @@ class TestVacuumCM:
         gapped = scalar_vacuum_cm([0, 1, 4, 5], field_spec)
         assert np.allclose(gapped, gaussian.restrict(full, [0, 1, 4, 5]), atol=1e-14)
 
+    @pytest.mark.parametrize("window", [0, -2, []])
+    def test_empty_window_rejected(self, field_spec, window):
+        with pytest.raises(ValueError, match="at least one site"):
+            scalar_vacuum_cm(window, field_spec)
+
     def test_physical(self, field_spec):
         gaussian.assert_physical(scalar_vacuum_cm(8, field_spec))
 
     def test_no_cross_correlations(self, field_spec):
         sigma = scalar_vacuum_cm(5, field_spec)
         assert np.allclose(sigma[0::2, 1::2], 0.0, atol=1e-15)
+
+
+class TestMassArgument:
+    def test_zero_mass_rejected_by_cells(self):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            experiments.negativity_cell("scalar", 150, 1, 2, "trace", mass=0.0)
+        with pytest.raises(ValueError, match="mass must be positive"):
+            experiments.fidelity_cell(30, 4, mass=0.0)
+
+    def test_no_mass_means_default(self):
+        assert (experiments.negativity_cell("scalar", 150, 1, 2, "phi")
+                == experiments.negativity_cell("scalar", 150, 1, 2, "phi",
+                                               mass=scalar_field.DEFAULT_MASS))
 
 
 class TestMeasuredVacuum:

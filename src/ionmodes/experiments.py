@@ -4,6 +4,8 @@ qudit-subspace occupation deficits."""
 
 import threading
 
+import numpy as np
+
 from ionmodes import fock, gaussian, scalar_field
 from ionmodes.ion_chain import IonChainModel
 
@@ -60,14 +62,17 @@ def negativity_cell(system, chain_size, region_size, separation, treatment, mass
     sep = int(separation)
     if system == "ion":
         n = int(chain_size)
-        cm = chain_model(n).cm  # validates n even when the geometry does not fit
+        model = chain_model(n)  # validates n even when the geometry does not fit
         if 2 * d + sep > n:
             return None
         region = gaussian.RegionSpec(n, d, sep)
+        sites = region.region_a + region.region_b
+        pair = np.ix_(sites, sites)
+        phi, pi = model.phi_block[pair], model.pi_block[pair]
         if treatment == "trace":
-            state = gaussian.restrict(cm, region.region_a + region.region_b)
+            state = gaussian.from_blocks(phi, pi)
         else:
-            state = gaussian.condition_homodyne(cm, region.outside, treatment)
+            state = gaussian.measure_pure_complement(pi if treatment == "phi" else phi, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     if system == "scalar":
         spec = field_spec() if mass is None else field_spec(mass)

@@ -20,6 +20,7 @@ __all__ = [
     "assert_physical",
     "restrict",
     "condition_homodyne",
+    "measure_pure_complement",
     "apply_symplectic",
     "assert_symplectic",
     "single_mode_squeeze",
@@ -199,6 +200,30 @@ def condition_homodyne(sigma, measured, quadrature):
         raise NumericalError("measured-quadrature block is singular") from exc
     out = sigma[np.ix_(keep_idx, keep_idx)] - cross @ solved
     return 0.5 * (out + out.T)
+
+
+def measure_pure_complement(kept_block, quadrature):
+    """State of the kept modes of a pure state with no phi-pi cross block
+    after homodyne measurement of one quadrature on every other mode.
+
+    Such a state has Pi = Phi^-1, so the Schur complement of
+    `condition_homodyne` has a closed form in the kept block of the
+    unmeasured quadrature alone: measuring phi leaves the pi block Pi_K
+    and replaces the phi block by Pi_K^-1; measuring pi leaves Phi_K and
+    replaces the pi block by Phi_K^-1.  `kept_block` is Pi_K when
+    `quadrature` is "phi" and Phi_K when it is "pi".
+    """
+    kept_name = {"phi": "pi", "pi": "phi"}.get(quadrature)
+    if kept_name is None:
+        raise ValueError("quadrature must be 'phi' or 'pi'")
+    try:
+        conditioned = np.linalg.inv(kept_block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("%s-correlator restriction is singular" % kept_name) from exc
+    conditioned = 0.5 * (conditioned + conditioned.T)
+    if quadrature == "phi":
+        return from_blocks(conditioned, kept_block)
+    return from_blocks(kept_block, conditioned)
 
 
 def assert_symplectic(s, tol=SYMPLECTIC_TOL):

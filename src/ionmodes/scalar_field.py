@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import NumericalError, quad_oscillatory
+from ionmodes.gaussian import from_blocks, measure_pure_complement
+from ionmodes.numerics import quad_oscillatory
 
 __all__ = ["DEFAULT_MASS", "ScalarFieldSpec", "scalar_vacuum_cm", "measured_vacuum_cm"]
 
@@ -99,18 +99,7 @@ def measured_vacuum_cm(sites, quadrature, spec=None):
     sites = sorted(set(int(s) for s in sites))
     if not sites:
         raise ValueError("need at least one retained site")
-    if quadrature == "phi":
-        pi_b = spec.pi_block(sites)
-        try:
-            conditioned = np.linalg.inv(pi_b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("pi-correlator restriction is singular") from exc
-        return from_blocks(0.5 * (conditioned + conditioned.T), pi_b)
-    if quadrature == "pi":
-        phi_b = spec.phi_block(sites)
-        try:
-            conditioned = np.linalg.inv(phi_b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("phi-correlator restriction is singular") from exc
-        return from_blocks(phi_b, 0.5 * (conditioned + conditioned.T))
-    raise ValueError("quadrature must be 'phi' or 'pi'")
+    if quadrature not in ("phi", "pi"):
+        raise ValueError("quadrature must be 'phi' or 'pi'")
+    kept = spec.pi_block(sites) if quadrature == "phi" else spec.phi_block(sites)
+    return measure_pure_complement(kept, quadrature)

@@ -1,5 +1,7 @@
 """Shared fixtures and random-state helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -89,6 +91,23 @@ def sqrt_spectrum(sigma):
     nu = np.sort(np.sqrt(np.abs(np.linalg.eigvalsh(root @ omega.T @ sigma @ omega @ root))))
     assert np.abs(nu[0::2] - nu[1::2]).max() <= 1e-6 * max(1.0, nu[-1])
     return 0.5 * (nu[0::2] + nu[1::2])
+
+
+def loop_gradient_compensated(z):
+    """Potential gradient as ion_chain._gradient_compensated computed it
+    before it built its terms in one array: a double loop over ion pairs,
+    one exactly rounded math.fsum per ion."""
+    n = len(z)
+    out = np.empty(n)
+    for i in range(n):
+        terms = [2.0 * z[i]]
+        for j in range(n):
+            if j == i:
+                continue
+            d = z[i] - z[j]
+            terms.append(-math.copysign(2.0, d) / d**2)
+        out[i] = math.fsum(terms)
+    return out
 
 
 def panel_loop_quad(f, delta, inner_scale=None, nodes_per_panel=24):

@@ -17,7 +17,7 @@ from conftest import (
     sqrtm_fidelity,
     tmsv_cm,
 )
-from ionmodes import experiments, gaussian, golden, scalar_field
+from ionmodes import experiments, gaussian, golden, ion_chain, scalar_field
 from ionmodes.gaussian import (
     RegionSpec,
     apply_symplectic,
@@ -28,6 +28,7 @@ from ionmodes.gaussian import (
     fidelity,
     from_blocks,
     log_negativity,
+    measure_pure_complement,
     optimize_global_squeeze,
     partial_transpose,
     restrict,
@@ -149,6 +150,102 @@ class TestConditioning:
     def test_rejects_bad_quadrature(self):
         with pytest.raises(ValueError):
             condition_homodyne(np.eye(4), [0], "q")
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_chain_blocks(n_ions, dps):
+    """phi and pi blocks of the chain ground state at dps digits: the
+    Hessian of the float64 equilibrium positions, diagonalized by mpmath."""
+    z = [mpmath.mpf(float(x)) for x in ion_chain.solve_equilibrium(n_ions)]
+    with mpmath.workdps(dps):
+        hess = mpmath.matrix(n_ions, n_ions)
+        for i in range(n_ions):
+            hess[i, i] = 1
+            for j in range(n_ions):
+                if j != i:
+                    coupling = 2 / abs(z[i] - z[j]) ** 3
+                    hess[i, j] = -coupling
+                    hess[i, i] += coupling
+        vals, vecs = mpmath.eigsy(hess)
+        freqs = [mpmath.sqrt(v) for v in vals]
+        phi = vecs * mpmath.diag([1 / w for w in freqs]) * vecs.T
+        pi = vecs * mpmath.diag(freqs) * vecs.T
+    return phi, pi
+
+
+def _mp_measured_negativity(phi, pi, region, quadrature):
+    """E_N at the working precision of the regions after measuring one
+    quadrature on the rest of a pure state, by the same closed form, with
+    the partially transposed spectrum from the symmetric L^T P Pi P L
+    (phi block = L L^T, P the momentum sign flip on region B)."""
+    sites = region.region_a + region.region_b
+    source = pi if quadrature == "phi" else phi
+    kept = mpmath.matrix([[source[i, j] for j in sites] for i in sites])
+    inverse = mpmath.inverse(kept)
+    phi_k, pi_k = (inverse, kept) if quadrature == "phi" else (kept, inverse)
+    flip = mpmath.diag([1] * region.size + [-1] * region.size)
+    chol = mpmath.cholesky(phi_k)
+    nu_sq = mpmath.eigsy(chol.T * flip * pi_k * flip * chol, eigvals_only=True)
+    nu = [mpmath.sqrt(v) for v in nu_sq]
+    return -mpmath.fsum(mpmath.log(v, 2) for v in nu if v < 1 - gaussian.NU_UNIT_TOL)
+
+
+def _random_pure_blocks(rng, n):
+    """Random SPD phi block with eigenvalues in [0.3, 3] and pi = phi^-1."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    vals = rng.uniform(0.3, 3.0, size=n)
+    phi = (q * vals) @ q.T
+    pi = (q / vals) @ q.T
+    return 0.5 * (phi + phi.T), 0.5 * (pi + pi.T)
+
+
+class TestPureConditioning:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           quadrature=st.sampled_from(["phi", "pi"]))
+    def test_closed_form_matches_schur_complement(self, seed, n, quadrature):
+        rng = np.random.default_rng(seed)
+        phi, pi = _random_pure_blocks(rng, n)
+        kept = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        measured = [m for m in range(n) if m not in kept]
+        kept_block = (pi if quadrature == "phi" else phi)[np.ix_(kept, kept)]
+        want = condition_homodyne(from_blocks(phi, pi), measured, quadrature)
+        got = measure_pure_complement(kept_block, quadrature)
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_rejects_bad_quadrature_and_singular_block(self):
+        with pytest.raises(ValueError):
+            measure_pure_complement(np.eye(2), "x")
+        with pytest.raises(NumericalError, match="pi-correlator restriction is singular"):
+            measure_pure_complement(np.zeros((2, 2)), "phi")
+
+    def test_table_geometries_match_schur_route(self):
+        # every ion_phi / ion_pi cell of tables 1-3 (150 ions)
+        cm = experiments.chain_model(150).cm
+        worst = 0.0
+        for table in (1, 2, 3):
+            d = golden.TABLES[table][1]["region_size"]
+            for row in golden.load_table(table):
+                region = RegionSpec(150, d, int(row["separation"]))
+                for quadrature in ("phi", "pi"):
+                    schur = log_negativity(condition_homodyne(cm, region.outside, quadrature),
+                                           range(d), range(d, 2 * d))
+                    closed = experiments.negativity_cell("ion", 150, d, region.separation,
+                                                         quadrature)
+                    worst = max(worst, abs(closed - schur))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("quadrature", ["phi", "pi"])
+    @pytest.mark.parametrize("size,separation", [(1, 20), (1, 26), (3, 12), (3, 20)])
+    def test_chain_cells_against_mpmath(self, size, separation, quadrature):
+        # 30 ions from a 40-digit Hessian; the reference applies the same
+        # 1e-9 window on nu as log_negativity
+        with mpmath.workdps(40):
+            want = _mp_measured_negativity(*_mp_chain_blocks(30, 40),
+                                           RegionSpec(30, size, separation),
+                                           quadrature)
+        got = experiments.negativity_cell("ion", 30, size, separation, quadrature)
+        assert abs(got / float(want) - 1.0) < 1e-12
 
 
 class TestSymplectics:

@@ -6,12 +6,13 @@ import pytest
 import scipy.constants
 from scipy.constants import elementary_charge, pi
 
-from ionmodes import ion_chain
-
+from conftest import loop_gradient_compensated
+from ionmodes import experiments, ion_chain
 from ionmodes.gaussian import symplectic_spectrum
 from ionmodes.ion_chain import (
     GRADIENT_TOL,
     MAX_IONS,
+    PURITY_TOL,
     IonChainModel,
     _gradient_compensated,
     build_hessian,
@@ -21,6 +22,7 @@ from ionmodes.ion_chain import (
     solve_equilibrium,
     ytterbium_mass,
 )
+from ionmodes.numerics import NumericalError
 
 
 def chain_energy(z):
@@ -99,6 +101,14 @@ class TestEquilibrium:
             assert np.all(np.diff(gaps[:mid + 1]) <= 0.0)
             assert np.all(np.diff(gaps[mid:]) >= 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 150, 200, 300])
+    def test_positions_bit_equal_to_loop_gradient(self, n, monkeypatch):
+        # the terms now come from one array; with exact fsum per ion the
+        # converged positions must not move by a single bit
+        want = solve_equilibrium(n)
+        monkeypatch.setattr(ion_chain, "_gradient_compensated", loop_gradient_compensated)
+        assert np.array_equal(solve_equilibrium(n), want)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             solve_equilibrium(0)
@@ -157,6 +167,38 @@ class TestLocalModeCM:
         assert np.allclose(cm[0::2, 0::2], want_phi, atol=1e-13)
         assert np.allclose(cm[1::2, 1::2], want_pi, atol=1e-13)
         assert np.allclose(cm[0::2, 1::2], 0.0, atol=1e-15)
+
+
+class TestSharedModel:
+    def test_blocks_are_views_of_cm(self, three_ion_model):
+        for block, start in ((three_ion_model.phi_block, 0), (three_ion_model.pi_block, 1)):
+            assert np.shares_memory(block, three_ion_model.cm)
+            assert np.array_equal(block, three_ion_model.cm[start::2, start::2])
+
+    def test_arrays_are_read_only(self, three_ion_model):
+        model = experiments.chain_model(3)
+        assert model is three_ion_model  # the cached model every caller shares
+        for array in (model.positions, model.frequencies, model.modes, model.cm,
+                      model.phi_block, model.pi_block):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert model.cm[0, 0] != 0.0
+
+    @pytest.mark.parametrize("n", [2, 150, 300])
+    def test_ground_state_passes_purity_check(self, n):
+        model = experiments.chain_model(n)
+        residual = np.abs(model.phi_block @ model.pi_block - np.eye(n)).max()
+        assert residual <= PURITY_TOL / 10  # measured 6e-15 at 300 ions
+
+    def test_perturbed_momentum_block_fails_purity_check(self, monkeypatch):
+        def perturbed(frequencies, modes):
+            cm = local_mode_cm(frequencies, modes)
+            cm[1::2, 1::2] *= 1.0 + 1e-10
+            return cm
+
+        monkeypatch.setattr(ion_chain, "local_mode_cm", perturbed)
+        with pytest.raises(NumericalError, match="not pure"):
+            IonChainModel.build(10)
 
 
 class TestPhysicalScales:

@@ -203,7 +203,7 @@ def _run_fock(args):
     manifest = RunManifest(
         "fock",
         {"dims": args.dims},
-        metadata={"tail_sum": "complement occupancy shells when 1 - P_in cancels below 1e-6"})
+        metadata={"tail_sum": "occupancy shells max(m1, m2) >= D of pure-state amplitudes"})
     header = ("qudit_dim", "p_out_raw", "p_out_squeezed")
     _emit(args, manifest, _rows_body(args, header, rows))
     return EXIT_OK

@@ -102,7 +102,8 @@ def _window_cm(model, window):
     if window > model.n_ions or window < 1:
         raise ValueError("window must fit inside the chain")
     left = (model.n_ions - window) // 2
-    return gaussian.restrict(model.cm, range(left, left + window))
+    sites = slice(left, left + window)
+    return gaussian.from_blocks(model.phi_block[sites, sites], model.pi_block[sites, sites])
 
 
 def fidelity_cell(chain_size, window, self_test=False, mass=None):
@@ -149,22 +150,14 @@ def two_ion_states():
     return raw, squeezed
 
 
-def fock_cell(dim, states=None):
-    """(P_out raw, P_out squeezed) for the two-ion state at qudit dim.
-
-    states: HusimiData of the raw and squeezed states.  Passing the same
-    pair for every dimension shares their hafnian memos, so each shell tail
-    sum reuses the recursion of the dimensions before it.
-    """
-    if states is None:
-        states = [fock.husimi_data(cm) for cm in two_ion_states()]
-    return tuple(fock.qudit_subspace_deficit(None, dim, hdata=h) for h in states)
+def fock_cell(dim):
+    """(P_out raw, P_out squeezed) for the two-ion state at qudit dim."""
+    return tuple(fock.qudit_subspace_deficit(cm, dim) for cm in two_ion_states())
 
 
 def fock_rows(dims):
     """Rows (dim, p_out_raw, p_out_squeezed), sorted by dim."""
-    states = [fock.husimi_data(cm) for cm in two_ion_states()]
-    rows = [(int(d),) + fock_cell(int(d), states) for d in dims]
+    rows = [(int(d),) + fock_cell(int(d)) for d in dims]
     rows.sort(key=lambda r: r[0])
     return rows
 

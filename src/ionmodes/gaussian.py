@@ -90,11 +90,6 @@ class RegionSpec:
         start = self.left_margin + self.size + self.separation
         return list(range(start, start + self.size))
 
-    @property
-    def outside(self):
-        inside = set(self.region_a) | set(self.region_b)
-        return [i for i in range(self.length) if i not in inside]
-
 
 def symplectic_form(n_modes):
     """The 2n x 2n symplectic form in the interleaved basis."""

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, sqrtm
 
-from ionmodes import experiments, gaussian, numerics, scalar_field
+from ionmodes import experiments, fock, gaussian, numerics, scalar_field
 
 
 def random_physical_cm(rng, n_modes, thermal_max=2.0, strength=0.6):
@@ -48,6 +48,51 @@ def recursive_hafnian(b):
         keep = rest[:t] + rest[t + 1:]
         total += b[0, j] * recursive_hafnian(b[np.ix_(keep, keep)])
     return total
+
+
+def hafnian_deficit(sigma, dim):
+    """Qudit subspace deficit by the route fock.qudit_subspace_deficit took
+    before its pure-state amplitude recurrence, for mixed states too: the
+    direct complement 1 - (sum of the D^2 diagonal elements from
+    fock.matrix_element), and, once that falls below 1e-6, a sum of
+    diagonal elements over occupancy shells max(m1, m2) >= D up to shell 32
+    that stops after two shells below fock.TAIL_RELATIVE_TOL of the total.
+
+    The complement cancels: it misses a 30-digit reference by 1.7e-11
+    relative on the raw two-ion state at D = 6.
+    """
+    h = fock.husimi_data(sigma)
+
+    def probability(occ):
+        value = fock.matrix_element(h, occ, occ, cap=None)
+        assert abs(value.imag) <= 1e-10 * max(1.0, abs(value.real))
+        return value.real
+
+    deficit = 1.0 - math.fsum(
+        probability((m1, m2)) for m1 in range(dim) for m2 in range(dim))
+    if deficit >= 1e-6:
+        return deficit
+    total = 0.0
+    quiet_shells = 0
+    for shell in range(dim, 33):
+        contribution = probability((shell, shell))
+        for other in range(shell):
+            contribution += probability((shell, other))
+            contribution += probability((other, shell))
+        total += contribution
+        if abs(contribution) <= max(1e-30, fock.TAIL_RELATIVE_TOL * abs(total)):
+            quiet_shells += 1
+            if quiet_shells >= 2:
+                return total
+        else:
+            quiet_shells = 0
+    raise numerics.NumericalError("occupancy tail failed to converge by shell 32")
+
+
+def outside(region):
+    """Sites of the region's lattice that lie in neither region, in order."""
+    inside = set(region.region_a) | set(region.region_b)
+    return [i for i in range(region.length) if i not in inside]
 
 
 def sqrtm_fidelity(sigma_1, sigma_2):

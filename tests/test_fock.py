@@ -4,11 +4,20 @@ matrix elements, su(1,1) disentanglement, and qudit subspace deficits."""
 import gc
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_local_symplectic, random_physical_cm, recursive_hafnian, tmsv_cm
+from conftest import (
+    hafnian_deficit,
+    random_local_symplectic,
+    random_physical_cm,
+    recursive_hafnian,
+    tmsv_cm,
+)
 from ionmodes import experiments
 from ionmodes.fock import (
     MAX_QUDIT_DIM,
@@ -19,8 +28,10 @@ from ionmodes.fock import (
     qudit_subspace_deficit,
     subspace_sweep,
     tmsv_disentangle,
+    _pure_amplitudes,
     _repeated_hafnian,
 )
+from ionmodes.gaussian import apply_symplectic, single_mode_rotation, single_mode_squeeze
 from ionmodes.numerics import NumericalError
 
 
@@ -135,7 +146,6 @@ class TestMatrixElements:
             gc.enable()
 
     def test_hermiticity_on_rotated_states(self, two_ion_cm):
-        from ionmodes.gaussian import apply_symplectic
         rng = np.random.default_rng(59)
         for _ in range(5):
             s = random_local_symplectic(rng, 2)
@@ -244,13 +254,7 @@ class TestQuditDeficit:
         values = [qudit_subspace_deficit(two_ion_cm, d) for d in range(1, 9)]
         assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
-    def test_hdata_reuse_matches(self, two_ion_cm):
-        h = husimi_data(two_ion_cm)
-        direct = qudit_subspace_deficit(two_ion_cm, 3)
-        reused = qudit_subspace_deficit(None, 3, hdata=h)
-        assert direct == reused
-
-    def test_rows_sharing_hdata_match_fresh_deficits(self):
+    def test_rows_match_fresh_deficits(self):
         rows = experiments.fock_rows(range(2, MAX_QUDIT_DIM + 1))
         raw, squeezed = experiments.two_ion_states()
         for dim, p_raw, p_squeezed in rows:
@@ -262,6 +266,71 @@ class TestQuditDeficit:
             qudit_subspace_deficit(two_ion_cm, 0)
         with pytest.raises(ValueError):
             qudit_subspace_deficit(two_ion_cm, MAX_QUDIT_DIM + 1)
+
+    def test_mixed_state_rejected(self):
+        with pytest.raises(ValueError, match="pure states"):
+            qudit_subspace_deficit(1.5 * np.eye(4), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), base=st.sampled_from(["two_ion", "tmsv"]),
+           dim=st.integers(1, MAX_QUDIT_DIM))
+    def test_matches_hafnian_oracle(self, two_ion_cm, seed, base, dim):
+        rng = np.random.default_rng(seed)
+        sigma = two_ion_cm if base == "two_ion" else tmsv_cm(rng.uniform(0.0, 0.5))
+        sigma = apply_symplectic(sigma, random_local_symplectic(rng, 2))
+        norm = math.fsum((np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2).ravel())
+        assert abs(norm - 1.0) <= 1e-13
+        got = qudit_subspace_deficit(sigma, dim)
+        want = hafnian_deficit(sigma, dim)
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_strong_squeeze_converges_below_cap(self, two_ion_cm):
+        # the far edge of the squeezes the deficit is asked for: the tail
+        # decays slowly, and the direct complement of the oracle is exact
+        s = single_mode_squeeze(2, 2.5) @ single_mode_rotation(2, 0.7)
+        sigma = apply_symplectic(two_ion_cm, s)
+        for dim in range(1, MAX_QUDIT_DIM + 1):
+            want = hafnian_deficit(sigma, dim)
+            assert abs(qudit_subspace_deficit(sigma, dim) - want) <= 1e-9 * want
+
+
+def mp_deficit(sigma, dim, size=60):
+    """P_out from the same recurrence at the working mpmath precision,
+    started from the float64 ket block B and det(sigma_q), summed over every
+    shell max(m1, m2) >= D below `size`."""
+    h = husimi_data(sigma)
+    b = [[mpmath.mpc(complex(h.a_mat[i, j])) for j in range(2)] for i in range(2)]
+    root = [mpmath.sqrt(k) for k in range(size)]
+    psi = [[mpmath.mpc(0)] * size for _ in range(size)]
+    psi[0][0] = mpmath.mpf(h.sqrt_det_sigma_q) ** mpmath.mpf(-0.5)
+    for m1 in range(1, size - 1):
+        psi[m1 + 1][0] = b[0][0] * root[m1] * psi[m1 - 1][0] / root[m1 + 1]
+    for m2 in range(size - 1):
+        for m1 in range(size):
+            value = b[1][0] * root[m1] * psi[m1 - 1][m2] if m1 else mpmath.mpc(0)
+            if m2:
+                value += b[1][1] * root[m2] * psi[m1][m2 - 1]
+            psi[m1][m2 + 1] = value / root[m2 + 1]
+    return mpmath.fsum(abs(psi[m1][m2]) ** 2
+                       for m1 in range(size) for m2 in range(size) if max(m1, m2) >= dim)
+
+
+class TestDeficitAgainstMpmath:
+    @pytest.mark.parametrize("state,dim", [("raw", 5), ("raw", 6), ("squeezed", 3)])
+    def test_table_cells(self, state, dim):
+        raw, squeezed = experiments.two_ion_states()
+        sigma = raw if state == "raw" else squeezed
+        with mpmath.workdps(30):
+            want = mp_deficit(sigma, dim)
+            got = qudit_subspace_deficit(sigma, dim)
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_direct_complement_cancels(self):
+        # why the deficit left 1 - sum_inside: it misses by 1.7e-11 here
+        raw, _ = experiments.two_ion_states()
+        with mpmath.workdps(30):
+            want = mp_deficit(raw, 6)
+            assert abs(hafnian_deficit(raw, 6) - want) > 1e-12 * want
 
 
 class TestSubspaceSweep:

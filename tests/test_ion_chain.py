@@ -8,7 +8,7 @@ from scipy.constants import elementary_charge, pi
 
 from conftest import loop_gradient_compensated
 from ionmodes import experiments, ion_chain
-from ionmodes.gaussian import symplectic_spectrum
+from ionmodes.gaussian import restrict, symplectic_spectrum
 from ionmodes.ion_chain import (
     GRADIENT_TOL,
     MAX_IONS,
@@ -183,6 +183,19 @@ class TestSharedModel:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
         assert model.cm[0, 0] != 0.0
+
+    @pytest.mark.parametrize("window", [1, 10, 50, 150])
+    def test_fidelity_window_sliced_from_blocks(self, window):
+        model = experiments.chain_model(150)
+        left = (150 - window) // 2
+        want = restrict(model.cm, range(left, left + window))
+        got = experiments._window_cm(model, window)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [0, 151])
+    def test_fidelity_window_must_fit(self, window):
+        with pytest.raises(ValueError, match="window must fit"):
+            experiments._window_cm(experiments.chain_model(150), window)
 
     @pytest.mark.parametrize("n", [2, 150, 300])
     def test_ground_state_passes_purity_check(self, n):

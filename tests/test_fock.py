@@ -18,7 +18,7 @@ from conftest import (
     recursive_hafnian,
     tmsv_cm,
 )
-from ionmodes import experiments
+from ionmodes import experiments, fock
 from ionmodes.fock import (
     MAX_QUDIT_DIM,
     HusimiData,
@@ -292,6 +292,27 @@ class TestQuditDeficit:
         for dim in range(1, MAX_QUDIT_DIM + 1):
             want = hafnian_deficit(sigma, dim)
             assert abs(qudit_subspace_deficit(sigma, dim) - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("z,theta", [(2.49, 1.18), (2.5, 0.5 * math.pi), (2.4, 0.6)])
+    def test_every_shell_against_wider_grid(self, two_ion_cm, monkeypatch, z, theta):
+        # stopping after two shells below 1e-13 of the total missed the
+        # first state by 2.8e-13 against the same sum to shell 300
+        s = single_mode_squeeze(2, z) @ single_mode_rotation(2, theta)
+        sigma = apply_symplectic(two_ion_cm, s)
+        dims = range(1, MAX_QUDIT_DIM + 1)
+        got = [qudit_subspace_deficit(sigma, dim) for dim in dims]
+        monkeypatch.setattr(fock, "TAIL_OCCUPANCY_CAP", 300)
+        prob = np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2
+        occupancy = np.arange(301)
+        shell = np.maximum.outer(occupancy, occupancy)
+        for dim, value in zip(dims, got):
+            want = math.fsum(prob[shell >= dim])
+            assert abs(value - want) <= 1e-13 * want
+
+    def test_tail_beyond_cap_raises(self, two_ion_cm):
+        s = single_mode_squeeze(2, 4.0) @ single_mode_rotation(2, 0.5 * math.pi)
+        with pytest.raises(NumericalError, match="beyond shell"):
+            qudit_subspace_deficit(apply_symplectic(two_ion_cm, s), MAX_QUDIT_DIM)
 
 
 def mp_deficit(sigma, dim, size=60):

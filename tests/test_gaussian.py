@@ -545,23 +545,82 @@ class TestFidelityAgainstMpmath:
         assert max(misses) > 1e-7
 
 
+def _table_windows():
+    """(source, target) of every window of tables 4-6: the centered chain
+    window and the lattice vacuum window of the same size."""
+    for table in (4, 5, 6):
+        chain_size = golden.TABLES[table][1]["chain_size"]
+        for row in golden.load_table(table):
+            window = int(row["region_size"])
+            yield (experiments._window_cm(experiments.chain_model(chain_size), window),
+                   scalar_field.scalar_vacuum_cm(window, experiments.field_spec()))
+
+
+# the squeeze bracket after one widening on either side: ln z within
+# ln(0.5) - ln(40) ... ln(20) + ln(40)
+WIDENED_Z = np.geomspace(0.5 / 40.0, 20.0 * 40.0, 8)
+
+
+class TestSqueezeObjective:
+    def test_matches_fidelity_on_table_windows(self):
+        pairs = 0
+        for source, target in _table_windows():
+            objective = gaussian._squeeze_objective(source, target)
+            n = source.shape[0] // 2
+            for z in WIDENED_Z:
+                d = np.tile([z, 1.0 / z], n)
+                want = fidelity(source * np.outer(d, d), target)
+                assert abs(objective(np.log(z)) / want - 1.0) <= 1e-8
+            pairs += 1
+        assert pairs == 65
+
+    @pytest.mark.parametrize("z", [1.0, 6.0])
+    @pytest.mark.parametrize("chain_size,window", MP_CASES)
+    def test_table_window_within_1e8_of_mpmath(self, chain_size, window, z):
+        source, target, _ = _table_pair(chain_size, window, 1.0)
+        want = _table_pair(chain_size, window, z)[2]
+        got = gaussian._squeeze_objective(source, target)(np.log(z))
+        assert abs(got / float(want) - 1.0) < 1e-8
+
+    def test_f_star_is_fidelity_at_z_star(self, chain30, field_spec):
+        for window in (4, 10):
+            source = experiments._window_cm(chain30, window)
+            target = scalar_field.scalar_vacuum_cm(window, field_spec)
+            z_star, f_star = optimize_global_squeeze(source, target)
+            d = np.tile([z_star, 1.0 / z_star], window)
+            assert f_star == fidelity(source * np.outer(d, d), target)
+
+    def test_cross_block_rejected(self, two_ion_cm):
+        turned = apply_symplectic(two_ion_cm, single_mode_rotation(2, 0.7))
+        assert np.abs(turned[0::2, 1::2]).max() > 1e-3
+        for pair in ((turned, two_ion_cm), (two_ion_cm, turned)):
+            with pytest.raises(ValueError, match="cross block"):
+                optimize_global_squeeze(*pair)
+
+
 class TestGlobalSqueezeOptimizer:
     def test_evaluations_per_search_on_tables(self, monkeypatch):
         counts = []
-        real = gaussian.fidelity
+        factor = gaussian._squeeze_objective
 
         def counted(*args):
-            counts[-1] += 1
-            return real(*args)
+            objective = factor(*args)
+            search = len(counts)
+            counts.append(0)
 
-        monkeypatch.setattr(gaussian, "fidelity", counted)
+            def step(ln_z):
+                counts[search] += 1
+                return objective(ln_z)
+
+            return step
+
+        monkeypatch.setattr(gaussian, "_squeeze_objective", counted)
         for table in (4, 5, 6):
             chain_size = golden.TABLES[table][1]["chain_size"]
             for row in golden.load_table(table):
-                counts.append(-1)  # fidelity_cell's raw fidelity is no search step
                 experiments.fidelity_cell(chain_size, int(row["region_size"]))
         assert len(counts) == 65
-        assert max(counts) <= 32
+        assert 3 <= min(counts) and max(counts) <= 32
 
     def test_self_target_recovers_unit_squeeze(self, chain30):
         source = restrict(chain30.cm, range(10, 20))

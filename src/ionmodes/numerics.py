@@ -11,6 +11,7 @@ __all__ = [
     "NumericalError",
     "sym_eigen",
     "principal_sqrt",
+    "half_zone_nodes",
     "quad_oscillatory",
     "maximize_1d",
 ]
@@ -97,7 +98,10 @@ def _panel_edges(delta, inner_scale):
 
     Panels are graded geometrically towards k = 0 when an inner feature
     scale is supplied (dispersion regularized by a small mass), and are
-    everywhere no wider than a quarter period of cos(k * delta).
+    everywhere no wider than a quarter period of cos(k * delta).  A coarse
+    panel [lo, hi] too wide for that is cut into equal pieces with the
+    arithmetic of np.linspace(lo, hi, pieces + 1), so its inner edges are
+    lo + i * (hi - lo) / pieces and its last edge is hi exactly.
     """
     edges = [np.pi]
     if inner_scale is not None:
@@ -108,37 +112,48 @@ def _panel_edges(delta, inner_scale):
             edges.append(e)
     edges.append(0.0)
     edges = np.array(sorted(set(edges)))
+    lo, hi = edges[:-1], edges[1:]
     width_cap = np.pi / (2.0 * max(1, abs(int(delta))))
-    refined = [0.0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= width_cap:
-            refined.append(hi)
-        else:
-            pieces = int(np.ceil((hi - lo) / width_cap))
-            refined.extend(np.linspace(lo, hi, pieces + 1)[1:])
-    return np.array(refined)
+    pieces = np.ceil((hi - lo) / width_cap).astype(np.intp)
+    first = np.cumsum(pieces) - pieces
+    index = np.arange(1, int(pieces.sum()) + 1) - np.repeat(first, pieces)
+    refined = np.empty(index.size + 1)
+    refined[0] = 0.0
+    refined[1:] = index * np.repeat((hi - lo) / pieces, pieces) + np.repeat(lo, pieces)
+    refined[first + pieces] = hi
+    return refined
+
+
+def half_zone_nodes(delta, inner_scale=None, nodes_per_panel=24):
+    """Composite Gauss-Legendre nodes k and weights on the half-zone (0, pi].
+
+    The panels resolve the cos(k * delta) oscillation and are optionally
+    graded towards k = 0 down to inner_scale (see _panel_edges); there are
+    at least 16 * max(1, |delta|) nodes.  Integrating over [-pi, pi] takes
+    the nodes -k as well, with the same weights.
+    """
+    edges = _panel_edges(delta, inner_scale)
+    x, w = _gauss_legendre(nodes_per_panel)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (half[:, None] * x + mid[:, None]).ravel(), (half[:, None] * w).ravel()
 
 
 def quad_oscillatory(f, delta, inner_scale=None, nodes_per_panel=24):
     """Integrate f over [-pi, pi] normalized by 2*pi, to ~1e-12 absolute.
 
     Composite Gauss-Legendre quadrature split at k = 0 (where the lattice
-    dispersion has a derivative kink), with panels sized to resolve the
-    cos(k * delta) oscillation and optionally graded towards k = 0 down to
-    inner_scale.  Uses at least 32 * max(1, |delta|) nodes.  All nodes of
-    one half of the zone go to f in a single array, so f is called twice.
+    dispersion has a derivative kink), on the nodes of half_zone_nodes and
+    their mirror images.  Uses at least 32 * max(1, |delta|) nodes.  All
+    nodes of one half of the zone go to f in a single array, so f is called
+    twice.
 
     Args:
         f: vectorized integrand over k.
         delta: integer harmonic index of the oscillation.
         inner_scale: optional width of the sharpest feature near k = 0.
     """
-    edges = _panel_edges(delta, inner_scale)
-    x, w = _gauss_legendre(nodes_per_panel)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    k = (half[:, None] * x + mid[:, None]).ravel()
-    weights = (half[:, None] * w).ravel()
+    k, weights = half_zone_nodes(delta, inner_scale, nodes_per_panel)
     total = float(np.dot(weights, f(k))) + float(np.dot(weights, f(-k)))
     return total / (2.0 * np.pi)
 

@@ -10,12 +10,13 @@ The small default mass only regulates the phi-phi zero mode; every quantity
 with a massless limit is within O(mass^2 log mass) of it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ionmodes.gaussian import from_blocks, measure_pure_complement
-from ionmodes.numerics import quad_oscillatory
+from ionmodes.numerics import half_zone_nodes
 
 __all__ = ["DEFAULT_MASS", "ScalarFieldSpec", "scalar_vacuum_cm", "measured_vacuum_cm"]
 
@@ -25,48 +26,64 @@ DEFAULT_MASS = 1e-10
 @dataclass
 class ScalarFieldSpec:
     """Lattice scalar field vacuum at a fixed mass, with cached correlator
-    entries (one Brillouin-zone integral per separation and block)."""
+    entries: one half-zone quadrature per separation gives both its phi and
+    its pi entry."""
 
     mass: float = DEFAULT_MASS
-    _phi_cache: dict = field(default_factory=dict, repr=False)
-    _pi_cache: dict = field(default_factory=dict, repr=False)
+    _entries: dict = field(default_factory=dict, repr=False)  # gap -> (phi, pi)
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive (it regulates the zero mode)")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ValueError("mass must be positive and finite (it regulates the zero mode), "
+                             "got %r" % (self.mass,))
 
-    def _omega(self, k):
-        return np.sqrt(self.mass**2 + 4.0 * np.sin(0.5 * k) ** 2)
+    def _fill(self, gaps):
+        """Integrate every gap not yet cached.  omega_k and cos(k d) are
+        computed once per node and shared by the phi and pi sums; both
+        integrands are even in k, so the k < 0 half of the zone repeats the
+        k > 0 sum exactly.  Each gap is stored in one assignment, so a
+        concurrent reader sees either no entry or both; two threads that
+        miss the same gap both integrate it and store equal values."""
+        entries = self._entries
+        for d in gaps:
+            if d in entries:
+                continue
+            k, weights = half_zone_nodes(d, inner_scale=self.mass)
+            omega = np.sqrt(self.mass**2 + 4.0 * np.sin(0.5 * k) ** 2)
+            wave = np.cos(k * d)
+            phi = float(np.dot(weights, wave / omega))
+            pi = float(np.dot(weights, wave * omega))
+            entries[d] = ((phi + phi) / (2.0 * np.pi), (pi + pi) / (2.0 * np.pi))
 
     def phi_entry(self, separation):
         """<phi_0 phi_separation> in the vacuum."""
         d = abs(int(separation))
-        if d not in self._phi_cache:
-            self._phi_cache[d] = quad_oscillatory(
-                lambda k: np.cos(k * d) / self._omega(k), d, inner_scale=self.mass)
-        return self._phi_cache[d]
+        self._fill((d,))
+        return self._entries[d][0]
 
     def pi_entry(self, separation):
         """<pi_0 pi_separation> in the vacuum."""
         d = abs(int(separation))
-        if d not in self._pi_cache:
-            self._pi_cache[d] = quad_oscillatory(
-                lambda k: np.cos(k * d) * self._omega(k), d, inner_scale=self.mass)
-        return self._pi_cache[d]
+        self._fill((d,))
+        return self._entries[d][1]
 
     def phi_block(self, sites):
-        return self._toeplitz_block(self.phi_entry, sites)
+        return self._toeplitz_block(sites, 0)
 
     def pi_block(self, sites):
-        return self._toeplitz_block(self.pi_entry, sites)
+        return self._toeplitz_block(sites, 1)
 
-    @staticmethod
-    def _toeplitz_block(entry, sites):
-        """entry(a - b) over pairs of sites, looked up once per distinct gap |a - b|."""
+    def _toeplitz_block(self, sites, column):
+        """Entries over pairs of sites; one fill integrates each distinct gap
+        |a - b| the cache lacks, then every entry is read from the cache."""
         sites = np.array([int(s) for s in sites])
         gap = np.abs(sites[:, None] - sites)
-        row = [entry(g) if count else 0.0 for g, count in enumerate(np.bincount(gap.ravel()))]
-        return np.array(row)[gap]
+        counts = np.bincount(gap.ravel())
+        present = np.flatnonzero(counts).tolist()
+        self._fill(present)
+        row = np.zeros(counts.size)
+        row[present] = [self._entries[d][column] for d in present]
+        return row[gap]
 
 
 def scalar_vacuum_cm(window, spec=None):

@@ -172,6 +172,44 @@ def panel_loop_quad(f, delta, inner_scale=None, nodes_per_panel=24):
     return total / (2.0 * np.pi)
 
 
+def loop_panel_edges(delta, inner_scale):
+    """Panel boundaries as numerics._panel_edges built them before its single
+    array expression: one np.linspace per coarse panel wider than the cap."""
+    edges = [np.pi]
+    if inner_scale is not None:
+        floor = max(float(inner_scale), 1e-13)
+        e = np.pi
+        while e > 8.0 * floor:
+            e *= 0.5
+            edges.append(e)
+    edges.append(0.0)
+    edges = np.array(sorted(set(edges)))
+    width_cap = np.pi / (2.0 * max(1, abs(int(delta))))
+    refined = [0.0]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo <= width_cap:
+            refined.append(hi)
+        else:
+            pieces = int(np.ceil((hi - lo) / width_cap))
+            refined.extend(np.linspace(lo, hi, pieces + 1)[1:])
+    return np.array(refined)
+
+
+def quad_entries(mass, separation):
+    """(<phi_0 phi_d>, <pi_0 pi_d>) by the route ScalarFieldSpec took before
+    its half-zone fill: one numerics.quad_oscillatory each over
+    cos(k d) / omega_k and cos(k d) * omega_k, both halves of the zone, with
+    omega_k recomputed in every integrand call."""
+    d = abs(int(separation))
+
+    def omega(k):
+        return np.sqrt(mass**2 + 4.0 * np.sin(0.5 * k) ** 2)
+
+    phi = numerics.quad_oscillatory(lambda k: np.cos(k * d) / omega(k), d, inner_scale=mass)
+    pi = numerics.quad_oscillatory(lambda k: np.cos(k * d) * omega(k), d, inner_scale=mass)
+    return phi, pi
+
+
 def tmsv_cm(r):
     """Two-mode squeezed vacuum CM in the interleaved basis."""
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import panel_loop_quad
+from conftest import loop_panel_edges, panel_loop_quad
 from ionmodes import numerics
 from ionmodes.numerics import (
     NumericalError,
@@ -139,6 +139,26 @@ class TestQuadOscillatory:
         # every node of the panel layout is still evaluated
         panels = len(numerics._panel_edges(delta, 1e-10)) - 1
         assert sum(calls) == 2 * 24 * panels
+
+
+class TestHalfZoneNodes:
+    @pytest.mark.parametrize("inner_scale", [None, 1e-20, 1e-10, 3.7e-7, 1e-3, 0.05, 1.0, 10.0])
+    def test_panel_edges_match_linspace_loop(self, inner_scale):
+        # the one-expression edges reproduce every np.linspace cut bit for bit
+        for delta in (*range(-3, 320), 599, 1000):
+            want = loop_panel_edges(delta, inner_scale)
+            got = numerics._panel_edges(delta, inner_scale)
+            assert got.shape == want.shape and np.array_equal(got, want), delta
+
+    @pytest.mark.parametrize("delta", [0, 1, 7, 150, 300])
+    @pytest.mark.parametrize("inner_scale", [None, 1e-10, 0.5])
+    def test_nodes_fill_the_half_zone(self, delta, inner_scale):
+        k, weights = numerics.half_zone_nodes(delta, inner_scale)
+        panels = len(numerics._panel_edges(delta, inner_scale)) - 1
+        assert k.shape == weights.shape == (24 * panels,)
+        assert 0.0 < k.min() and k.max() < np.pi
+        assert np.all(weights > 0.0)
+        assert abs(weights.sum() - np.pi) < 1e-13
 
 
 class TestMaximize1d:

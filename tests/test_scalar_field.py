@@ -1,11 +1,17 @@
 """Lattice scalar vacuum: dispersion integrals, Toeplitz correlation
 blocks, and exact infinite-exterior homodyne conditioning."""
 
+import collections
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import quad_entries
 from ionmodes import experiments, gaussian, scalar_field
 from ionmodes.scalar_field import ScalarFieldSpec, measured_vacuum_cm, scalar_vacuum_cm
 
@@ -41,6 +47,93 @@ class TestCorrelationEntries:
         assert field_spec.phi_entry(-2) == field_spec.phi_entry(2)
 
 
+class TestHalfZoneFill:
+    """Each gap's phi and pi entries come from one half-zone pass that shares
+    omega_k and cos(k d); the two-quadrature route it replaced is the
+    oracle, and the entries must equal it exactly."""
+
+    def test_entries_to_gap_300_equal_two_quadratures(self):
+        spec = ScalarFieldSpec()
+        phi = spec.phi_block(range(301))[0]
+        pi = spec.pi_block(range(301))[0]
+        for d in range(301):
+            assert (phi[d], pi[d]) == quad_entries(spec.mass, d), d
+
+    @settings(max_examples=25, deadline=None)
+    @given(log_mass=st.floats(-10.0, 0.0),
+           steps=st.lists(st.tuples(
+               st.sampled_from(["phi_entry", "pi_entry", "phi_block", "pi_block"]),
+               st.lists(st.integers(0, 300), min_size=1, max_size=5)),
+               min_size=1, max_size=4))
+    def test_any_route_and_order_equals_two_quadratures(self, log_mass, steps):
+        spec = ScalarFieldSpec(10.0**log_mass)
+        oracle = {}
+
+        def want(d, column):
+            if d not in oracle:
+                oracle[d] = quad_entries(spec.mass, d)
+            return oracle[d][column]
+
+        for route, sites in steps:
+            column = 0 if route.startswith("phi") else 1
+            if route.endswith("entry"):
+                for d in sites:
+                    assert getattr(spec, route)(d) == want(d, column)
+            else:
+                block = getattr(spec, route)(sites)
+                assert np.array_equal(block, [[want(abs(a - b), column) for b in sites]
+                                              for a in sites])
+        for d, entry in spec._entries.items():
+            assert entry == (want(d, 0), want(d, 1)), d
+
+    def test_phi_then_pi_block_integrates_each_gap_once(self, monkeypatch):
+        spec = ScalarFieldSpec()
+        sites = [0, 2, 3, 9, 30, 31, 150]
+        integrated = collections.Counter()
+        real = scalar_field.half_zone_nodes
+        monkeypatch.setattr(scalar_field, "half_zone_nodes",
+                            lambda d, **kw: integrated.update([d]) or real(d, **kw))
+        spec.phi_block(sites)
+        spec.pi_block(sites)
+        spec.phi_entry(-148)
+        gaps = {abs(a - b) for a in sites for b in sites}
+        assert integrated == collections.Counter(gaps)
+
+    def test_concurrent_fills_equal_serial(self):
+        # more threads than cores, switching often, over overlapping gap sets:
+        # a torn or lost (phi, pi) store would leave an entry unequal to the
+        # serial fill's, or a gap missing
+        site_sets = ([0, 1, 5, 40, 120, 121], [1, 5, 41, 119, 200],
+                     [0, 2, 40, 160], [3, 5, 120, 203])
+        serial = ScalarFieldSpec()
+        for sites in site_sets:
+            serial.phi_block(sites)
+        shared = ScalarFieldSpec()
+        start = threading.Barrier(len(site_sets))
+        blocks = {}
+
+        def fill(sites):
+            start.wait(timeout=60)
+            blocks[tuple(sites)] = (shared.pi_block(sites), shared.phi_block(sites))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(sites,)) for sites in site_sets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared._entries == serial._entries
+        for sites in site_sets:
+            pi, phi = blocks[tuple(sites)]
+            assert np.array_equal(pi, serial.pi_block(sites))
+            assert np.array_equal(phi, serial.phi_block(sites))
+
+
 class TestVacuumCM:
     def test_toeplitz_structure(self, field_spec):
         block = field_spec.pi_block(range(5))
@@ -51,13 +144,15 @@ class TestVacuumCM:
     def test_gapped_block_looks_up_each_distinct_gap_once(self, monkeypatch):
         spec = ScalarFieldSpec()
         sites = [0, 1, 40, 41]
-        lookups = []
-        real = spec.phi_entry
-        monkeypatch.setattr(spec, "phi_entry", lambda d: lookups.append(d) or real(d))
+        integrated = []
+        real = scalar_field.half_zone_nodes
+        monkeypatch.setattr(scalar_field, "half_zone_nodes",
+                            lambda d, **kw: integrated.append(d) or real(d, **kw))
         block = spec.phi_block(sites)
-        assert sorted(lookups) == [0, 1, 39, 40, 41]
-        assert sorted(spec._phi_cache) == [0, 1, 39, 40, 41]  # no gap 2..38 integrated
-        assert np.array_equal(block, [[real(a - b) for b in sites] for a in sites])
+        assert sorted(integrated) == [0, 1, 39, 40, 41]
+        assert sorted(spec._entries) == [0, 1, 39, 40, 41]  # no gap 2..38 integrated
+        assert np.array_equal(block, [[spec.phi_entry(a - b) for b in sites] for a in sites])
+        assert len(integrated) == 5  # the lookups above integrated nothing more
 
     def test_window_count_equals_site_list(self, field_spec):
         assert np.array_equal(scalar_vacuum_cm(4, field_spec),
@@ -87,6 +182,13 @@ class TestMassArgument:
             experiments.negativity_cell("scalar", 150, 1, 2, "trace", mass=0.0)
         with pytest.raises(ValueError, match="mass must be positive"):
             experiments.fidelity_cell(30, 4, mass=0.0)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            ScalarFieldSpec(mass)
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            experiments.negativity_cell("scalar", 150, 1, 2, "trace", mass=mass)
 
     def test_no_mass_means_default(self):
         assert (experiments.negativity_cell("scalar", 150, 1, 2, "phi")

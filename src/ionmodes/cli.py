@@ -305,7 +305,7 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError) as exc:
         sys.stderr.write("numerical failure: %s\n" % exc)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
 

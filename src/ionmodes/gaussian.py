@@ -344,30 +344,6 @@ def _defect(phi, pi):
         raise NumericalError("phi block of a state is singular") from exc
 
 
-def _aux_spectrum_blocks(sigma_1, sigma_2):
-    """(w_k^2 - 1, ln det((sigma_1 + sigma_2) / 2)) for two states with no
-    phi-pi cross block, from n x n phi and pi blocks.
-
-    With X and Y the sums of the phi and pi blocks, D_i = Pi_i - Phi_i^-1
-    (zero for a pure state) and R = Phi_1 X^-1 Phi_2, the w_k^2 - 1 are the
-    eigenvalues of Y^-1 D_2 R D_1.  That product is 4 P Q - 1 of the
-    auxiliary matrix V_aux = diag(P, Q) with the identity cancelled
-    exactly, so w_k near 1 lose no digits.
-    """
-    n = sigma_1.shape[0] // 2
-    phi_1, pi_1 = sigma_1[0::2, 0::2], sigma_1[1::2, 1::2]
-    phi_2, pi_2 = sigma_2[0::2, 0::2], sigma_2[1::2, 1::2]
-    phi_sum = phi_1 + phi_2
-    pi_sum = pi_1 + pi_2
-    chol_x = _cholesky(phi_sum, "sum of the phi blocks")
-    chol_y = _cholesky(pi_sum, "sum of the pi blocks")
-    defect_1, defect_2 = _defect(phi_1, pi_1), _defect(phi_2, pi_2)
-    parallel = phi_1 @ np.linalg.solve(phi_sum, phi_2)
-    excess = np.linalg.eigvals(np.linalg.solve(pi_sum, defect_2 @ parallel @ defect_1))
-    logdet = 2.0 * float(np.log(np.diag(chol_x)).sum() + np.log(np.diag(chol_y)).sum())
-    return excess, logdet - 2 * n * np.log(2.0)
-
-
 def _aux_spectrum_interleaved(sigma_1, sigma_2):
     """(w_k^2 - 1, ln det((sigma_1 + sigma_2) / 2)) for any two states, from
     the auxiliary matrix V_aux, whose V_aux Omega has eigenvalues
@@ -390,8 +366,15 @@ def _aux_spectrum_interleaved(sigma_1, sigma_2):
     return w * w - 1.0, float(logdet)
 
 
-def _has_cross_block(sigma):
-    return bool(sigma[0::2, 1::2].any() or sigma[1::2, 0::2].any())
+def _validate_pair(sigma_1, sigma_2):
+    """Validate two CMs of equal mode count; return them and whether either
+    has a phi-pi cross block."""
+    sigma_1, n = validate_cm(sigma_1)
+    sigma_2, n2 = validate_cm(sigma_2)
+    if n != n2:
+        raise ValueError("states have different mode counts")
+    crossed = any(s[0::2, 1::2].any() or s[1::2, 0::2].any() for s in (sigma_1, sigma_2))
+    return sigma_1, sigma_2, crossed
 
 
 def _fidelity_from_aux(excess, logdet):
@@ -421,17 +404,15 @@ def fidelity(sigma_1, sigma_2):
 
         ln F = (1/4) [2 sum_k asinh sqrt(w_k^2 - 1) - ln det((sigma_1 + sigma_2) / 2)]
 
-    States with no phi-pi cross block go through n x n phi and pi blocks
-    (`_aux_spectrum_blocks`); any other pair through the 2n x 2n auxiliary
+    States with no phi-pi cross block go through n x n phi and pi blocks,
+    by the squeeze search's factored objective at ln z = 0
+    (`_cross_free_fidelity`); any other pair through the 2n x 2n auxiliary
     matrix.  No matrix square root is taken.  Result is clamped to [0, 1].
     """
-    sigma_1, n = validate_cm(sigma_1)
-    sigma_2, n2 = validate_cm(sigma_2)
-    if n != n2:
-        raise ValueError("states have different mode counts")
-    if _has_cross_block(sigma_1) or _has_cross_block(sigma_2):
+    sigma_1, sigma_2, crossed = _validate_pair(sigma_1, sigma_2)
+    if crossed:
         return _fidelity_from_aux(*_aux_spectrum_interleaved(sigma_1, sigma_2))
-    return _fidelity_from_aux(*_aux_spectrum_blocks(sigma_1, sigma_2))
+    return _cross_free_fidelity(sigma_1, sigma_2)(0.0)
 
 
 def _pencil(source_block, target_block, what):
@@ -447,27 +428,30 @@ def _pencil(source_block, target_block, what):
     return lam, vecs, chol
 
 
-def _squeeze_objective(sigma_source, sigma_target):
+def _cross_free_fidelity(sigma_source, sigma_target):
     """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, for
-    two validated states of n modes with no phi-pi cross block.
+    two validated states of n modes with no phi-pi cross block: `fidelity`
+    evaluates it at ln z = 0, the squeeze search across its bracket.
 
-    The squeeze rescales only the source: Phi_1 -> s Phi_1, Pi_1 -> Pi_1 / s
-    and D_1 -> D_1 / s with s = z^2.  With C_X, C_Y the congruences that
-    take the pencils (Phi_1, Phi_2) to (diag(alpha), 1) and (Pi_1, Pi_2) to
-    (diag(beta), 1), the block route of `_aux_spectrum_blocks` becomes, for
-    every s,
+    For such a pair V_aux = diag(P, Q), and with X, Y the sums of the phi
+    and pi blocks, D_i = Pi_i - Phi_i^-1 (zero for a pure state) and
+    R = Phi_1 X^-1 Phi_2, the w_k^2 - 1 are the eigenvalues of
+    4 P Q - 1 = Y^-1 D_2 R D_1: the identity cancels exactly, so w_k near 1
+    lose no digits.  The squeeze rescales only the source: Phi_1 -> s Phi_1,
+    Pi_1 -> Pi_1 / s and D_1 -> D_1 / s with s = z^2.  With C_X, C_Y the
+    congruences that take the pencils (Phi_1, Phi_2) to (diag(alpha), 1) and
+    (Pi_1, Pi_2) to (diag(beta), 1), for every s
 
         w_k^2 - 1 = eig(diag(alpha / (s alpha + 1)) F diag(s / (beta + s)) E),
         E = C_Y^T D_2 C_X^-T,  F = C_X^-1 D_1 C_Y,
         ln det X Y = ln det Phi_2 Pi_2 + sum log1p(s alpha) + sum log1p(beta / s),
 
-    so an evaluation costs one n x n product and one eigvals.  Of the two
-    similar orders of that product, the one with F first leaves about a
-    quarter as much round-off in the near-zero eigenvalues of 50-mode table
-    windows; the square root in ln F lifts the other order's to 1e-8 of F.
+    so the pencils are factored once and an evaluation costs one n x n
+    product and one eigvals.  Of the two similar orders of that product, the
+    one with F first leaves about a quarter as much round-off in the
+    near-zero eigenvalues of 50-mode table windows; the square root in ln F
+    lifts the other order's to 1e-8 of F.
     """
-    if _has_cross_block(sigma_source) or _has_cross_block(sigma_target):
-        raise ValueError("the squeeze search needs states with no phi-pi cross block")
     n = sigma_source.shape[0] // 2
     phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
     phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
@@ -494,25 +478,22 @@ def _squeeze_objective(sigma_source, sigma_target):
     return objective
 
 
-def optimize_global_squeeze(sigma_source, sigma_target, bracket=SQUEEZE_BRACKET):
+def optimize_global_squeeze(sigma_source, sigma_target):
     """Best uniform single-mode squeeze of the source towards the target.
 
-    Maximizes F(S_z sigma_source S_z^T, sigma_target) over z in the bracket,
-    with S_z = diag(z, 1/z) on every mode, by bounded Brent search on ln z.
-    Both states must have no phi-pi cross block (ValueError otherwise): the
-    objective is factored once per search (`_squeeze_objective`), and the
-    returned f_star is `fidelity` of the squeezed source at z_star.
+    Maximizes F(S_z sigma_source S_z^T, sigma_target) over z in
+    SQUEEZE_BRACKET (widened once if the maximum sits at an edge), with
+    S_z = diag(z, 1/z) on every mode, by bounded Brent search on ln z.
+    Both states must have no phi-pi cross block (ValueError otherwise).  The
+    objective is `fidelity`'s own cross-free route, factored once per search
+    (`_cross_free_fidelity`), and f_star is its value at ln z_star.
 
     Returns:
         (z_star, f_star)
     """
-    sigma_source, n = validate_cm(sigma_source)
-    sigma_target, n2 = validate_cm(sigma_target)
-    if n != n2:
-        raise ValueError("states have different mode counts")
-    objective = _squeeze_objective(sigma_source, sigma_target)
-    ln_lo, ln_hi = np.log(bracket[0]), np.log(bracket[1])
-    ln_star, _ = maximize_1d(objective, ln_lo, ln_hi, tol=LN_Z_TOL)
-    z_star = float(np.exp(ln_star))
-    d = np.tile([z_star, 1.0 / z_star], n)
-    return z_star, fidelity(sigma_source * np.outer(d, d), sigma_target)
+    sigma_source, sigma_target, crossed = _validate_pair(sigma_source, sigma_target)
+    if crossed:
+        raise ValueError("the squeeze search needs states with no phi-pi cross block")
+    objective = _cross_free_fidelity(sigma_source, sigma_target)
+    ln_star, f_star = maximize_1d(objective, *np.log(SQUEEZE_BRACKET), tol=LN_Z_TOL)
+    return float(np.exp(ln_star)), f_star

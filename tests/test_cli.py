@@ -184,6 +184,15 @@ class TestGoldenCheck:
         assert failing[0][2] == "p_out_raw"
         assert "FAIL table 7" in err and "p_out_raw" in err
 
+    def test_missing_golden_dir_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent"
+        code, out, err = run_cli(capsys, [
+            "golden-check", "--table", "7", "--golden-dir", str(missing)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(missing / "table7.csv") in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [

@@ -49,12 +49,9 @@ LN_Z_TOL = 1e-7
 
 SQUEEZE_BRACKET = (0.5, 20.0)
 
-# fidelity: largest imaginary part of the auxiliary spectrum, relative to
-# its largest magnitude, still taken for round-off
-AUX_IMAG_TOL = 1e-6
-
-# fidelity: w_k^2 - 1 below -AUX_UNIT_TOL means an auxiliary symplectic
-# eigenvalue fell below 1, which no pair of physical states allows
+# fidelity: an eigenvalue of a defect Pi - Phi^-1 in the pencil basis below
+# -AUX_UNIT_TOL times max(1, the largest) means an unphysical state, whose
+# auxiliary symplectic eigenvalues could fall below 1
 AUX_UNIT_TOL = 1e-9
 
 
@@ -135,8 +132,9 @@ def validate_cm(sigma):
 def assert_physical(sigma, tol=PHYSICALITY_TOL):
     """Require sigma + i Omega >= 0 (up to -tol on the minimum eigenvalue)."""
     sigma, n = validate_cm(sigma)
-    herm = sigma + 1j * symplectic_form(n)
-    low = float(np.linalg.eigvalsh(herm)[0])
+    omega = symplectic_form(n)
+    # the real form of the Hermitian sigma + i Omega: same eigenvalues, each twice
+    low = float(np.linalg.eigvalsh(np.block([[sigma, -omega], [omega, sigma]]))[0])
     if low < -tol:
         raise NumericalError("state is unphysical: min eig(sigma + i Omega) = %.3e" % low)
 
@@ -344,59 +342,30 @@ def _defect(phi, pi):
         raise NumericalError("phi block of a state is singular") from exc
 
 
-def _aux_spectrum_interleaved(sigma_1, sigma_2):
-    """(w_k^2 - 1, ln det((sigma_1 + sigma_2) / 2)) for any two states, from
-    the auxiliary matrix V_aux, whose V_aux Omega has eigenvalues
-    +-i w_k / 2 (hbar = 1 convention, vacuum CM 1/2)."""
-    n = sigma_1.shape[0] // 2
-    v1 = 0.5 * sigma_1
-    v2 = 0.5 * sigma_2
-    omega = symplectic_form(n)
-    vsum = v1 + v2
-    try:
-        solved = np.linalg.solve(vsum, 0.25 * omega + v2 @ omega @ v1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("sigma_1 + sigma_2 is singular") from exc
-    sign, logdet = np.linalg.slogdet(vsum)
-    if sign <= 0.0:
-        raise NumericalError("sigma_1 + sigma_2 has non-positive determinant")
-    vals = np.linalg.eigvals(omega.T @ solved @ omega)
-    # the upper member i w_k / 2 of each conjugate pair
-    w = -2j * vals[np.argsort(vals.imag)[n:]]
-    return w * w - 1.0, float(logdet)
-
-
 def _validate_pair(sigma_1, sigma_2):
-    """Validate two CMs of equal mode count; return them and whether either
-    has a phi-pi cross block."""
+    """Validate two CMs of equal mode count, neither with a phi-pi cross
+    block (ValueError otherwise)."""
     sigma_1, n = validate_cm(sigma_1)
     sigma_2, n2 = validate_cm(sigma_2)
     if n != n2:
         raise ValueError("states have different mode counts")
-    crossed = any(s[0::2, 1::2].any() or s[1::2, 0::2].any() for s in (sigma_1, sigma_2))
-    return sigma_1, sigma_2, crossed
+    if any(s[0::2, 1::2].any() or s[1::2, 0::2].any() for s in (sigma_1, sigma_2)):
+        raise ValueError("fidelity and the squeeze search need states with no phi-pi cross block")
+    return sigma_1, sigma_2
 
 
-def _fidelity_from_aux(excess, logdet):
-    """F from the w_k^2 - 1 and ln det((sigma_1 + sigma_2) / 2), after
-    checking that the auxiliary spectrum is real and not below 1 and that F
-    does not exceed 1 beyond round-off; clamped to [0, 1]."""
-    scale = max(1.0, float(np.abs(excess).max()))
-    if float(np.abs(excess.imag).max()) > AUX_IMAG_TOL * scale:
-        raise NumericalError("auxiliary symplectic spectrum is not real")
-    excess = excess.real
-    low = float(excess.min())
-    if low < -AUX_UNIT_TOL:
-        raise NumericalError("auxiliary symplectic eigenvalue below 1: w^2 - 1 = %.3e" % low)
-    ln_total = 2.0 * float(np.arcsinh(np.sqrt(np.clip(excess, 0.0, None))).sum())
-    f = np.exp(0.25 * (ln_total - logdet))
+def _fidelity_from_aux(roots, logdet):
+    """F from the sqrt(w_k^2 - 1) and ln det((sigma_1 + sigma_2) / 2), after
+    checking that F does not exceed 1 beyond round-off; clamped to [0, 1]."""
+    f = np.exp(0.25 * (2.0 * float(np.arcsinh(roots).sum()) - logdet))
     if f > 1.0 + 1e-6:
         raise NumericalError("fidelity %.6f exceeds 1 beyond tolerance" % f)
     return float(min(max(f, 0.0), 1.0))
 
 
 def fidelity(sigma_1, sigma_2):
-    """Uhlmann fidelity of two zero-mean Gaussian states.
+    """Uhlmann fidelity of two zero-mean Gaussian states with no phi-pi
+    cross block.
 
     Evaluated from the auxiliary symplectic spectrum w_k (Banchi, Braunstein
     & Pirandola, PRL 115, 260501, 2015) in the hbar = 1 convention (vacuum
@@ -404,28 +373,25 @@ def fidelity(sigma_1, sigma_2):
 
         ln F = (1/4) [2 sum_k asinh sqrt(w_k^2 - 1) - ln det((sigma_1 + sigma_2) / 2)]
 
-    States with no phi-pi cross block go through n x n phi and pi blocks,
     by the squeeze search's factored objective at ln z = 0
-    (`_cross_free_fidelity`); any other pair through the 2n x 2n auxiliary
-    matrix.  No matrix square root is taken.  Result is clamped to [0, 1].
+    (`_cross_free_fidelity`), so both states must have no phi-pi cross
+    block (ValueError otherwise, as in `optimize_global_squeeze`); every
+    pair of the fidelity tables qualifies.  No matrix square root is taken.
+    Result is clamped to [0, 1].
     """
-    sigma_1, sigma_2, crossed = _validate_pair(sigma_1, sigma_2)
-    if crossed:
-        return _fidelity_from_aux(*_aux_spectrum_interleaved(sigma_1, sigma_2))
-    return _cross_free_fidelity(sigma_1, sigma_2)(0.0)
+    return _cross_free_fidelity(*_validate_pair(sigma_1, sigma_2))(0.0)
 
 
-def _pencil(source_block, target_block, what):
-    """Diagonalize the pencil (source, target) of two symmetric blocks:
-    with target = L L^T and L^-1 source L^-T = U diag(lam) U^T, the
-    congruence C = L^-T U takes target to 1 and source to diag(lam).
-    Returns (lam, U, L)."""
-    chol = _cholesky(target_block, "%s block of the target" % what)
-    half = np.linalg.solve(chol, source_block)
-    lam, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
-    if not lam[0] > 0.0:
-        raise NumericalError("%s block of the source is not positive definite" % what)
-    return lam, vecs, chol
+def _defect_factor(defect, basis, what):
+    """F with basis^T D basis = F F^T for the defect D = Pi - Phi^-1 >= 0 of
+    a physical state; negative round-off in its eigenvalues is clipped to 0,
+    and one below -AUX_UNIT_TOL times max(1, the largest) raises."""
+    mu, vecs = np.linalg.eigh(basis.T @ defect @ basis)
+    low = float(mu[0])
+    if low < -AUX_UNIT_TOL * max(1.0, float(np.abs(mu).max())):
+        raise NumericalError("%s state is unphysical: Pi - Phi^-1 has eigenvalue %.3e "
+                             "in the pencil basis" % (what, low))
+    return vecs * np.sqrt(np.clip(mu, 0.0, None))
 
 
 def _cross_free_fidelity(sigma_source, sigma_target):
@@ -433,47 +399,54 @@ def _cross_free_fidelity(sigma_source, sigma_target):
     two validated states of n modes with no phi-pi cross block: `fidelity`
     evaluates it at ln z = 0, the squeeze search across its bracket.
 
-    For such a pair V_aux = diag(P, Q), and with X, Y the sums of the phi
-    and pi blocks, D_i = Pi_i - Phi_i^-1 (zero for a pure state) and
-    R = Phi_1 X^-1 Phi_2, the w_k^2 - 1 are the eigenvalues of
-    4 P Q - 1 = Y^-1 D_2 R D_1: the identity cancels exactly, so w_k near 1
-    lose no digits.  The squeeze rescales only the source: Phi_1 -> s Phi_1,
-    Pi_1 -> Pi_1 / s and D_1 -> D_1 / s with s = z^2.  With C_X, C_Y the
-    congruences that take the pencils (Phi_1, Phi_2) to (diag(alpha), 1) and
-    (Pi_1, Pi_2) to (diag(beta), 1), for every s
+    For such a pair, with D_i = Pi_i - Phi_i^-1 >= 0 (zero for a pure state)
+    and R = (Phi_1^-1 + Phi_2^-1)^-1 = L L^T, the sum of the pi blocks is
+    Y = R^-1 + D_1 + D_2, and the w_k^2 - 1 are the eigenvalues of
+    (1 + d_1 + d_2)^-1 d_2 d_1 with d_i = L^T D_i L = g_i g_i^T.  Woodbury
+    and push-through give them in Gram form, real and non-negative by
+    construction, with no 1 to cancel:
 
-        w_k^2 - 1 = eig(diag(alpha / (s alpha + 1)) F diag(s / (beta + s)) E),
-        E = C_Y^T D_2 C_X^-T,  F = C_X^-1 D_1 C_Y,
-        ln det X Y = ln det Phi_2 Pi_2 + sum log1p(s alpha) + sum log1p(beta / s),
+        G = 1 + g_1^T g_1 = L_G L_G^T,  W = L_G^-1 g_1^T g_2,
+        H = 1 + g_2^T g_2 - W^T W = L_H L_H^T,
+        sqrt(w_k^2 - 1) = singular values of L_H^-1 W^T,
+        det(1 + d_1 + d_2) = det G det H.
 
-    so the pencils are factored once and an evaluation costs one n x n
-    product and one eigvals.  Of the two similar orders of that product, the
-    one with F first leaves about a quarter as much round-off in the
-    near-zero eigenvalues of 50-mode table windows; the square root in ln F
-    lifts the other order's to 1e-8 of F.
+    The squeeze rescales only the source: Phi_1 -> s Phi_1 and
+    D_1 -> D_1 / s with s = z^2.  The congruence C_X that takes the pencil
+    (Phi_1, Phi_2) to (diag(alpha), 1) gives L = C_X^-T diag(c) with
+    c^2 = s alpha / (1 + s alpha), so with C_X^-1 D_i C_X^-T = F_i F_i^T,
+    factored once,
+
+        g_1 = diag(sqrt(alpha / (1 + s alpha))) F_1,  g_2 = diag(c) F_2,
+        ln det X Y = sum [log1p(s alpha) + log1p(1 / (s alpha))] + 2 ln |L_G| + 2 ln |L_H|,
+
+    where X is the sum of the phi blocks.  A step costs two n x n Cholesky
+    factorizations, two solves and one svd.
     """
     n = sigma_source.shape[0] // 2
     phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
     phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
-    alpha, u, chol_x = _pencil(phi_1, phi_2, "phi")
-    beta, v, chol_y = _pencil(pi_1, pi_2, "pi")
-
-    def in_bases(defect):
-        # C_Y^T D C_X^-T = V^T L_Y^-1 D L_X U; F is this form of D_1, transposed
-        return v.T @ np.linalg.solve(chol_y, defect @ chol_x) @ u
-
-    e_mat = in_bases(_defect(phi_2, pi_2))
-    f_mat = in_bases(_defect(phi_1, pi_1)).T
-    logdet_0 = 2.0 * float(np.log(np.diag(chol_x)).sum() + np.log(np.diag(chol_y)).sum())
-    logdet_0 -= 2 * n * np.log(2.0)
+    chol = _cholesky(phi_2, "phi block of the target")
+    half = np.linalg.solve(chol, phi_1)
+    alpha, u = np.linalg.eigh(np.linalg.solve(chol, half.T))
+    if not alpha[0] > 0.0:
+        raise NumericalError("phi block of the source is not positive definite")
+    basis = chol @ u  # C_X^-T
+    f_1 = _defect_factor(_defect(phi_1, pi_1), basis, "source")
+    f_2 = _defect_factor(_defect(phi_2, pi_2), basis, "target")
+    eye = np.eye(n)
 
     def objective(ln_z):
-        s = np.exp(2.0 * ln_z)
-        scale_e = s / (beta + s)
-        scale_f = alpha / (s * alpha + 1.0)
-        excess = np.linalg.eigvals((scale_f[:, None] * f_mat * scale_e) @ e_mat)
-        logdet = logdet_0 + float(np.log1p(s * alpha).sum() + np.log1p(beta / s).sum())
-        return _fidelity_from_aux(excess, logdet)
+        s_alpha = np.exp(2.0 * ln_z) * alpha
+        g_1 = np.sqrt(alpha / (1.0 + s_alpha))[:, None] * f_1
+        g_2 = np.sqrt(s_alpha / (1.0 + s_alpha))[:, None] * f_2
+        chol_g = _cholesky(eye + g_1.T @ g_1, "Gram matrix G")
+        w = np.linalg.solve(chol_g, g_1.T @ g_2)
+        chol_h = _cholesky(eye + g_2.T @ g_2 - w.T @ w, "Gram matrix H")
+        roots = np.linalg.svd(np.linalg.solve(chol_h, w.T), compute_uv=False)
+        logdet = float(np.log1p(s_alpha).sum() + np.log1p(1.0 / s_alpha).sum())
+        logdet += 2.0 * float(np.log(np.diag(chol_g)).sum() + np.log(np.diag(chol_h)).sum())
+        return _fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))
 
     return objective
 
@@ -484,16 +457,14 @@ def optimize_global_squeeze(sigma_source, sigma_target):
     Maximizes F(S_z sigma_source S_z^T, sigma_target) over z in
     SQUEEZE_BRACKET (widened once if the maximum sits at an edge), with
     S_z = diag(z, 1/z) on every mode, by bounded Brent search on ln z.
-    Both states must have no phi-pi cross block (ValueError otherwise).  The
-    objective is `fidelity`'s own cross-free route, factored once per search
-    (`_cross_free_fidelity`), and f_star is its value at ln z_star.
+    Both states must have no phi-pi cross block (the ValueError of
+    `fidelity` otherwise).  The objective is `fidelity`'s own route,
+    factored once per search (`_cross_free_fidelity`), and f_star is its
+    value at ln z_star.
 
     Returns:
         (z_star, f_star)
     """
-    sigma_source, sigma_target, crossed = _validate_pair(sigma_source, sigma_target)
-    if crossed:
-        raise ValueError("the squeeze search needs states with no phi-pi cross block")
-    objective = _cross_free_fidelity(sigma_source, sigma_target)
+    objective = _cross_free_fidelity(*_validate_pair(sigma_source, sigma_target))
     ln_star, f_star = maximize_1d(objective, *np.log(SQUEEZE_BRACKET), tol=LN_Z_TOL)
     return float(np.exp(ln_star)), f_star

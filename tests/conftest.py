@@ -119,6 +119,111 @@ def sqrtm_fidelity(sigma_1, sigma_2):
     return float(np.exp(0.25 * (logdet_n - logdet_d)))
 
 
+def block_state(rng, n, mix):
+    """Random physical CM with no phi-pi cross block: Pi >= Phi^-1, with
+    equality (a pure state) when mix is 0."""
+    a = rng.normal(size=(n, n))
+    phi = a @ a.T + 0.2 * np.eye(n)
+    b = rng.normal(size=(n, n))
+    return gaussian.from_blocks(phi, np.linalg.inv(phi) + mix * (b @ b.T))
+
+
+# largest imaginary part of a float64 auxiliary spectrum from `eigvals`,
+# relative to its largest magnitude, still taken for round-off
+AUX_IMAG_TOL = 1e-6
+
+
+def _fidelity_from_excess(excess, logdet):
+    """F from the w_k^2 - 1 as a non-symmetric eigensolver returns them,
+    after checking that they are real and not below -gaussian.AUX_UNIT_TOL,
+    by the formula of gaussian._fidelity_from_aux."""
+    scale = max(1.0, float(np.abs(excess).max()))
+    if float(np.abs(excess.imag).max()) > AUX_IMAG_TOL * scale:
+        raise numerics.NumericalError("auxiliary symplectic spectrum is not real")
+    excess = excess.real
+    low = float(excess.min())
+    if low < -gaussian.AUX_UNIT_TOL:
+        raise numerics.NumericalError(
+            "auxiliary symplectic eigenvalue below 1: w^2 - 1 = %.3e" % low)
+    return gaussian._fidelity_from_aux(np.sqrt(np.clip(excess, 0.0, None)), logdet)
+
+
+def interleaved_fidelity(sigma_1, sigma_2):
+    """Fidelity of any two states, with or without a phi-pi cross block, by
+    the route gaussian.fidelity took for crossed pairs before it required
+    cross-free ones: the auxiliary matrix V_aux of Banchi, Braunstein &
+    Pirandola, whose 2n x 2n V_aux Omega has eigenvalues +-i w_k / 2
+    (hbar = 1 convention, vacuum CM 1/2).
+
+    The error of the non-symmetric `eigvals` scales with the largest w_k^2,
+    so pairs squeezed far apart miss by up to 1e-2 or raise; compare it on
+    pairs at their unsqueezed conditioning.
+    """
+    n = sigma_1.shape[0] // 2
+    v1 = 0.5 * np.asarray(sigma_1, dtype=float)
+    v2 = 0.5 * np.asarray(sigma_2, dtype=float)
+    omega = gaussian.symplectic_form(n)
+    vsum = v1 + v2
+    solved = np.linalg.solve(vsum, 0.25 * omega + v2 @ omega @ v1)
+    sign, logdet = np.linalg.slogdet(vsum)
+    assert sign > 0.0
+    vals = np.linalg.eigvals(omega.T @ solved @ omega)
+    # the upper member i w_k / 2 of each conjugate pair
+    w = -2j * vals[np.argsort(vals.imag)[n:]]
+    return _fidelity_from_excess(w * w - 1.0, float(logdet))
+
+
+def two_pencil_objective(sigma_source, sigma_target):
+    """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, as
+    gaussian._cross_free_fidelity computed it before its Gram form.
+
+    With X, Y the sums of the phi and pi blocks, D_i = Pi_i - Phi_i^-1 and
+    R = Phi_1 X^-1 Phi_2, the w_k^2 - 1 are the eigenvalues of
+    Y^-1 D_2 R D_1.  The congruences C_X, C_Y that take the pencils
+    (Phi_1, Phi_2) to (diag(alpha), 1) and (Pi_1, Pi_2) to (diag(beta), 1)
+    give, with s = z^2,
+
+        w_k^2 - 1 = eig(diag(alpha / (s alpha + 1)) F diag(s / (beta + s)) E),
+        E = C_Y^T D_2 C_X^-T,  F = C_X^-1 D_1 C_Y,
+        ln det X Y = ln det Phi_2 Pi_2 + sum log1p(s alpha) + sum log1p(beta / s).
+
+    Float64 `eigvals` returns the many near-zero w_k^2 - 1 as +-1e-18
+    noise, and the square roots of the positive half bias F upwards by up
+    to 4.7e-9 on 50-mode table windows.
+    """
+    n = sigma_source.shape[0] // 2
+    phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
+    phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
+
+    def pencil(source_block, target_block):
+        chol = np.linalg.cholesky(target_block)
+        half = np.linalg.solve(chol, source_block)
+        lam, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
+        return lam, vecs, chol
+
+    alpha, u, chol_x = pencil(phi_1, phi_2)
+    beta, v, chol_y = pencil(pi_1, pi_2)
+
+    def in_bases(defect):
+        # C_Y^T D C_X^-T = V^T L_Y^-1 D L_X U; F is this form of D_1, transposed
+        return v.T @ np.linalg.solve(chol_y, defect @ chol_x) @ u
+
+    e_mat = in_bases(pi_2 - np.linalg.inv(phi_2))
+    f_mat = in_bases(pi_1 - np.linalg.inv(phi_1)).T
+    logdet_0 = 2.0 * float(np.log(np.diag(chol_x)).sum() + np.log(np.diag(chol_y)).sum())
+    logdet_0 -= 2 * n * np.log(2.0)
+
+    def objective(ln_z):
+        s = np.exp(2.0 * ln_z)
+        scale_e = s / (beta + s)
+        scale_f = alpha / (s * alpha + 1.0)
+        excess = np.linalg.eigvals((scale_f[:, None] * f_mat * scale_e) @ e_mat)
+        logdet = logdet_0 + float(np.log1p(s * alpha).sum() + np.log1p(beta / s).sum())
+        return _fidelity_from_excess(excess, logdet)
+
+    return objective
+
+
 def sqrt_spectrum(sigma):
     """Symplectic spectrum by the route gaussian.symplectic_spectrum took
     before its Cholesky form: the ordinary eigenvalues of sigma^(1/2)

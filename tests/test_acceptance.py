@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_local_symplectic, random_physical_cm
+from conftest import block_state, random_local_symplectic, random_physical_cm
 from ionmodes import experiments, gaussian, golden
 from ionmodes.fock import husimi_data, matrix_element, tmsv_disentangle
 
@@ -209,10 +209,17 @@ def test_7_property_suites():
                                         [0], [1, 2])
         assert abs(base - moved) < 1e-8
 
-    # fidelity is symmetric and one on the diagonal
+    # fidelity rejects pairs with a phi-pi cross block, and on cross-free
+    # pairs is symmetric and one on the diagonal
     for _ in range(100):
         sigma_1, _, _ = random_physical_cm(rng, 2)
         sigma_2, _, _ = random_physical_cm(rng, 2)
+        with pytest.raises(ValueError, match="cross block"):
+            gaussian.fidelity(sigma_1, sigma_2)
+    cross_free_rng = np.random.default_rng(20260826)
+    for _ in range(100):
+        sigma_1 = block_state(cross_free_rng, 2, cross_free_rng.uniform(0.0, 1.0))
+        sigma_2 = block_state(cross_free_rng, 2, cross_free_rng.uniform(0.0, 1.0))
         f12 = gaussian.fidelity(sigma_1, sigma_2)
         f21 = gaussian.fidelity(sigma_2, sigma_1)
         assert abs(f12 - f21) < 1e-9

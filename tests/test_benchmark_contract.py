@@ -1,11 +1,15 @@
-"""The benchmark's span tracer (perfbench/spans.py) wraps package functions
-by name.  Every name it lists must still exist, or a traced benchmark run
-fails long after the change that removed the name."""
+"""What the benchmark (perfbench/) relies on in the package.  A change that
+breaks it fails only in a later benchmark run, long after the change."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ionmodes import experiments, gaussian
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -37,3 +41,34 @@ def test_tracer_wraps_every_traced_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert {name: _resolve(name) for name in spans.SPAN_NAMES} == originals
+
+
+@pytest.mark.parametrize("system", ["ion", "scalar"])
+def test_negativity_cell_hands_log_negativity_one_interleaved_cm(monkeypatch, system):
+    """The negativity evidence (perfbench/worker.py, negativity_evidence)
+    replaces the module attribute gaussian.log_negativity to keep every CM
+    it is handed; the correctness check (perfbench/checks.py,
+    check_negativity) recomputes each value from that CM as a 4d x 4d
+    interleaved CM with region A as its first d modes."""
+    calls = []
+    original = gaussian.log_negativity
+
+    def keep(sigma, region_a, region_b):
+        calls.append((np.array(sigma, dtype=float), list(region_a), list(region_b)))
+        return original(sigma, region_a, region_b)
+
+    monkeypatch.setattr(gaussian, "log_negativity", keep)
+    d = 2
+    for treatment in experiments.TREATMENTS:
+        calls.clear()
+        value = experiments.negativity_cell(system, 30, d, 1, treatment)
+        assert len(calls) == 1, treatment
+        cm, region_a, region_b = calls[0]
+        assert cm.shape == (4 * d, 4 * d)
+        assert (region_a, region_b) == (list(range(d)), list(range(d, 2 * d)))
+        signs = np.ones(4 * d)
+        signs[2 * d + 1::2] = -1.0  # the momenta of region B
+        nu = gaussian.symplectic_spectrum(cm * np.outer(signs, signs))
+        again = sum(-np.log2(v) for v in nu if v < 1.0 - gaussian.NU_UNIT_TOL)
+        assert value > 0.0
+        assert abs(again - value) <= 1e-12 * value, treatment

@@ -246,8 +246,6 @@ def build_parser():
     parser = _Parser(prog="ionmodes", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--tol-policy", choices=("default", "strict"), default="default",
-                        help="significant-figure tolerance policy for golden checks")
     # only the chain report has a text form; tables are CSV or JSON
     tabular = argparse.ArgumentParser(add_help=False, parents=[common])
     tabular.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -285,6 +283,8 @@ def build_parser():
                        help="recompute golden tables and compare cell by cell")
     p.add_argument("--table", default="all",
                    choices=[str(k) for k in sorted(golden.TABLES)] + ["all"])
+    p.add_argument("--tol-policy", choices=("default", "strict"), default="default",
+                   help="significant-figure tolerance policy")
     p.add_argument("--golden-dir", default=None,
                    help="read golden CSVs from this directory instead of package data")
     p.set_defaults(run=_run_golden_check)

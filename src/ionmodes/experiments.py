@@ -25,7 +25,7 @@ TREATMENTS = ("trace", "phi", "pi")
 
 _cache_lock = threading.Lock()
 _chain_cache = {}
-_field_cache = {}
+_field_spec = None
 
 
 def chain_model(n_ions):
@@ -39,16 +39,17 @@ def chain_model(n_ions):
     return model
 
 
-def field_spec(mass=scalar_field.DEFAULT_MASS):
+def field_spec():
+    """The shared ScalarFieldSpec at DEFAULT_MASS, whose correlator cache
+    every scalar cell reuses."""
+    global _field_spec
     with _cache_lock:
-        spec = _field_cache.get(mass)
-        if spec is None:
-            spec = scalar_field.ScalarFieldSpec(mass)
-            _field_cache[mass] = spec
-    return spec
+        if _field_spec is None:
+            _field_spec = scalar_field.ScalarFieldSpec()
+        return _field_spec
 
 
-def negativity_cell(system, chain_size, region_size, separation, treatment, mass=None):
+def negativity_cell(system, chain_size, region_size, separation, treatment):
     """One log-negativity value, or None when the geometry does not fit.
 
     system "ion": regions of `region_size` ions centered in a chain of
@@ -75,7 +76,7 @@ def negativity_cell(system, chain_size, region_size, separation, treatment, mass
             state = gaussian.measure_pure_complement(pi if treatment == "phi" else phi, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     if system == "scalar":
-        spec = field_spec() if mass is None else field_spec(mass)
+        spec = field_spec()
         region = gaussian.RegionSpec(2 * d + sep, d, sep)
         sites = region.region_a + region.region_b
         if treatment == "trace":
@@ -86,12 +87,11 @@ def negativity_cell(system, chain_size, region_size, separation, treatment, mass
     raise ValueError("system must be 'ion' or 'scalar'")
 
 
-def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS,
-                    mass=None):
+def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS):
     """Rows (system, chain_size, region_size, separation, treatment, value),
     value None for infeasible geometry, sorted by separation then treatment."""
     rows = [(system, int(chain_size), int(region_size), int(sep), treatment,
-             negativity_cell(system, chain_size, region_size, sep, treatment, mass))
+             negativity_cell(system, chain_size, region_size, sep, treatment))
             for sep in separations for treatment in treatments]
     order = {t: i for i, t in enumerate(TREATMENTS)}
     rows.sort(key=lambda r: (r[3], order[r[4]]))
@@ -106,7 +106,7 @@ def _window_cm(model, window):
     return gaussian.from_blocks(model.phi_block[sites, sites], model.pi_block[sites, sites])
 
 
-def fidelity_cell(chain_size, window, self_test=False, mass=None):
+def fidelity_cell(chain_size, window, self_test=False):
     """(z_star, raw fidelity, squeezed fidelity) for the centered window of
     the chain against the same-size scalar vacuum window.
 
@@ -118,17 +118,16 @@ def fidelity_cell(chain_size, window, self_test=False, mass=None):
     if self_test:
         target = source
     else:
-        spec = field_spec() if mass is None else field_spec(mass)
-        target = scalar_field.scalar_vacuum_cm(int(window), spec)
+        target = scalar_field.scalar_vacuum_cm(int(window), field_spec())
     raw = gaussian.fidelity(source, target)
     z_star, f_star = gaussian.optimize_global_squeeze(source, target)
     return z_star, raw, f_star
 
 
-def fidelity_rows(chain_size, windows, self_test=False, mass=None):
+def fidelity_rows(chain_size, windows, self_test=False):
     """Rows (chain_size, window, z_star, fidelity_raw, fidelity_squeezed),
     sorted by window."""
-    rows = [(int(chain_size), int(w)) + fidelity_cell(chain_size, w, self_test, mass)
+    rows = [(int(chain_size), int(w)) + fidelity_cell(chain_size, w, self_test)
             for w in windows]
     rows.sort(key=lambda r: r[1])
     return rows

@@ -26,7 +26,6 @@ __all__ = [
     "single_mode_squeeze",
     "single_mode_rotation",
     "symplectic_spectrum",
-    "partial_transpose",
     "log_negativity",
     "entanglement_entropy",
     "fidelity",
@@ -97,18 +96,14 @@ def symplectic_form(n_modes):
     return omega
 
 
-def from_blocks(phi_block, pi_block, cross_block=None):
-    """Assemble an interleaved CM from phi-phi, pi-pi and optional phi-pi blocks."""
+def from_blocks(phi_block, pi_block):
+    """Assemble an interleaved CM with no phi-pi cross block from its two blocks."""
     phi_block = np.asarray(phi_block, dtype=float)
     pi_block = np.asarray(pi_block, dtype=float)
     n = phi_block.shape[0]
     sigma = np.zeros((2 * n, 2 * n))
     sigma[0::2, 0::2] = phi_block
     sigma[1::2, 1::2] = pi_block
-    if cross_block is not None:
-        cross_block = np.asarray(cross_block, dtype=float)
-        sigma[0::2, 1::2] = cross_block
-        sigma[1::2, 0::2] = cross_block.T
     return sigma
 
 
@@ -129,13 +124,13 @@ def validate_cm(sigma):
     return sigma, sigma.shape[0] // 2
 
 
-def assert_physical(sigma, tol=PHYSICALITY_TOL):
-    """Require sigma + i Omega >= 0 (up to -tol on the minimum eigenvalue)."""
+def assert_physical(sigma):
+    """Require sigma + i Omega >= 0 (up to -PHYSICALITY_TOL on its minimum eigenvalue)."""
     sigma, n = validate_cm(sigma)
     omega = symplectic_form(n)
     # the real form of the Hermitian sigma + i Omega: same eigenvalues, each twice
     low = float(np.linalg.eigvalsh(np.block([[sigma, -omega], [omega, sigma]]))[0])
-    if low < -tol:
+    if low < -PHYSICALITY_TOL:
         raise NumericalError("state is unphysical: min eig(sigma + i Omega) = %.3e" % low)
 
 
@@ -219,13 +214,14 @@ def measure_pure_complement(kept_block, quadrature):
     return from_blocks(kept_block, conditioned)
 
 
-def assert_symplectic(s, tol=SYMPLECTIC_TOL):
+def assert_symplectic(s):
+    """Require S Omega S^T = Omega up to SYMPLECTIC_TOL in the max norm."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise ValueError("symplectic matrix must be square of even dimension")
     omega = symplectic_form(s.shape[0] // 2)
     residual = float(np.abs(s @ omega @ s.T - omega).max())
-    if residual > tol:
+    if residual > SYMPLECTIC_TOL:
         raise NumericalError("matrix is not symplectic: residual %.3e" % residual)
 
 
@@ -268,27 +264,26 @@ def symplectic_spectrum(sigma):
     With the Cholesky factor sigma = L L^T, the antisymmetric L^T Omega L is
     similar to sigma Omega, so its singular values are the nu_k, each twice.
     """
-    sigma, _ = validate_cm(sigma)
+    sigma, n = validate_cm(sigma)
+    return _spectrum(sigma, np.ones((n, 1)))
+
+
+def _spectrum(sigma, signs):
+    """Symplectic spectrum of D sigma D for a validated sigma, where D = -1 on
+    the momenta of the modes j with signs[j] = -1, an n x 1 column of +-1
+    (a partial transpose on those modes).
+
+    D sigma D = (D L D)(D L D)^T, so its nu_k are the singular values of
+    L^T (D Omega D) L: Omega with the flipped modes' 2 x 2 blocks negated.
+    """
     chol = _cholesky(sigma, "covariance matrix")
-    # Omega L: each row pair (2j, 2j+1) of L becomes (row 2j+1, -row 2j)
-    omega_chol = np.stack((chol[1::2], -chol[0::2]), axis=1).reshape(chol.shape)
+    # Omega_D L: each row pair (2j, 2j+1) of L becomes signs[j] (row 2j+1, -row 2j)
+    omega_chol = np.stack((signs * chol[1::2], -signs * chol[0::2]), axis=1).reshape(chol.shape)
     nu = np.linalg.svd(chol.T @ omega_chol, compute_uv=False)[::-1]  # svd sorts descending
     pair_gap = float(np.abs(nu[0::2] - nu[1::2]).max())
     if pair_gap > 1e-6 * max(1.0, nu[-1]):
         raise NumericalError("symplectic spectrum failed to pair up (gap %.3e)" % pair_gap)
     return 0.5 * (nu[0::2] + nu[1::2])
-
-
-def partial_transpose(sigma, region_b):
-    """Momentum-sign flip on the modes of region B (may leave the matrix
-    unphysical, which is the point)."""
-    sigma, n = validate_cm(sigma)
-    signs = np.ones(2 * n)
-    for b in set(int(m) for m in region_b):
-        if b < 0 or b >= n:
-            raise ValueError("region-B mode index out of range")
-        signs[2 * b + 1] = -1.0
-    return sigma * np.outer(signs, signs)
 
 
 def log_negativity(sigma, region_a, region_b):
@@ -305,7 +300,9 @@ def log_negativity(sigma, region_a, region_b):
         raise ValueError("regions A and B overlap")
     if set_a | set_b != set(range(n)):
         raise ValueError("regions A and B must cover every mode of sigma")
-    nu = symplectic_spectrum(partial_transpose(sigma, set_b))
+    signs = np.ones((n, 1))
+    signs[sorted(set_b)] = -1.0
+    nu = _spectrum(sigma, signs)
     total = 0.0
     for v in nu:
         if v < 1.0 - NU_UNIT_TOL:

@@ -134,10 +134,10 @@ def _check_cell(table, row, column, printed, computed, policy, figures=None, flo
 
 def check_table(table, policy="default", data_dir=None):
     """Recompute one golden table and compare every cell under the policy."""
+    golden_rows = load_table(table, data_dir)
     if policy not in POLICY_SLACK:
         raise ValueError("policy must be one of %s" % sorted(POLICY_SLACK))
     kind, params = TABLES[table]
-    golden_rows = load_table(table, data_dir)
     cells = []
     if kind == "negativity":
         separations = [int(r["separation"]) for r in golden_rows]

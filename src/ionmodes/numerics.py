@@ -85,9 +85,9 @@ def principal_sqrt(mat):
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(n_nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    x, w = leggauss(n_nodes)
+def _gauss_legendre():
+    """The 24-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    x, w = leggauss(24)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -124,22 +124,22 @@ def _panel_edges(delta, inner_scale):
     return refined
 
 
-def half_zone_nodes(delta, inner_scale=None, nodes_per_panel=24):
+def half_zone_nodes(delta, inner_scale=None):
     """Composite Gauss-Legendre nodes k and weights on the half-zone (0, pi].
 
     The panels resolve the cos(k * delta) oscillation and are optionally
-    graded towards k = 0 down to inner_scale (see _panel_edges); there are
-    at least 16 * max(1, |delta|) nodes.  Integrating over [-pi, pi] takes
-    the nodes -k as well, with the same weights.
+    graded towards k = 0 down to inner_scale (see _panel_edges), with 24
+    nodes each; there are at least 16 * max(1, |delta|) nodes.  Integrating
+    over [-pi, pi] takes the nodes -k as well, with the same weights.
     """
     edges = _panel_edges(delta, inner_scale)
-    x, w = _gauss_legendre(nodes_per_panel)
+    x, w = _gauss_legendre()
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     return (half[:, None] * x + mid[:, None]).ravel(), (half[:, None] * w).ravel()
 
 
-def quad_oscillatory(f, delta, inner_scale=None, nodes_per_panel=24):
+def quad_oscillatory(f, delta, inner_scale=None):
     """Integrate f over [-pi, pi] normalized by 2*pi, to ~1e-12 absolute.
 
     Composite Gauss-Legendre quadrature split at k = 0 (where the lattice
@@ -153,7 +153,7 @@ def quad_oscillatory(f, delta, inner_scale=None, nodes_per_panel=24):
         delta: integer harmonic index of the oscillation.
         inner_scale: optional width of the sharpest feature near k = 0.
     """
-    k, weights = half_zone_nodes(delta, inner_scale, nodes_per_panel)
+    k, weights = half_zone_nodes(delta, inner_scale)
     total = float(np.dot(weights, f(k))) + float(np.dot(weights, f(-k)))
     return total / (2.0 * np.pi)
 

@@ -243,6 +243,29 @@ def sqrt_spectrum(sigma):
     return 0.5 * (nu[0::2] + nu[1::2])
 
 
+def partial_transpose(sigma, region_b):
+    """Momentum-sign flip on the modes of region B, as a 2n x 2n copy: the
+    route gaussian.log_negativity took before it applied the flip as a sign
+    on Omega (may leave the matrix unphysical, which is the point)."""
+    sigma, n = gaussian.validate_cm(sigma)
+    signs = np.ones(2 * n)
+    for b in set(int(m) for m in region_b):
+        if b < 0 or b >= n:
+            raise ValueError("region-B mode index out of range")
+        signs[2 * b + 1] = -1.0
+    return sigma * np.outer(signs, signs)
+
+
+def transposed_negativity(sigma, region_b):
+    """Log-negativity (base 2) from the symplectic spectrum of the partially
+    transposed copy, nu_k within gaussian.NU_UNIT_TOL of 1 counted as 1."""
+    total = 0.0
+    for v in gaussian.symplectic_spectrum(partial_transpose(sigma, region_b)):
+        if v < 1.0 - gaussian.NU_UNIT_TOL:
+            total -= np.log2(v)
+    return total
+
+
 def loop_gradient_compensated(z):
     """Potential gradient as ion_chain._gradient_compensated computed it
     before it built its terms in one array: a double loop over ion pairs,

@@ -1,9 +1,11 @@
 """End-to-end command line tests, run in process through cli.main."""
 
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -207,6 +209,18 @@ class TestExitCodes:
         assert out == ""
         assert "invalid choice: 'text'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "2"],
+        ["negativity", "--system", "ion", "--region-size", "1", "--separations", "1"],
+        ["fidelity", "--chain-size", "10", "--region-sizes", "2"],
+        ["fock", "--dims", "2"],
+    ])
+    def test_tol_policy_only_on_golden_check(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--tol-policy", "strict"])
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --tol-policy strict" in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, [])
         assert code == 1
@@ -262,6 +276,15 @@ class TestManifestFile:
         assert manifest["wall_ms"] > 0.0
         assert manifest["tolerances"]["golden_slack_default"] == 0.6
         assert manifest["params"]["dims"] == "2"
+
+
+def test_every_exported_name_resolves():
+    modules = [ionmodes] + [importlib.import_module("ionmodes." + info.name)
+                            for info in pkgutil.iter_modules(ionmodes.__path__)]
+    assert len(modules) > 1
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_cli_import_loads_no_heavy_scipy_modules():

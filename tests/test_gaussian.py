@@ -14,11 +14,13 @@ from conftest import (
     block_state,
     interleaved_fidelity,
     outside,
+    partial_transpose,
     random_local_symplectic,
     random_physical_cm,
     sqrt_spectrum,
     sqrtm_fidelity,
     tmsv_cm,
+    transposed_negativity,
     two_pencil_objective,
 )
 from ionmodes import experiments, gaussian, golden, ion_chain, scalar_field
@@ -34,7 +36,6 @@ from ionmodes.gaussian import (
     log_negativity,
     measure_pure_complement,
     optimize_global_squeeze,
-    partial_transpose,
     restrict,
     single_mode_rotation,
     single_mode_squeeze,
@@ -81,12 +82,11 @@ class TestBasics:
     def test_from_blocks_layout(self):
         phi = np.array([[1.0, 0.25], [0.25, 1.0]])
         pi = np.array([[2.0, -0.5], [-0.5, 2.0]])
-        cross = np.array([[0.0, 0.1], [0.2, 0.0]])
-        sigma = from_blocks(phi, pi, cross)
+        sigma = from_blocks(phi, pi)
         assert np.array_equal(sigma[0::2, 0::2], phi)
         assert np.array_equal(sigma[1::2, 1::2], pi)
-        assert np.array_equal(sigma[0::2, 1::2], cross)
-        assert np.array_equal(sigma, sigma.T)
+        assert not sigma[0::2, 1::2].any()
+        assert not sigma[1::2, 0::2].any()
 
     def test_validate_cm_rejects_odd_and_asymmetric(self):
         with pytest.raises(ValueError):
@@ -296,6 +296,42 @@ class TestSpectrumRoutes:
             sigma = partial_transpose(sigma, rng.choice(n, size=int(rng.integers(1, n + 1)),
                                                         replace=False))
         assert np.abs(symplectic_spectrum(sigma) - sqrt_spectrum(sigma)).max() <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+    def test_negativity_matches_transposed_copy(self, seed, n):
+        # crossed states, random A|B splits (either side may be empty)
+        rng = np.random.default_rng(seed)
+        sigma, _, _ = random_physical_cm(rng, n)
+        in_b = rng.random(n) < 0.5
+        region_a, region_b = np.flatnonzero(~in_b), np.flatnonzero(in_b)
+        got = log_negativity(sigma, region_a, region_b)
+        assert abs(got - transposed_negativity(sigma, region_b)) <= 1e-14
+
+    def test_table_cells_match_transposed_copy(self, monkeypatch):
+        # every cell of tables 1-3: ion and scalar, all three treatments
+        handed = []
+        original = gaussian.log_negativity
+
+        def keep(sigma, region_a, region_b):
+            handed.append((sigma, list(region_b)))
+            return original(sigma, region_a, region_b)
+
+        monkeypatch.setattr(gaussian, "log_negativity", keep)
+        cells = 0
+        for table in (1, 2, 3):
+            params = golden.TABLES[table][1]
+            for row in golden.load_table(table):
+                for system in ("ion", "scalar"):
+                    for treatment in experiments.TREATMENTS:
+                        handed.clear()
+                        value = experiments.negativity_cell(
+                            system, params["chain_size"], params["region_size"],
+                            int(row["separation"]), treatment)
+                        (sigma, region_b), = handed
+                        assert value == transposed_negativity(sigma, region_b)
+                        cells += 1
+        assert cells == 510
 
     @pytest.mark.parametrize("sigma", [np.diag([1.0, 0.0]), np.diag([2.0, -1.0, 1.0, 1.0])])
     def test_rejects_non_positive_definite(self, sigma):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_entries
-from ionmodes import experiments, gaussian, scalar_field
+from ionmodes import gaussian, scalar_field
 from ionmodes.scalar_field import ScalarFieldSpec, measured_vacuum_cm, scalar_vacuum_cm
 
 
@@ -177,23 +177,11 @@ class TestVacuumCM:
 
 
 class TestMassArgument:
-    def test_zero_mass_rejected_by_cells(self):
-        with pytest.raises(ValueError, match="mass must be positive"):
-            experiments.negativity_cell("scalar", 150, 1, 2, "trace", mass=0.0)
-        with pytest.raises(ValueError, match="mass must be positive"):
-            experiments.fidelity_cell(30, 4, mass=0.0)
-
-    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+    # zero would leave the phi-phi zero mode unregulated
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_mass_rejected(self, mass):
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             ScalarFieldSpec(mass)
-        with pytest.raises(ValueError, match="mass must be positive and finite"):
-            experiments.negativity_cell("scalar", 150, 1, 2, "trace", mass=mass)
-
-    def test_no_mass_means_default(self):
-        assert (experiments.negativity_cell("scalar", 150, 1, 2, "phi")
-                == experiments.negativity_cell("scalar", 150, 1, 2, "phi",
-                                               mass=scalar_field.DEFAULT_MASS))
 
 
 class TestMeasuredVacuum:

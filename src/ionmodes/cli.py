@@ -63,6 +63,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a command's leftover arguments are reported with its own usage
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return args, extras
+
 
 class UsageError(ValueError):
     pass

@@ -113,15 +113,9 @@ def fidelity_cell(chain_size, window, self_test=False):
     self_test replaces the scalar target by the ion source itself, which
     must drive z_star to 1 and both fidelities to 1.
     """
-    model = chain_model(int(chain_size))
-    source = _window_cm(model, int(window))
-    if self_test:
-        target = source
-    else:
-        target = scalar_field.scalar_vacuum_cm(int(window), field_spec())
-    raw = gaussian.fidelity(source, target)
-    z_star, f_star = gaussian.optimize_global_squeeze(source, target)
-    return z_star, raw, f_star
+    source = _window_cm(chain_model(int(chain_size)), int(window))
+    target = source if self_test else scalar_field.scalar_vacuum_cm(int(window), field_spec())
+    return gaussian.optimize_global_squeeze(source, target)
 
 
 def fidelity_rows(chain_size, windows, self_test=False):

@@ -370,43 +370,41 @@ def fidelity(sigma_1, sigma_2):
 
         ln F = (1/4) [2 sum_k asinh sqrt(w_k^2 - 1) - ln det((sigma_1 + sigma_2) / 2)]
 
-    by the squeeze search's factored objective at ln z = 0
-    (`_cross_free_fidelity`), so both states must have no phi-pi cross
-    block (ValueError otherwise, as in `optimize_global_squeeze`); every
-    pair of the fidelity tables qualifies.  No matrix square root is taken.
-    Result is clamped to [0, 1].
+    by the squeeze search's objective at ln z = 0 (`_cross_free_fidelity`),
+    so both states must have no phi-pi cross block (the ValueError of
+    `optimize_global_squeeze` otherwise), as every table pair has.  No matrix
+    square root is taken; the result is clamped to [0, 1].
     """
     return _cross_free_fidelity(*_validate_pair(sigma_1, sigma_2))(0.0)
 
 
 def _defect_factor(defect, basis, what):
-    """F with basis^T D basis = F F^T for the defect D = Pi - Phi^-1 >= 0 of
-    a physical state; negative round-off in its eigenvalues is clipped to 0,
-    and one below -AUX_UNIT_TOL times max(1, the largest) raises."""
+    """F with basis^T D basis = F F^T for the defect D = Pi - Phi^-1 >= 0 of a
+    physical state, one column per positive eigenvalue; negative round-off is
+    dropped, and an eigenvalue below -AUX_UNIT_TOL max(1, the largest) raises."""
     mu, vecs = np.linalg.eigh(basis.T @ defect @ basis)
     low = float(mu[0])
     if low < -AUX_UNIT_TOL * max(1.0, float(np.abs(mu).max())):
         raise NumericalError("%s state is unphysical: Pi - Phi^-1 has eigenvalue %.3e "
                              "in the pencil basis" % (what, low))
-    return vecs * np.sqrt(np.clip(mu, 0.0, None))
+    return vecs[:, mu > 0.0] * np.sqrt(mu[mu > 0.0])
 
 
 def _cross_free_fidelity(sigma_source, sigma_target):
     """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, for
     two validated states of n modes with no phi-pi cross block: `fidelity`
-    evaluates it at ln z = 0, the squeeze search across its bracket.
+    evaluates it at ln z = 0, the squeeze search at 0 and across its bracket.
 
     For such a pair, with D_i = Pi_i - Phi_i^-1 >= 0 (zero for a pure state)
     and R = (Phi_1^-1 + Phi_2^-1)^-1 = L L^T, the sum of the pi blocks is
     Y = R^-1 + D_1 + D_2, and the w_k^2 - 1 are the eigenvalues of
-    (1 + d_1 + d_2)^-1 d_2 d_1 with d_i = L^T D_i L = g_i g_i^T.  Woodbury
-    and push-through give them in Gram form, real and non-negative by
-    construction, with no 1 to cancel:
+    (1 + d_1 + d_2)^-1 d_2 d_1 with d_i = L^T D_i L = g_i g_i^T, g_i of
+    r_i = rank D_i columns.  Woodbury and push-through give them in Gram
+    form, real and non-negative by construction, with no 1 to cancel: one
+    Cholesky factorization of the Gram matrix K of M = [g_1 | g_2] gives all,
 
-        G = 1 + g_1^T g_1 = L_G L_G^T,  W = L_G^-1 g_1^T g_2,
-        H = 1 + g_2^T g_2 - W^T W = L_H L_H^T,
-        sqrt(w_k^2 - 1) = singular values of L_H^-1 W^T,
-        det(1 + d_1 + d_2) = det G det H.
+        K = 1 + M^T M = L_K L_K^T,  L_K = [[L_G, 0], [W^T, L_H]],  W = L_G^-1 g_1^T g_2,
+        sqrt(w_k^2 - 1) = singular values of L_H^-1 W^T,  det(1 + d_1 + d_2) = det K.
 
     The squeeze rescales only the source: Phi_1 -> s Phi_1 and
     D_1 -> D_1 / s with s = z^2.  The congruence C_X that takes the pencil
@@ -415,10 +413,10 @@ def _cross_free_fidelity(sigma_source, sigma_target):
     factored once,
 
         g_1 = diag(sqrt(alpha / (1 + s alpha))) F_1,  g_2 = diag(c) F_2,
-        ln det X Y = sum [log1p(s alpha) + log1p(1 / (s alpha))] + 2 ln |L_G| + 2 ln |L_H|,
+        ln det X Y = sum [log1p(s alpha) + log1p(1 / (s alpha))] + ln det K,
 
-    where X is the sum of the phi blocks.  A step costs two n x n Cholesky
-    factorizations, two solves and one svd.
+    where X is the sum of the phi blocks.  A step costs one Cholesky of the
+    (r_1 + r_2)-square K (0 x 0 for a pure pair), one solve and one svd.
     """
     n = sigma_source.shape[0] // 2
     phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
@@ -431,18 +429,18 @@ def _cross_free_fidelity(sigma_source, sigma_target):
     basis = chol @ u  # C_X^-T
     f_1 = _defect_factor(_defect(phi_1, pi_1), basis, "source")
     f_2 = _defect_factor(_defect(phi_2, pi_2), basis, "target")
-    eye = np.eye(n)
+    rank_1 = f_1.shape[1]
+    eye = np.eye(rank_1 + f_2.shape[1])
 
     def objective(ln_z):
         s_alpha = np.exp(2.0 * ln_z) * alpha
-        g_1 = np.sqrt(alpha / (1.0 + s_alpha))[:, None] * f_1
-        g_2 = np.sqrt(s_alpha / (1.0 + s_alpha))[:, None] * f_2
-        chol_g = _cholesky(eye + g_1.T @ g_1, "Gram matrix G")
-        w = np.linalg.solve(chol_g, g_1.T @ g_2)
-        chol_h = _cholesky(eye + g_2.T @ g_2 - w.T @ w, "Gram matrix H")
-        roots = np.linalg.svd(np.linalg.solve(chol_h, w.T), compute_uv=False)
+        m = np.hstack((np.sqrt(alpha / (1.0 + s_alpha))[:, None] * f_1,
+                       np.sqrt(s_alpha / (1.0 + s_alpha))[:, None] * f_2))
+        chol_k = _cholesky(eye + m.T @ m, "Gram matrix")
+        w_t, chol_h = chol_k[rank_1:, :rank_1], chol_k[rank_1:, rank_1:]
+        roots = np.linalg.svd(np.linalg.solve(chol_h, w_t), compute_uv=False)
         logdet = float(np.log1p(s_alpha).sum() + np.log1p(1.0 / s_alpha).sum())
-        logdet += 2.0 * float(np.log(np.diag(chol_g)).sum() + np.log(np.diag(chol_h)).sum())
+        logdet += 2.0 * float(np.log(np.diag(chol_k)).sum())
         return _fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))
 
     return objective
@@ -456,12 +454,12 @@ def optimize_global_squeeze(sigma_source, sigma_target):
     S_z = diag(z, 1/z) on every mode, by bounded Brent search on ln z.
     Both states must have no phi-pi cross block (the ValueError of
     `fidelity` otherwise).  The objective is `fidelity`'s own route,
-    factored once per search (`_cross_free_fidelity`), and f_star is its
-    value at ln z_star.
+    factored once per search (`_cross_free_fidelity`): f_raw, its value at
+    ln z = 0, is `fidelity`'s, and f_star is its value at ln z_star.
 
     Returns:
-        (z_star, f_star)
+        (z_star, f_raw, f_star)
     """
     objective = _cross_free_fidelity(*_validate_pair(sigma_source, sigma_target))
     ln_star, f_star = maximize_1d(objective, *np.log(SQUEEZE_BRACKET), tol=LN_Z_TOL)
-    return float(np.exp(ln_star)), f_star
+    return float(np.exp(ln_star)), objective(0.0), f_star

@@ -175,7 +175,8 @@ def interleaved_fidelity(sigma_1, sigma_2):
 
 def two_pencil_objective(sigma_source, sigma_target):
     """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, as
-    gaussian._cross_free_fidelity computed it before its Gram form.
+    gaussian._cross_free_fidelity computed it before its Gram form
+    (`two_cholesky_objective`).
 
     With X, Y the sums of the phi and pi blocks, D_i = Pi_i - Phi_i^-1 and
     R = Phi_1 X^-1 Phi_2, the w_k^2 - 1 are the eigenvalues of
@@ -220,6 +221,50 @@ def two_pencil_objective(sigma_source, sigma_target):
         excess = np.linalg.eigvals((scale_f[:, None] * f_mat * scale_e) @ e_mat)
         logdet = logdet_0 + float(np.log1p(s * alpha).sum() + np.log1p(beta / s).sum())
         return _fidelity_from_excess(excess, logdet)
+
+    return objective
+
+
+def two_cholesky_objective(sigma_source, sigma_target):
+    """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, as
+    gaussian._cross_free_fidelity computed it before its stacked Gram
+    matrix: full n-column defect factors F_i, whose clipped eigenvalues
+    leave zero columns, and per step two n x n Choleskys,
+
+        G = 1 + g_1^T g_1 = L_G L_G^T,  W = L_G^-1 g_1^T g_2,
+        H = 1 + g_2^T g_2 - W^T W = L_H L_H^T,
+        sqrt(w_k^2 - 1) = singular values of L_H^-1 W^T,
+        det(1 + d_1 + d_2) = det G det H,
+
+    with g_1, g_2 and ln det X Y as in the package kernel.
+    """
+    n = sigma_source.shape[0] // 2
+    phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
+    phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
+    chol = np.linalg.cholesky(phi_2)
+    half = np.linalg.solve(chol, phi_1)
+    alpha, u = np.linalg.eigh(np.linalg.solve(chol, half.T))
+    basis = chol @ u  # C_X^-T
+
+    def full_factor(phi, pi):
+        mu, vecs = np.linalg.eigh(basis.T @ gaussian._defect(phi, pi) @ basis)
+        assert mu[0] >= -gaussian.AUX_UNIT_TOL * max(1.0, float(np.abs(mu).max()))
+        return vecs * np.sqrt(np.clip(mu, 0.0, None))
+
+    f_1, f_2 = full_factor(phi_1, pi_1), full_factor(phi_2, pi_2)
+    eye = np.eye(n)
+
+    def objective(ln_z):
+        s_alpha = np.exp(2.0 * ln_z) * alpha
+        g_1 = np.sqrt(alpha / (1.0 + s_alpha))[:, None] * f_1
+        g_2 = np.sqrt(s_alpha / (1.0 + s_alpha))[:, None] * f_2
+        chol_g = np.linalg.cholesky(eye + g_1.T @ g_1)
+        w = np.linalg.solve(chol_g, g_1.T @ g_2)
+        chol_h = np.linalg.cholesky(eye + g_2.T @ g_2 - w.T @ w)
+        roots = np.linalg.svd(np.linalg.solve(chol_h, w.T), compute_uv=False)
+        logdet = float(np.log1p(s_alpha).sum() + np.log1p(1.0 / s_alpha).sum())
+        logdet += 2.0 * float(np.log(np.diag(chol_g)).sum() + np.log(np.diag(chol_h)).sum())
+        return gaussian._fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))
 
     return objective
 

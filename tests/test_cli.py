@@ -221,6 +221,26 @@ class TestExitCodes:
         assert out == ""
         assert "unrecognized arguments: --tol-policy strict" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "2"],
+        ["negativity", "--system", "ion", "--region-size", "1", "--separations", "1"],
+        ["fidelity", "--chain-size", "10", "--region-sizes", "2"],
+        ["fock", "--dims", "2"],
+        ["golden-check", "--table", "7"],
+    ])
+    def test_unknown_argument_shows_command_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--bogus"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: ionmodes %s [-h]" % argv[0])
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_unknown_argument_before_command_shows_top_level_usage(self, capsys):
+        code, out, err = run_cli(capsys, ["--bogus", "fock"])
+        assert code == 1
+        assert err.startswith("usage: ionmodes [-h] {chain,")
+        assert "unrecognized arguments: --bogus" in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, [])
         assert code == 1

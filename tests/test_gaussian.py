@@ -21,6 +21,7 @@ from conftest import (
     sqrtm_fidelity,
     tmsv_cm,
     transposed_negativity,
+    two_cholesky_objective,
     two_pencil_objective,
 )
 from ionmodes import experiments, gaussian, golden, ion_chain, scalar_field
@@ -652,6 +653,59 @@ class TestSqueezeObjective:
             pairs += 1
         assert pairs == 65
 
+    def test_matches_two_cholesky_objective_on_table_windows(self):
+        # dropping the zero columns of the clipped defect eigenvalues and
+        # stacking the two Gram matrices into one moved no table window by
+        # more than 1.4e-14 relative
+        pairs = 0
+        for source, target in _table_windows():
+            objective = gaussian._cross_free_fidelity(source, target)
+            old_objective = two_cholesky_objective(source, target)
+            for z in WIDENED_Z:
+                got = objective(np.log(z))
+                assert abs(got / old_objective(np.log(z)) - 1.0) <= 1e-12
+            pairs += 1
+        assert pairs == 65
+
+    def test_defect_factor_keeps_positive_columns(self):
+        dropped = 0
+        for source, target in _table_windows():
+            n = source.shape[0] // 2
+            basis = np.linalg.cholesky(target[0::2, 0::2])  # any congruence will do
+            for sigma in (source, target):
+                defect = gaussian._defect(sigma[0::2, 0::2], sigma[1::2, 1::2])
+                factor = gaussian._defect_factor(defect, basis, "table")
+                mu, vecs = np.linalg.eigh(basis.T @ defect @ basis)
+                keep = mu > 0.0
+                assert factor.shape == (n, int(keep.sum()))
+                assert np.array_equal(factor, vecs[:, keep] * np.sqrt(mu[keep]))
+                assert (np.abs(factor).max(axis=0) > 0.0).all()
+                dropped += n - factor.shape[1]
+        assert dropped > 0  # the larger windows clip round-off eigenvalues
+
+    def test_pure_pairs_have_unit_fidelity(self, two_ion_cm, chain30, monkeypatch):
+        ranks = []
+        factor = gaussian._defect_factor
+
+        def recorded(*args):
+            out = factor(*args)
+            ranks.append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(gaussian, "_defect_factor", recorded)
+        whole_chain = experiments._window_cm(chain30, 30)
+        exact = from_blocks(np.diag([2.0, 4.0]), np.diag([0.5, 0.25]))
+        for sigma in (two_ion_cm, whole_chain, exact):
+            assert abs(fidelity(sigma, sigma) - 1.0) <= 1e-15
+            z_star, f_raw, f_star = optimize_global_squeeze(sigma, sigma)
+            assert abs(f_raw - 1.0) <= 1e-15
+            # z_star is 1 only to the search tolerance, where F falls quadratically
+            assert abs(np.log(z_star)) <= 10 * gaussian.LN_Z_TOL
+            assert 1.0 - 1e-12 <= f_star <= 1.0
+        # the two-ion chain and the exact pair come with a 0 x 0 Gram
+        # matrix; the whole 30-ion chain is pure only to round-off
+        assert ranks[:4] == [0, 0, 0, 0] and ranks[-4:] == [0, 0, 0, 0]
+
     @pytest.mark.parametrize("z", [1.0, 6.0])
     @pytest.mark.parametrize("chain_size,window", MP_CASES)
     def test_table_window_within_1e8_of_mpmath(self, chain_size, window, z):
@@ -672,10 +726,11 @@ class TestSqueezeObjective:
         for window in (4, 10):
             source = experiments._window_cm(chain30, window)
             target = scalar_field.scalar_vacuum_cm(window, field_spec)
-            z_star, f_star = optimize_global_squeeze(source, target)
+            z_star, f_raw, f_star = optimize_global_squeeze(source, target)
             ln_star = found[-1][0]
             assert z_star == np.exp(ln_star)
             assert f_star == gaussian._cross_free_fidelity(source, target)(ln_star)
+            assert f_raw == gaussian._cross_free_fidelity(source, target)(0.0)
             # the squeezed source factored afresh rounds differently
             d = np.tile([z_star, 1.0 / z_star], window)
             assert abs(fidelity(source * np.outer(d, d), target) / f_star - 1.0) <= 1e-8
@@ -713,9 +768,28 @@ class TestGlobalSqueezeOptimizer:
         assert len(counts) == 65
         assert 3 <= min(counts) and max(counts) <= 32
 
+    def test_one_factorization_per_window(self, monkeypatch):
+        # the raw F comes from the search's own objective at ln z = 0, so
+        # each window factors once (twice while `fidelity` factored again)
+        built = []
+        kernel = gaussian._cross_free_fidelity
+
+        def counted(*args):
+            built.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(gaussian, "_cross_free_fidelity", counted)
+        cells = [experiments.fidelity_cell(golden.TABLES[table][1]["chain_size"],
+                                           int(row["region_size"]))
+                 for table in (4, 5, 6) for row in golden.load_table(table)]
+        assert len(built) == len(cells) == 65
+        monkeypatch.undo()
+        for (_, raw, _), (source, target) in zip(cells, _table_windows()):
+            assert raw == fidelity(source, target)
+
     def test_self_target_recovers_unit_squeeze(self, chain30):
         source = restrict(chain30.cm, range(10, 20))
-        z_star, f_star = optimize_global_squeeze(source, source)
+        z_star, _, f_star = optimize_global_squeeze(source, source)
         # the fidelity plateau is flat to round-off within ~1e-4 of z = 1
         assert abs(z_star - 1.0) < 1e-3
         assert f_star > 1.0 - 1e-9
@@ -725,7 +799,8 @@ class TestGlobalSqueezeOptimizer:
         source = restrict(chain30.cm, range(13, 17))
         target = scalar_field.scalar_vacuum_cm(4, field_spec)
         raw = fidelity(source, target)
-        z_star, f_star = optimize_global_squeeze(source, target)
+        z_star, f_raw, f_star = optimize_global_squeeze(source, target)
+        assert f_raw == raw
         assert f_star >= raw
         assert z_star > 1.0  # chain modes need positive squeeze towards the lattice vacuum
 
@@ -733,7 +808,7 @@ class TestGlobalSqueezeOptimizer:
         from ionmodes import scalar_field
         source = restrict(chain30.cm, range(13, 17))
         target = scalar_field.scalar_vacuum_cm(4, field_spec)
-        z_star, f_star = optimize_global_squeeze(source, target)
+        z_star, _, f_star = optimize_global_squeeze(source, target)
         n = 4
         for eps in (1e-3, -1e-3):
             s = single_mode_squeeze(n, z_star * (1.0 + eps))

@@ -165,11 +165,12 @@ def _run_negativity(args):
     treatments = experiments.TREATMENTS if args.treatment == "all" else (args.treatment,)
     rows = experiments.negativity_rows(
         args.system, args.chain_size, args.region_size, separations, treatments)
-    skipped = [r for r in rows if r[5] is None]
-    for row in skipped:
+    # a geometry that does not fit leaves every treatment's row empty
+    skipped = list(dict.fromkeys(r[3] for r in rows if r[5] is None))
+    for sep in skipped:
         sys.stderr.write(
             "warning: separation %d does not fit (2*%d + %d > %d), row left empty\n"
-            % (row[3], args.region_size, row[3], args.chain_size))
+            % (sep, args.region_size, sep, args.chain_size))
     out_rows = []
     for system, chain_size, region_size, sep, treatment, value in rows:
         if system == "scalar":
@@ -183,7 +184,7 @@ def _run_negativity(args):
         metadata={
             "scalar_measurement": "exact infinite-exterior homodyne (Toeplitz symbol inversion)",
             "scalar_mass": scalar_field.DEFAULT_MASS,
-            "skipped_separations": [r[3] for r in skipped],
+            "skipped_separations": skipped,
         })
     header = ("system", "chain_size", "region_size", "separation", "treatment", "log_negativity")
     _emit(args, manifest, _rows_body(args, header, out_rows))

@@ -292,6 +292,13 @@ def log_negativity(sigma, region_a, region_b):
     sigma must cover exactly the modes of A and B; trace out or condition
     away everything else first.  Partially transposed symplectic eigenvalues
     within 1e-9 of 1 are treated as exactly 1.
+
+    A state with no phi-pi cross block (every table state) takes n x n
+    factors: with Phi = L_Phi L_Phi^T and Pi = L_Pi L_Pi^T, the partial
+    transpose replaces Pi by S_B Pi S_B, S_B = -1 on B's modes, and the
+    nu_k are the n singular values of L_Phi^T S_B L_Pi, each once.  Any
+    other state goes through the 2n x 2n kernel of `symplectic_spectrum`
+    with the flip as a sign on Omega.
     """
     sigma, n = validate_cm(sigma)
     set_a = set(int(m) for m in region_a)
@@ -300,14 +307,17 @@ def log_negativity(sigma, region_a, region_b):
         raise ValueError("regions A and B overlap")
     if set_a | set_b != set(range(n)):
         raise ValueError("regions A and B must cover every mode of sigma")
-    signs = np.ones((n, 1))
-    signs[sorted(set_b)] = -1.0
-    nu = _spectrum(sigma, signs)
-    total = 0.0
-    for v in nu:
-        if v < 1.0 - NU_UNIT_TOL:
-            total -= np.log2(v)
-    return total
+    flipped = sorted(set_b)
+    if _has_cross_block(sigma):
+        signs = np.ones((n, 1))
+        signs[flipped] = -1.0
+        nu = _spectrum(sigma, signs)
+    else:
+        chol_phi = _cholesky(sigma[0::2, 0::2], "covariance matrix")
+        chol_pi = _cholesky(sigma[1::2, 1::2], "covariance matrix")
+        chol_pi[flipped] *= -1.0
+        nu = np.linalg.svd(chol_phi.T @ chol_pi, compute_uv=False)
+    return float(np.sum(-np.log2(nu[nu < 1.0 - NU_UNIT_TOL])))
 
 
 def entanglement_entropy(sigma):
@@ -331,6 +341,11 @@ def _cholesky(mat, what):
         raise NumericalError("%s is not positive definite" % what) from exc
 
 
+def _has_cross_block(sigma):
+    """Whether an interleaved CM has any nonzero phi-pi cross entry."""
+    return bool(sigma[0::2, 1::2].any() or sigma[1::2, 0::2].any())
+
+
 def _defect(phi, pi):
     """Pi - Phi^-1, zero for a pure state with no phi-pi cross block."""
     try:
@@ -346,7 +361,7 @@ def _validate_pair(sigma_1, sigma_2):
     sigma_2, n2 = validate_cm(sigma_2)
     if n != n2:
         raise ValueError("states have different mode counts")
-    if any(s[0::2, 1::2].any() or s[1::2, 0::2].any() for s in (sigma_1, sigma_2)):
+    if _has_cross_block(sigma_1) or _has_cross_block(sigma_2):
         raise ValueError("fidelity and the squeeze search need states with no phi-pi cross block")
     return sigma_1, sigma_2
 

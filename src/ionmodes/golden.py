@@ -50,18 +50,39 @@ NEGATIVITY_COLUMNS = {
 }
 
 
+def _read_csv(fh):
+    reader = csv.DictReader(fh)
+    rows = list(reader)
+    return reader.fieldnames or [], rows
+
+
 def load_table(table, data_dir=None):
     """Rows of the golden CSV as string dicts (strings keep the printed
-    precision, which sets the tolerance)."""
+    precision, which sets the tolerance).
+
+    A CSV read from data_dir must have every column of the shipped table,
+    at least one row and no short row; otherwise a ValueError names the
+    file.
+    """
     if table not in TABLES:
         raise ValueError("table number must be in 1..7")
     name = "table%d.csv" % table
-    if data_dir is not None:
-        with open("%s/%s" % (data_dir, name), newline="") as fh:
-            return list(csv.DictReader(fh))
-    ref = resources.files("ionmodes.data").joinpath(name)
-    with ref.open(newline="") as fh:
-        return list(csv.DictReader(fh))
+    with resources.files("ionmodes.data").joinpath(name).open(newline="") as fh:
+        columns, rows = _read_csv(fh)
+    if data_dir is None:
+        return rows
+    path = "%s/%s" % (data_dir, name)
+    with open(path, newline="") as fh:
+        present, rows = _read_csv(fh)
+    missing = [c for c in columns if c not in present]
+    if missing:
+        raise ValueError("%s lacks column(s) %s" % (path, ", ".join(missing)))
+    if not rows:
+        raise ValueError("%s has no rows" % path)
+    for number, row in enumerate(rows, start=2):
+        if None in row.values():
+            raise ValueError("%s line %d has too few fields" % (path, number))
+    return rows
 
 
 def significant_figures(printed):

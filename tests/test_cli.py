@@ -102,18 +102,21 @@ class TestNegativity:
         assert float(rows[0][5]) > 0.0
 
     def test_infeasible_separation_left_empty(self, capsys):
-        code, out, err = run_cli(capsys, [
-            "negativity", "--system", "ion", "--chain-size", "10",
-            "--region-size", "4", "--separations", "1,3",
-            "--treatment", "trace"])
-        assert code == 0
-        header, rows = parse_csv(out)
-        by_sep = {r[3]: r for r in rows}
-        assert by_sep["1"][5] != ""
-        assert by_sep["3"][5] == ""
-        assert "warning: separation 3 does not fit" in err
-        manifest = json.loads(err[err.index("{"):])
-        assert manifest["metadata"]["skipped_separations"] == [3]
+        for treatment, n_treatments in (("trace", 1), ("all", 3)):
+            code, out, err = run_cli(capsys, [
+                "negativity", "--system", "ion", "--chain-size", "10",
+                "--region-size", "4", "--separations", "1,3,4",
+                "--treatment", treatment])
+            assert code == 0
+            header, rows = parse_csv(out)
+            assert len(rows) == 3 * n_treatments
+            for row in rows:
+                assert (row[5] == "") == (row[3] in ("3", "4"))
+            # one warning and one manifest entry per separation, not per row
+            assert err.count("warning: separation 3 does not fit") == 1
+            assert err.count("warning: separation 4 does not fit") == 1
+            manifest = json.loads(err[err.index("{"):])
+            assert manifest["metadata"]["skipped_separations"] == [3, 4]
 
     def test_json_embeds_manifest_and_rows(self, capsys):
         code, out, err = run_cli(capsys, [
@@ -185,6 +188,21 @@ class TestGoldenCheck:
         assert len(failing) == 1
         assert failing[0][2] == "p_out_raw"
         assert "FAIL table 7" in err and "p_out_raw" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: ["separation,ion_trace", "0,3.66e-1"],
+         "lacks column(s) ion_phi, ion_pi, scalar_trace, scalar_phi, scalar_pi"),
+        (lambda lines: lines[:1], "has no rows"),
+        (lambda lines: lines[:2] + ["1,3.66e-1"], "line 3 has too few fields"),
+    ], ids=["missing-columns", "no-rows", "short-row"])
+    def test_malformed_golden_csv_is_usage_error(self, capsys, tmp_path, edit, message):
+        lines = resources.files("ionmodes.data").joinpath("table1.csv").read_text().splitlines()
+        (tmp_path / "table1.csv").write_text("\n".join(edit(lines)) + "\n")
+        code, out, err = run_cli(capsys, [
+            "golden-check", "--table", "1", "--golden-dir", str(tmp_path)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: %s %s\n" % (tmp_path / "table1.csv", message)
 
     def test_missing_golden_dir_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "absent"

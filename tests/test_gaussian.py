@@ -204,6 +204,18 @@ def _random_pure_blocks(rng, n):
     return 0.5 * (phi + phi.T), 0.5 * (pi + pi.T)
 
 
+def _negativity_table_cells():
+    """negativity_cell arguments of every cell of tables 1-3: ion and
+    scalar, all three treatments (510 in all)."""
+    for table in (1, 2, 3):
+        params = golden.TABLES[table][1]
+        for row in golden.load_table(table):
+            for system in ("ion", "scalar"):
+                for treatment in experiments.TREATMENTS:
+                    yield (system, params["chain_size"], params["region_size"],
+                           int(row["separation"]), treatment)
+
+
 class TestPureConditioning:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
@@ -309,8 +321,19 @@ class TestSpectrumRoutes:
         got = log_negativity(sigma, region_a, region_b)
         assert abs(got - transposed_negativity(sigma, region_b)) <= 1e-14
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+    def test_cross_free_negativity_matches_transposed_copy(self, seed, n):
+        # the n x n route: no phi-pi cross block, random A|B splits (either
+        # side may be empty)
+        rng = np.random.default_rng(seed)
+        sigma = block_state(rng, n, rng.uniform(0.0, 1.0))
+        in_b = rng.random(n) < 0.5
+        region_a, region_b = np.flatnonzero(~in_b), np.flatnonzero(in_b)
+        got = log_negativity(sigma, region_a, region_b)
+        assert abs(got - transposed_negativity(sigma, region_b)) <= 1e-13
+
     def test_table_cells_match_transposed_copy(self, monkeypatch):
-        # every cell of tables 1-3: ion and scalar, all three treatments
         handed = []
         original = gaussian.log_negativity
 
@@ -320,40 +343,52 @@ class TestSpectrumRoutes:
 
         monkeypatch.setattr(gaussian, "log_negativity", keep)
         cells = 0
-        for table in (1, 2, 3):
-            params = golden.TABLES[table][1]
-            for row in golden.load_table(table):
-                for system in ("ion", "scalar"):
-                    for treatment in experiments.TREATMENTS:
-                        handed.clear()
-                        value = experiments.negativity_cell(
-                            system, params["chain_size"], params["region_size"],
-                            int(row["separation"]), treatment)
-                        (sigma, region_b), = handed
-                        assert value == transposed_negativity(sigma, region_b)
-                        cells += 1
+        for cell in _negativity_table_cells():
+            handed.clear()
+            value = experiments.negativity_cell(*cell)
+            (sigma, region_b), = handed
+            # the n x n route rounds differently from the 2n x 2n oracle
+            assert abs(value - transposed_negativity(sigma, region_b)) <= 2e-14
+            cells += 1
         assert cells == 510
+
+    def test_table_cells_skip_the_interleaved_kernel(self, monkeypatch):
+        calls = []
+        original = gaussian._spectrum
+
+        def count(sigma, signs):
+            calls.append(sigma.shape)
+            return original(sigma, signs)
+
+        monkeypatch.setattr(gaussian, "_spectrum", count)
+        values = [experiments.negativity_cell(*cell) for cell in _negativity_table_cells()]
+        assert len(values) == 510
+        assert calls == []
 
     @pytest.mark.parametrize("sigma", [np.diag([1.0, 0.0]), np.diag([2.0, -1.0, 1.0, 1.0])])
     def test_rejects_non_positive_definite(self, sigma):
         with pytest.raises(NumericalError, match="not positive definite"):
             symplectic_spectrum(sigma)
+        # no cross block: log_negativity's n x n route
+        with pytest.raises(NumericalError, match="covariance matrix is not positive definite"):
+            log_negativity(sigma, [0], range(1, sigma.shape[0] // 2))
 
     def test_near_separable_table_cell_against_mpmath(self):
-        # table 3, separation 29, ion_trace: E_N ~ 4.5e-8 hangs on the
-        # smallest partially transposed nu_k, 1 - 3e-8
-        region = RegionSpec(150, 5, 29)
-        state = restrict(experiments.chain_model(150).cm, region.region_a + region.region_b)
-        flipped = partial_transpose(state, range(5, 10))
-        with mpmath.workdps(40):
-            omega = mpmath.matrix(symplectic_form(10).tolist())
-            vals = mpmath.eig(omega * mpmath.matrix(flipped.tolist()), left=False, right=False)
-            nu = [mpmath.im(v) for v in vals if mpmath.im(v) > 0]
-            want = float(-mpmath.fsum(mpmath.log(v, 2) for v in nu if v < 1))
-        got = experiments.negativity_cell("ion", 150, 5, 29, "trace")
-        oracle = -sum(np.log2(v) for v in sqrt_spectrum(flipped) if v < 1.0)
-        assert abs(got - want) < 1e-15
-        assert abs(oracle - want) > 1e-13
+        # table 3, ion_trace: E_N ~ 1.2e-7 and 4.5e-8 hang on the smallest
+        # partially transposed nu_k, within 1e-7 of 1
+        for separation in (28, 29):
+            region = RegionSpec(150, 5, separation)
+            state = restrict(experiments.chain_model(150).cm, region.region_a + region.region_b)
+            flipped = partial_transpose(state, range(5, 10))
+            with mpmath.workdps(40):
+                omega = mpmath.matrix(symplectic_form(10).tolist())
+                vals = mpmath.eig(omega * mpmath.matrix(flipped.tolist()), left=False, right=False)
+                nu = [mpmath.im(v) for v in vals if mpmath.im(v) > 0]
+                want = float(-mpmath.fsum(mpmath.log(v, 2) for v in nu if v < 1))
+            got = experiments.negativity_cell("ion", 150, 5, separation, "trace")
+            oracle = -sum(np.log2(v) for v in sqrt_spectrum(flipped) if v < 1.0)
+            assert abs(got - want) < 1e-15, separation
+            assert abs(oracle - want) > 1e-13, separation
 
 
 class TestEntanglementMeasures:

@@ -2,7 +2,7 @@
 sweeps, scalar-vacuum fidelity scans with squeezing optimization, and
 qudit-subspace occupation deficits."""
 
-import threading
+import functools
 
 import numpy as np
 
@@ -11,7 +11,6 @@ from ionmodes.ion_chain import IonChainModel
 
 __all__ = [
     "chain_model",
-    "field_spec",
     "negativity_cell",
     "negativity_rows",
     "fidelity_cell",
@@ -23,30 +22,11 @@ __all__ = [
 
 TREATMENTS = ("trace", "phi", "pi")
 
-_cache_lock = threading.Lock()
-_chain_cache = {}
-_field_spec = None
-
-
+@functools.lru_cache(maxsize=None)
 def chain_model(n_ions):
-    """Cached IonChainModel (builds are deterministic, so sharing is safe)."""
-    with _cache_lock:
-        model = _chain_cache.get(n_ions)
-    if model is None:
-        model = IonChainModel.build(n_ions)
-        with _cache_lock:
-            _chain_cache.setdefault(n_ions, model)
-    return model
-
-
-def field_spec():
-    """The shared ScalarFieldSpec at DEFAULT_MASS, whose correlator cache
-    every scalar cell reuses."""
-    global _field_spec
-    with _cache_lock:
-        if _field_spec is None:
-            _field_spec = scalar_field.ScalarFieldSpec()
-        return _field_spec
+    """Cached IonChainModel (builds are deterministic and models read-only,
+    so sharing is safe)."""
+    return IonChainModel.build(n_ions)
 
 
 def negativity_cell(system, chain_size, region_size, separation, treatment):
@@ -76,13 +56,12 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
             state = gaussian.measure_pure_complement(pi if treatment == "phi" else phi, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     if system == "scalar":
-        spec = field_spec()
         region = gaussian.RegionSpec(2 * d + sep, d, sep)
         sites = region.region_a + region.region_b
         if treatment == "trace":
-            state = scalar_field.scalar_vacuum_cm(sites, spec)
+            state = scalar_field.scalar_vacuum_cm(sites)
         else:
-            state = scalar_field.measured_vacuum_cm(sites, treatment, spec)
+            state = scalar_field.measured_vacuum_cm(sites, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     raise ValueError("system must be 'ion' or 'scalar'")
 
@@ -114,7 +93,7 @@ def fidelity_cell(chain_size, window, self_test=False):
     must drive z_star to 1 and both fidelities to 1.
     """
     source = _window_cm(chain_model(int(chain_size)), int(window))
-    target = source if self_test else scalar_field.scalar_vacuum_cm(int(window), field_spec())
+    target = source if self_test else scalar_field.scalar_vacuum_cm(int(window))
     return gaussian.optimize_global_squeeze(source, target)
 
 

@@ -61,8 +61,9 @@ def load_table(table, data_dir=None):
     precision, which sets the tolerance).
 
     A CSV read from data_dir must have every column of the shipped table,
-    at least one row and no short row; otherwise a ValueError names the
-    file.
+    at least one row, no short row, an integer in the first (key) column
+    and a finite number in every other; otherwise a ValueError names the
+    file, and the line and column of a bad cell.
     """
     if table not in TABLES:
         raise ValueError("table number must be in 1..7")
@@ -82,6 +83,17 @@ def load_table(table, data_dir=None):
     for number, row in enumerate(rows, start=2):
         if None in row.values():
             raise ValueError("%s line %d has too few fields" % (path, number))
+        for column in columns:
+            key, text = column == columns[0], row[column]
+            try:
+                if key:
+                    int(text)
+                readable = key or math.isfinite(float(text))
+            except ValueError:
+                readable = False
+            if not readable:
+                raise ValueError("%s line %d column %s: %r is not %s" % (
+                    path, number, column, text, "an integer" if key else "a finite number"))
     return rows
 
 

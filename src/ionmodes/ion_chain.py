@@ -67,14 +67,15 @@ def _gradient_compensated(z):
 def solve_equilibrium(n_ions):
     """Dimensionless equilibrium positions of n ions, ascending.
 
-    Damped Newton iteration on the potential gradient from a uniformly
-    spread initial guess.  Converged when the exactly summed gradient
+    Newton iteration on the potential gradient from a uniformly spread
+    initial guess.  Converged when the exactly summed gradient
     infinity-norm reaches 1e-12, or the float64 representation floor for
     large chains: positions are quantized at one ulp (about 2e-15 here),
     so the gradient cannot drop below stiffness times ulp, about 2e-12 at
     n = 150.  In that regime the iterate is accepted once the Newton step
     falls below a few ulp, meaning no representable point does better.
-    The result is exactly odd-symmetric about the origin.
+    The result is exactly odd-symmetric about the origin and strictly
+    ascending (NumericalError otherwise).
     """
     n = int(n_ions)
     if n < 1 or n > MAX_IONS:
@@ -83,35 +84,31 @@ def solve_equilibrium(n_ions):
         return np.zeros(1)
     half = 0.5 * n ** (2.0 / 3.0)
     z = np.linspace(-half, half, n)
-    # phase 1: damped Newton with fast gradients down to 1e-9, where plain
-    # summation is still accurate (its round-off floor is a few 1e-12)
+    # phase 1: Newton with fast gradients down to 1e-9, where plain
+    # summation is still accurate (its round-off floor is a few 1e-12).
+    # From this start no chain of 2..MAX_IONS ions needs a damped step; it
+    # takes 3-7 full steps.
     for _ in range(100):
         grad = _gradient(z)
-        norm = float(np.abs(grad).max())
-        if norm < 1e-9:
+        if float(np.abs(grad).max()) < 1e-9:
             break
-        step = np.linalg.solve(2.0 * build_hessian(z), grad)
-        scale = 1.0
-        while scale > 1e-8:
-            trial = z - scale * step
-            if np.all(np.diff(trial) > 0.0) and float(np.abs(_gradient(trial)).max()) < norm:
-                break
-            scale *= 0.5
-        if scale <= 1e-8:
-            break  # at the plain-arithmetic floor already
-        z = trial
-    # phase 2: undamped Newton on the exactly summed gradient, so the
-    # final tolerance is checked free of accumulation round-off
+        z = z - np.linalg.solve(2.0 * build_hessian(z), grad)
+    # phase 2: Newton on the exactly summed gradient, so the final
+    # tolerance is checked free of accumulation round-off
     for _ in range(10):
         z = 0.5 * (z - z[::-1])
         grad = _gradient_compensated(z)
         if float(np.abs(grad).max()) <= GRADIENT_TOL:
-            return z
+            break
         step = np.linalg.solve(2.0 * build_hessian(z), grad)
         if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
-            return z  # stalled at the position representation floor
+            break  # stalled at the position representation floor
         z = z - step
-    raise NumericalError("equilibrium Newton iteration failed to reach the gradient tolerance")
+    else:
+        raise NumericalError("equilibrium Newton iteration failed to reach the gradient tolerance")
+    if not np.all(np.diff(z) > 0.0):
+        raise NumericalError("equilibrium positions are not strictly ascending")
+    return z
 
 
 def build_hessian(positions):

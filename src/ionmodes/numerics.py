@@ -22,6 +22,9 @@ SYMMETRY_TOL = 1e-12
 # residual bound for principal_sqrt, relative to the max-norm of the input
 SQRT_RESIDUAL_TOL = 1e-10
 
+# Brent steps per search before it gives up (NumericalError)
+BRENT_MAX_ITER = 200
+
 # golden-section fraction (3 - sqrt 5) / 2: where Brent's search places its
 # first point, and the share of the larger side a fallback step covers
 _GOLDEN_SECTION = 0.5 * (3.0 - np.sqrt(5.0))
@@ -158,7 +161,7 @@ def quad_oscillatory(f, delta, inner_scale=None):
     return total / (2.0 * np.pi)
 
 
-def _brent_max(f, a, b, tol, max_iter):
+def _brent_max(f, a, b, tol):
     """Bounded Brent search for the maximum of f on [a, b].
 
     Parabolic interpolation through the three best points so far, with a
@@ -172,7 +175,7 @@ def _brent_max(f, a, b, tol, max_iter):
     x = w = v = a + _GOLDEN_SECTION * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0
-    for _ in range(max_iter):
+    for _ in range(BRENT_MAX_ITER):
         if max(x - a, b - x) <= tol:
             return x, fx
         mid = 0.5 * (a + b)
@@ -211,21 +214,21 @@ def _brent_max(f, a, b, tol, max_iter):
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    raise NumericalError("Brent search did not converge in %d iterations" % max_iter)
+    raise NumericalError("Brent search did not converge in %d iterations" % BRENT_MAX_ITER)
 
 
-def maximize_1d(f, lo, hi, tol=1e-6, max_iter=200):
+def maximize_1d(f, lo, hi, tol=1e-6):
     """Bounded Brent maximization of a unimodal function on [lo, hi].
 
     The returned argmax is within tol of the maximizer.  If it lands within
     tol of a bracket edge, the bracket is widened once on that side and the
     search retried; hitting an edge again raises NumericalError, as does a
-    search that needs more than max_iter steps.  Returns (argmax, max).
+    search that needs more than BRENT_MAX_ITER steps.  Returns (argmax, max).
     """
     if not hi > lo:
         raise ValueError("empty bracket")
     width = hi - lo
-    x, fx = _brent_max(f, lo, hi, tol, max_iter)
+    x, fx = _brent_max(f, lo, hi, tol)
     if x - lo > tol and hi - x > tol:
         return x, fx
     # widen once towards the edge that was hit, then give up
@@ -233,7 +236,7 @@ def maximize_1d(f, lo, hi, tol=1e-6, max_iter=200):
         lo2, hi2 = lo - width, hi
     else:
         lo2, hi2 = lo, hi + width
-    x, fx = _brent_max(f, lo2, hi2, tol, max_iter)
+    x, fx = _brent_max(f, lo2, hi2, tol)
     if x - lo2 <= tol or hi2 - x <= tol:
         raise NumericalError("maximizer pinned to the bracket edge even after widening")
     return x, fx

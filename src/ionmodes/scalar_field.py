@@ -23,11 +23,11 @@ __all__ = ["DEFAULT_MASS", "ScalarFieldSpec", "scalar_vacuum_cm", "measured_vacu
 DEFAULT_MASS = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarFieldSpec:
     """Lattice scalar field vacuum at a fixed mass, with cached correlator
     entries: one half-zone quadrature per separation gives both its phi and
-    its pi entry."""
+    its pi entry.  Frozen: the mass must stay that of the cached entries."""
 
     mass: float = DEFAULT_MASS
     _entries: dict = field(default_factory=dict, repr=False)  # gap -> (phi, pi)
@@ -86,15 +86,20 @@ class ScalarFieldSpec:
         return row[gap]
 
 
+# the spec behind every call that names none, so the entries it integrates
+# serve all later calls at DEFAULT_MASS
+_DEFAULT_SPEC = ScalarFieldSpec()
+
+
 def scalar_vacuum_cm(window, spec=None):
     """Vacuum CM of a window of lattice sites (interleaved basis).
 
     `window` is either a site count (contiguous window, Toeplitz blocks) or
     an explicit list of site indices; the infinite rest of the lattice is
-    traced out.
+    traced out.  Without a spec the shared DEFAULT_MASS spec is used.
     """
     if spec is None:
-        spec = ScalarFieldSpec()
+        spec = _DEFAULT_SPEC
     sites = range(int(window)) if np.isscalar(window) else sorted(set(int(s) for s in window))
     if not sites:
         raise ValueError("window must contain at least one site")
@@ -110,9 +115,10 @@ def measured_vacuum_cm(sites, quadrature, spec=None):
     complement against the infinite measured exterior has a closed form:
     measuring phi leaves the pi block untouched and replaces the phi block
     by the inverse of the pi-correlator restriction (and dually for pi).
+    Without a spec the shared DEFAULT_MASS spec is used.
     """
     if spec is None:
-        spec = ScalarFieldSpec()
+        spec = _DEFAULT_SPEC
     sites = sorted(set(int(s) for s in sites))
     if not sites:
         raise ValueError("need at least one retained site")

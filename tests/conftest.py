@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, sqrtm
 
-from ionmodes import experiments, fock, gaussian, numerics, scalar_field
+from ionmodes import experiments, fock, gaussian, ion_chain, numerics, scalar_field
 
 
 def random_physical_cm(rng, n_modes, thermal_max=2.0, strength=0.6):
@@ -326,6 +326,44 @@ def loop_gradient_compensated(z):
             terms.append(-math.copysign(2.0, d) / d**2)
         out[i] = math.fsum(terms)
     return out
+
+
+def damped_solve_equilibrium(n_ions):
+    """Equilibrium positions as ion_chain.solve_equilibrium found them when
+    its first phase backtracked: each Newton step halved until the iterate
+    stayed ascending and its plain gradient fell, stopping at a 1e-8
+    scale."""
+    n = int(n_ions)
+    if n == 1:
+        return np.zeros(1)
+    half = 0.5 * n ** (2.0 / 3.0)
+    z = np.linspace(-half, half, n)
+    for _ in range(100):
+        grad = ion_chain._gradient(z)
+        norm = float(np.abs(grad).max())
+        if norm < 1e-9:
+            break
+        step = np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+        scale = 1.0
+        while scale > 1e-8:
+            trial = z - scale * step
+            if (np.all(np.diff(trial) > 0.0)
+                    and float(np.abs(ion_chain._gradient(trial)).max()) < norm):
+                break
+            scale *= 0.5
+        if scale <= 1e-8:
+            break
+        z = trial
+    for _ in range(10):
+        z = 0.5 * (z - z[::-1])
+        grad = ion_chain._gradient_compensated(z)
+        if float(np.abs(grad).max()) <= ion_chain.GRADIENT_TOL:
+            return z
+        step = np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+        if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
+            return z
+        z = z - step
+    raise numerics.NumericalError("damped equilibrium iteration did not converge")
 
 
 def panel_loop_quad(f, delta, inner_scale=None, nodes_per_panel=24):

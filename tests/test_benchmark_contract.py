@@ -9,9 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionmodes import experiments, gaussian
+from ionmodes import experiments, fock, gaussian
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(monkeypatch, name):
+    """A perfbench/ script loaded as a module, leaving no bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _resolve(span_name):
@@ -26,10 +35,7 @@ def _resolve(span_name):
 
 
 def test_tracer_wraps_every_traced_name(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench(monkeypatch, "spans")
     for module_name in spans.TRACED:
         importlib.import_module("ionmodes." + module_name)
     originals = {name: _resolve(name) for name in spans.SPAN_NAMES}
@@ -72,3 +78,19 @@ def test_negativity_cell_hands_log_negativity_one_interleaved_cm(monkeypatch, sy
         again = sum(-np.log2(v) for v in nu if v < 1.0 - gaussian.NU_UNIT_TOL)
         assert value > 0.0
         assert abs(again - value) <= 1e-12 * value, treatment
+
+
+def test_worker_package_calls(monkeypatch, tmp_path):
+    """The package calls of perfbench/worker.py: the negativity scan of one
+    seed, and one rotated two-ion state through the deficit at every
+    dimension the Fock workload asks for."""
+    inputs = _load_perfbench(monkeypatch, "inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)  # the worker imports it by that name
+    worker = _load_perfbench(monkeypatch, "worker")
+    values = worker.run_negativity(1, tmp_path)["values"]
+    assert len(values) == len(inputs.negativity_cells(1))
+    assert all(isinstance(v, float) and 0.0 <= v < np.inf for v in values)
+    state = next(worker._rotated_states(1))
+    deficits = [fock.qudit_subspace_deficit(state, d) for d in inputs.QUDIT_DIMS]
+    assert all(0.0 <= p < 1.0 for p in deficits)
+    assert deficits == sorted(deficits, reverse=True)

@@ -31,6 +31,14 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def set_field(lines, line, field, text):
+    """CSV lines with one field of line `line` (the header is line 1)
+    replaced by text."""
+    fields = lines[line - 1].split(",")
+    fields[field] = text
+    return lines[:line - 1] + [",".join(fields)] + lines[line:]
+
+
 class TestParseIntRange:
     def test_single(self):
         assert parse_int_range("5") == [5]
@@ -189,20 +197,27 @@ class TestGoldenCheck:
         assert failing[0][2] == "p_out_raw"
         assert "FAIL table 7" in err and "p_out_raw" in err
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda lines: ["separation,ion_trace", "0,3.66e-1"],
+    @pytest.mark.parametrize("table,edit,message", [
+        (1, lambda lines: ["separation,ion_trace", "0,3.66e-1"],
          "lacks column(s) ion_phi, ion_pi, scalar_trace, scalar_phi, scalar_pi"),
-        (lambda lines: lines[:1], "has no rows"),
-        (lambda lines: lines[:2] + ["1,3.66e-1"], "line 3 has too few fields"),
-    ], ids=["missing-columns", "no-rows", "short-row"])
-    def test_malformed_golden_csv_is_usage_error(self, capsys, tmp_path, edit, message):
-        lines = resources.files("ionmodes.data").joinpath("table1.csv").read_text().splitlines()
-        (tmp_path / "table1.csv").write_text("\n".join(edit(lines)) + "\n")
+        (1, lambda lines: lines[:1], "has no rows"),
+        (1, lambda lines: lines[:2] + ["1,3.66e-1"], "line 3 has too few fields"),
+        (1, lambda lines: set_field(lines, 2, 1, "inf"),
+         "line 2 column ion_trace: 'inf' is not a finite number"),
+        (1, lambda lines: set_field(lines, 3, 6, "nan"),
+         "line 3 column scalar_pi: 'nan' is not a finite number"),
+        (7, lambda lines: set_field(lines, 2, 0, "x"),
+         "line 2 column qudit_dim: 'x' is not an integer"),
+    ], ids=["missing-columns", "no-rows", "short-row", "inf", "nan", "key-not-integer"])
+    def test_malformed_golden_csv_is_usage_error(self, capsys, tmp_path, table, edit, message):
+        name = "table%d.csv" % table
+        lines = resources.files("ionmodes.data").joinpath(name).read_text().splitlines()
+        (tmp_path / name).write_text("\n".join(edit(lines)) + "\n")
         code, out, err = run_cli(capsys, [
-            "golden-check", "--table", "1", "--golden-dir", str(tmp_path)])
+            "golden-check", "--table", str(table), "--golden-dir", str(tmp_path)])
         assert code == 1
         assert out == ""
-        assert err == "error: %s %s\n" % (tmp_path / "table1.csv", message)
+        assert err == "error: %s %s\n" % (tmp_path / name, message)
 
     def test_missing_golden_dir_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "absent"

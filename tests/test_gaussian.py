@@ -669,7 +669,7 @@ def _table_windows():
         for row in golden.load_table(table):
             window = int(row["region_size"])
             yield (experiments._window_cm(experiments.chain_model(chain_size), window),
-                   scalar_field.scalar_vacuum_cm(window, experiments.field_spec()))
+                   scalar_field.scalar_vacuum_cm(window))
 
 
 class TestSqueezeObjective:

@@ -1,12 +1,16 @@
 """Ion chain: equilibrium solver, mode structure, local-mode covariance
 matrix, and physical trap scales."""
 
+import functools
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.constants
 from scipy.constants import elementary_charge, pi
 
-from conftest import loop_gradient_compensated
+from conftest import damped_solve_equilibrium, loop_gradient_compensated
 from ionmodes import experiments, ion_chain
 from ionmodes.gaussian import restrict, symplectic_spectrum
 from ionmodes.ion_chain import (
@@ -109,6 +113,25 @@ class TestEquilibrium:
         monkeypatch.setattr(ion_chain, "_gradient_compensated", loop_gradient_compensated)
         assert np.array_equal(solve_equilibrium(n), want)
 
+    def test_positions_bit_equal_to_damped_newton(self):
+        # no admissible chain takes a damped step from the uniform start, so
+        # dropping the line search must not move a single bit
+        for n in (*range(1, 41), *range(50, MAX_IONS + 1, 10), 299):
+            assert np.array_equal(solve_equilibrium(n), damped_solve_equilibrium(n)), n
+
+    def test_non_ascending_positions_raise(self, monkeypatch):
+        # a first step that mirrors the chain, then gradients that accept
+        # the mirrored (descending) iterate at once
+        def mirroring(z):
+            if z[0] > z[-1]:
+                return np.zeros_like(z)
+            return 2.0 * build_hessian(z) @ (2.0 * z)
+
+        monkeypatch.setattr(ion_chain, "_gradient", mirroring)
+        monkeypatch.setattr(ion_chain, "_gradient_compensated", np.zeros_like)
+        with pytest.raises(NumericalError, match="not strictly ascending"):
+            solve_equilibrium(5)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             solve_equilibrium(0)
@@ -183,6 +206,37 @@ class TestSharedModel:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
         assert model.cm[0, 0] != 0.0
+
+    def test_concurrent_builds_agree_then_one_model_is_shared(self, monkeypatch):
+        # a cache of its own, so every thread misses it; more threads than
+        # cores, switching often
+        monkeypatch.setattr(experiments, "chain_model",
+                            functools.lru_cache(maxsize=None)(experiments.chain_model.__wrapped__))
+        n, count = 40, 6
+        start = threading.Barrier(count)
+        models = []
+
+        def build():
+            start.wait(timeout=60)
+            models.append(experiments.chain_model(n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = IonChainModel.build(n)
+        assert len(models) == count
+        for model in models:
+            for name in ("positions", "frequencies", "modes", "cm"):
+                assert np.array_equal(getattr(model, name), getattr(want, name)), name
+        assert experiments.chain_model(n) is experiments.chain_model(n)
 
     @pytest.mark.parametrize("window", [1, 10, 50, 150])
     def test_fidelity_window_sliced_from_blocks(self, window):

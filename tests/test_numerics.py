@@ -194,9 +194,10 @@ class TestMaximize1d:
         with pytest.raises(NumericalError, match="even after widening"):
             maximize_1d(lambda x: -(x - 2.5) ** 2, 0.0, 1.0, tol=1e-9)
 
-    def test_non_convergence_within_max_iter(self):
-        with pytest.raises(NumericalError, match="did not converge"):
-            maximize_1d(lambda x: -np.cosh(x - 0.37), 0.0, 1.0, tol=1e-12, max_iter=5)
+    def test_non_convergence_within_max_iter(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BRENT_MAX_ITER", 5)
+        with pytest.raises(NumericalError, match="did not converge in 5 iterations"):
+            maximize_1d(lambda x: -np.cosh(x - 0.37), 0.0, 1.0, tol=1e-12)
 
     def test_empty_bracket(self):
         with pytest.raises(ValueError):

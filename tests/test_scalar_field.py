@@ -134,6 +134,26 @@ class TestHalfZoneFill:
             assert np.array_equal(phi, serial.phi_block(sites))
 
 
+class TestDefaultSpec:
+    def test_calls_without_spec_share_one_cache(self, monkeypatch):
+        sites = [0, 3, 7, 8]
+        explicit = ScalarFieldSpec()
+        want = [scalar_vacuum_cm(sites, explicit),
+                measured_vacuum_cm(sites, "phi", explicit),
+                measured_vacuum_cm(sites, "pi", explicit)]
+        scalar_vacuum_cm(sites)
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("a gap was integrated again")
+
+        monkeypatch.setattr(scalar_field, "half_zone_nodes", integrate)
+        got = [scalar_vacuum_cm(sites),
+               measured_vacuum_cm(sites, "phi"),
+               measured_vacuum_cm(sites, "pi")]
+        for cm, expected in zip(got, want):
+            assert np.array_equal(cm, expected)
+
+
 class TestVacuumCM:
     def test_toeplitz_structure(self, field_spec):
         block = field_spec.pi_block(range(5))

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from ionmodes import experiments
+from ionmodes import experiments, fock
 
 __all__ = [
     "TABLES",
@@ -61,9 +61,10 @@ def load_table(table, data_dir=None):
     precision, which sets the tolerance).
 
     A CSV read from data_dir must have every column of the shipped table,
-    at least one row, no short row, an integer in the first (key) column
-    and a finite number in every other; otherwise a ValueError names the
-    file, and the line and column of a bad cell.
+    at least one row, no short row, a finite number in every non-key cell,
+    and in the first (key) column an integer that the table admits (keys)
+    and no other row repeats; otherwise a ValueError names the file, and
+    the line and column of a bad cell.
     """
     if table not in TABLES:
         raise ValueError("table number must be in 1..7")
@@ -80,6 +81,11 @@ def load_table(table, data_dir=None):
         raise ValueError("%s lacks column(s) %s" % (path, ", ".join(missing)))
     if not rows:
         raise ValueError("%s has no rows" % path)
+    kind, params = TABLES[table]
+    keys = (range(params["chain_size"] - 2 * params["region_size"] + 1) if kind == "negativity"
+            else range(1, params["chain_size"] + 1) if kind == "fidelity"
+            else range(1, fock.MAX_QUDIT_DIM + 1))
+    seen = {}
     for number, row in enumerate(rows, start=2):
         if None in row.values():
             raise ValueError("%s line %d has too few fields" % (path, number))
@@ -94,6 +100,12 @@ def load_table(table, data_dir=None):
             if not readable:
                 raise ValueError("%s line %d column %s: %r is not %s" % (
                     path, number, column, text, "an integer" if key else "a finite number"))
+        value = int(row[columns[0]])
+        if value not in keys or value in seen:
+            problem = ("%d repeats line %d" % (value, seen[value]) if value in seen
+                       else "%d is outside %d..%d" % (value, keys[0], keys[-1]))
+            raise ValueError("%s line %d column %s: %s" % (path, number, columns[0], problem))
+        seen[value] = number
     return rows
 
 

@@ -1,6 +1,7 @@
 """Shared numerical kernels: symmetric eigendecomposition with a fixed sign
-convention, principal square roots of symmetric matrices, oscillatory
-Brillouin-zone quadrature, and bracketed 1D maximization."""
+convention, Brillouin-zone quadrature nodes, and bracketed 1D maximization.
+principal_sqrt and quad_oscillatory have no package caller; they stay
+because the benchmark's span tracer (perfbench/spans.py) names them."""
 
 import functools
 

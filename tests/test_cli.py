@@ -208,7 +208,20 @@ class TestGoldenCheck:
          "line 3 column scalar_pi: 'nan' is not a finite number"),
         (7, lambda lines: set_field(lines, 2, 0, "x"),
          "line 2 column qudit_dim: 'x' is not an integer"),
-    ], ids=["missing-columns", "no-rows", "short-row", "inf", "nan", "key-not-integer"])
+        (7, lambda lines: lines + lines[1:2], "line 9 column qudit_dim: 2 repeats line 2"),
+        (1, lambda lines: set_field(lines, 3, 0, "200"),
+         "line 3 column separation: 200 is outside 0..148"),
+        (3, lambda lines: set_field(lines, 2, 0, "-1"),
+         "line 2 column separation: -1 is outside 0..140"),
+        (5, lambda lines: set_field(lines, 2, 0, "60"),
+         "line 2 column region_size: 60 is outside 1..50"),
+        (4, lambda lines: set_field(lines, 2, 0, "0"),
+         "line 2 column region_size: 0 is outside 1..30"),
+        (7, lambda lines: set_field(lines, 2, 0, "-1"),
+         "line 2 column qudit_dim: -1 is outside 1..8"),
+    ], ids=["missing-columns", "no-rows", "short-row", "inf", "nan", "key-not-integer",
+            "repeated-key", "separation-too-large", "separation-negative", "window-too-large",
+            "window-zero", "qudit-dim-negative"])
     def test_malformed_golden_csv_is_usage_error(self, capsys, tmp_path, table, edit, message):
         name = "table%d.csv" % table
         lines = resources.files("ionmodes.data").joinpath(name).read_text().splitlines()

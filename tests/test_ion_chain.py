@@ -5,6 +5,7 @@ import functools
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.constants
@@ -29,38 +30,6 @@ from ionmodes.ion_chain import (
 from ionmodes.numerics import NumericalError
 
 
-def chain_energy(z):
-    """Dimensionless potential: quadratic trap plus pairwise Coulomb
-    (mutual term counted once per ordered pair)."""
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(np.dot(z, z) + np.sum(1.0 / diff))
-
-
-def descend(z, steps=40000, tol=1e-9):
-    """Independent check: plain gradient descent with backtracking on the
-    energy itself, no Newton structure shared with the implementation."""
-    energy = chain_energy(z)
-    rate = 0.05
-    for _ in range(steps):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        grad = 2.0 * z - 2.0 * np.sum(np.sign(diff) / diff**2, axis=1)
-        if np.abs(grad).max() < tol:
-            break
-        rate = min(2.0 * rate, 0.05)
-        while rate > 1e-12:
-            trial = z - rate * grad
-            if np.all(np.diff(np.sort(trial)) > 1e-6):
-                trial_energy = chain_energy(trial)
-                if trial_energy < energy:
-                    break
-            rate *= 0.5
-        z = z - rate * grad
-        energy = chain_energy(z)
-    return np.sort(z)
-
-
 class TestEquilibrium:
     def test_single_ion(self):
         assert np.array_equal(solve_equilibrium(1), [0.0])
@@ -73,13 +42,17 @@ class TestEquilibrium:
         a = 1.25 ** (1.0 / 3.0)
         assert np.allclose(solve_equilibrium(3), [-a, 0.0, a], atol=1e-12)
 
-    def test_four_ions_against_gradient_descent(self):
-        rng = np.random.default_rng(23)
-        z = solve_equilibrium(4)
-        for _ in range(3):
-            start = np.sort(rng.uniform(-3.0, 3.0, size=4))
-            start += np.arange(4) * 1e-3  # break accidental coincidences
-            assert np.allclose(descend(start), z, atol=1e-6)
+    def test_four_ions_against_mpmath_force_balance(self):
+        # the chain is (-b, -a, a, b), so the trap force on the ions at a
+        # and b balancing their Coulomb forces fixes it: two equations,
+        # solved independently of the implementation to 30 digits
+        with mpmath.workdps(30):
+            a, b = mpmath.findroot(
+                [lambda a, b: 1 / (2 * a) ** 2 + 1 / (a + b) ** 2 - 1 / (b - a) ** 2 - a,
+                 lambda a, b: 1 / (2 * b) ** 2 + 1 / (a + b) ** 2 + 1 / (b - a) ** 2 - b],
+                (0.5, 1.5))
+        want = [float(-b), float(-a), float(a), float(b)]
+        assert np.abs(solve_equilibrium(4) - want).max() <= 1e-14
 
     def test_gradient_tolerance_met_where_representable(self):
         for n in (2, 3, 5, 8, 13, 21, 34):

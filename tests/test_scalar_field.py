@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,35 @@ from hypothesis import strategies as st
 
 from conftest import quad_entries
 from ionmodes import gaussian, scalar_field
-from ionmodes.scalar_field import ScalarFieldSpec, measured_vacuum_cm, scalar_vacuum_cm
+from ionmodes.scalar_field import (
+    DEFAULT_MASS,
+    ScalarFieldSpec,
+    _vacuum_entries,
+    measured_vacuum_cm,
+    scalar_vacuum_cm,
+)
+
+
+@pytest.fixture
+def empty_cache():
+    """No entry cached at any mass, so a test sees every integration."""
+    _vacuum_entries.cache_clear()
+
+
+def legendre_entries(mass, gaps):
+    """40-digit (phi, pi) entries from Heine's integral:
+    phi_d = Q_{d-1/2}(1 + mass^2/2) / pi, and from omega_k^2 =
+    mass^2 + 2 - 2 cos k, pi_d = (2 + mass^2) phi_d - phi_{d-1} - phi_{d+1}
+    with phi_{-1} = phi_1."""
+    with mpmath.workdps(40):
+        m2 = mpmath.mpf(mass) ** 2
+        x = 1 + m2 / 2
+
+        def phi(d):
+            return mpmath.re(mpmath.legenq(abs(d) - mpmath.mpf(1) / 2, 0, x, type=3)) / mpmath.pi
+
+        return {d: (float(phi(d)), float((2 + m2) * phi(d) - phi(d - 1) - phi(d + 1)))
+                for d in gaps}
 
 
 class TestCorrelationEntries:
@@ -32,6 +61,15 @@ class TestCorrelationEntries:
         for delta in range(1, 7):
             want = -(2.0 / math.pi) * sum(1.0 / (2 * j - 1) for j in range(1, delta + 1))
             assert abs(field_spec.phi_entry(delta) - base - want) < 1e-9
+
+    def test_default_mass_entries_against_legendre_q(self):
+        # the manifests' quadrature_abs_error; off DEFAULT_MASS the
+        # quadrature misses it (2.4e-12 at mass 0.05)
+        want = legendre_entries(DEFAULT_MASS, (0, 1, 2, 7, 40, 150, 300))
+        spec = ScalarFieldSpec()
+        for d, (phi, pi) in want.items():
+            assert abs(spec.phi_entry(d) - phi) < 1e-12, d
+            assert abs(spec.pi_entry(d) - pi) < 1e-12, d
 
     def test_momentum_quadratic_decay(self, field_spec):
         for delta in (5, 12, 25, 40):
@@ -66,6 +104,7 @@ class TestHalfZoneFill:
                st.lists(st.integers(0, 300), min_size=1, max_size=5)),
                min_size=1, max_size=4))
     def test_any_route_and_order_equals_two_quadratures(self, log_mass, steps):
+        _vacuum_entries.cache_clear()
         spec = ScalarFieldSpec(10.0**log_mass)
         oracle = {}
 
@@ -83,10 +122,12 @@ class TestHalfZoneFill:
                 block = getattr(spec, route)(sites)
                 assert np.array_equal(block, [[want(abs(a - b), column) for b in sites]
                                               for a in sites])
-        for d, entry in spec._entries.items():
-            assert entry == (want(d, 0), want(d, 1)), d
+        # only the gaps visited were cached, each equal to the oracle
+        assert _vacuum_entries.cache_info().currsize == len(oracle)
+        for d, entry in oracle.items():
+            assert _vacuum_entries(spec.mass, d) == entry, d
 
-    def test_phi_then_pi_block_integrates_each_gap_once(self, monkeypatch):
+    def test_phi_then_pi_block_integrates_each_gap_once(self, monkeypatch, empty_cache):
         spec = ScalarFieldSpec()
         sites = [0, 2, 3, 9, 30, 31, 150]
         integrated = collections.Counter()
@@ -105,16 +146,19 @@ class TestHalfZoneFill:
         # serial fill's, or a gap missing
         site_sets = ([0, 1, 5, 40, 120, 121], [1, 5, 41, 119, 200],
                      [0, 2, 40, 160], [3, 5, 120, 203])
-        serial = ScalarFieldSpec()
-        for sites in site_sets:
-            serial.phi_block(sites)
-        shared = ScalarFieldSpec()
+        spec = ScalarFieldSpec()
+        _vacuum_entries.cache_clear()
+        serial_blocks = {tuple(sites): (spec.pi_block(sites), spec.phi_block(sites))
+                         for sites in site_sets}
+        gaps = {abs(a - b) for sites in site_sets for a in sites for b in sites}
+        serial = {d: _vacuum_entries(spec.mass, d) for d in gaps}
+        _vacuum_entries.cache_clear()
         start = threading.Barrier(len(site_sets))
         blocks = {}
 
         def fill(sites):
             start.wait(timeout=60)
-            blocks[tuple(sites)] = (shared.pi_block(sites), shared.phi_block(sites))
+            blocks[tuple(sites)] = (spec.pi_block(sites), spec.phi_block(sites))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -127,11 +171,16 @@ class TestHalfZoneFill:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert shared._entries == serial._entries
+        # every gap cached, and reading them back integrates none again
+        assert _vacuum_entries.cache_info().currsize == len(gaps)
+        misses = _vacuum_entries.cache_info().misses
+        assert {d: _vacuum_entries(spec.mass, d) for d in gaps} == serial
+        assert _vacuum_entries.cache_info().misses == misses
         for sites in site_sets:
             pi, phi = blocks[tuple(sites)]
-            assert np.array_equal(pi, serial.pi_block(sites))
-            assert np.array_equal(phi, serial.phi_block(sites))
+            want_pi, want_phi = serial_blocks[tuple(sites)]
+            assert np.array_equal(pi, want_pi)
+            assert np.array_equal(phi, want_phi)
 
 
 class TestDefaultSpec:
@@ -161,7 +210,7 @@ class TestVacuumCM:
             for j in range(5):
                 assert block[i, j] == field_spec.pi_entry(abs(i - j))
 
-    def test_gapped_block_looks_up_each_distinct_gap_once(self, monkeypatch):
+    def test_gapped_block_looks_up_each_distinct_gap_once(self, monkeypatch, empty_cache):
         spec = ScalarFieldSpec()
         sites = [0, 1, 40, 41]
         integrated = []
@@ -170,7 +219,8 @@ class TestVacuumCM:
                             lambda d, **kw: integrated.append(d) or real(d, **kw))
         block = spec.phi_block(sites)
         assert sorted(integrated) == [0, 1, 39, 40, 41]
-        assert sorted(spec._entries) == [0, 1, 39, 40, 41]  # no gap 2..38 integrated
+        # no gap 2..38 integrated or cached
+        assert _vacuum_entries.cache_info().currsize == 5
         assert np.array_equal(block, [[spec.phi_entry(a - b) for b in sites] for a in sites])
         assert len(integrated) == 5  # the lookups above integrated nothing more
 

@@ -1,13 +1,19 @@
 """Shared numerical kernels: symmetric eigendecomposition with a fixed sign
-convention, Brillouin-zone quadrature nodes, and bracketed 1D maximization.
-principal_sqrt and quad_oscillatory have no package caller; they stay
-because the benchmark's span tracer (perfbench/spans.py) names them."""
+convention, Brillouin-zone quadrature, and bracketed 1D maximization.
+
+principal_sqrt, half_zone_nodes and quad_oscillatory have no package caller
+(the lattice correlators are closed forms in scalar_field).  They stay only
+because the benchmark's span tracer (perfbench/spans.py) names
+principal_sqrt and quad_oscillatory, and the tests' oracles use all three;
+the benchmark refresh (ROADMAP item 2) moves them into tests/conftest.py."""
 
 import functools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+# principal_sqrt, half_zone_nodes and quad_oscillatory: for the benchmark
+# tracer and the tests' oracles only (see the module docstring)
 __all__ = [
     "NumericalError",
     "sym_eigen",

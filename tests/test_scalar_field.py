@@ -1,7 +1,8 @@
-"""Lattice scalar vacuum: dispersion integrals, Toeplitz correlation
+"""Lattice scalar vacuum: closed-form correlator rows, Toeplitz correlation
 blocks, and exact infinite-exterior homodyne conditioning."""
 
 import collections
+import functools
 import math
 import sys
 import threading
@@ -16,17 +17,42 @@ from conftest import quad_entries
 from ionmodes import gaussian, scalar_field
 from ionmodes.scalar_field import (
     DEFAULT_MASS,
+    FORWARD_LIMIT,
+    MASS_RANGE,
     ScalarFieldSpec,
+    _row_size,
     _vacuum_entries,
+    _vacuum_row,
     measured_vacuum_cm,
     scalar_vacuum_cm,
 )
 
+# every entry against 40-digit Legendre Q, at every tested mass; those read
+# from Miller rows are held tighter, because its positive-term form has no
+# cancellation (measured 1.5e-17; the plain ratio recurrence misses by 1e-13)
+ENTRY_TOL = 1e-13
+MILLER_ENTRY_TOL = 1e-15
+
+# the half-zone quadrature oracle's own error against the closed form,
+# measured: 3.7e-13 at DEFAULT_MASS and 2.46e-12 at mass 0.05 (gaps 0-300),
+# 4.0e-12 over 1,001 log-spaced masses from 1e-10 to 1 (gaps 0, 1, 2, 7,
+# 40, 150)
+QUAD_ERROR = {DEFAULT_MASS: 4e-13, 0.05: 2.5e-12}
+QUAD_ERROR_ANY_MASS = 5e-12
+
+# up to this mass the row of 512 entries (gaps 256-511) runs forward;
+# above it, Miller's recurrence
+CROSSOVER_MASS = FORWARD_LIMIT / 1024
+
 
 @pytest.fixture
-def empty_cache():
-    """No entry cached at any mass, so a test sees every integration."""
+def computed_rows(monkeypatch):
+    """Sizes of the rows computed from an empty cache on."""
+    computed = collections.Counter()
+    monkeypatch.setattr(scalar_field, "_vacuum_row",
+                        lambda mass, size: computed.update([size]) or _vacuum_row(mass, size))
     _vacuum_entries.cache_clear()
+    return computed
 
 
 def legendre_entries(mass, gaps):
@@ -38,11 +64,24 @@ def legendre_entries(mass, gaps):
         m2 = mpmath.mpf(mass) ** 2
         x = 1 + m2 / 2
 
+        @functools.lru_cache(maxsize=None)
         def phi(d):
             return mpmath.re(mpmath.legenq(abs(d) - mpmath.mpf(1) / 2, 0, x, type=3)) / mpmath.pi
 
         return {d: (float(phi(d)), float((2 + m2) * phi(d) - phi(d - 1) - phi(d + 1)))
                 for d in gaps}
+
+
+def runs_forward(mass, gap):
+    """Whether the row that gap is read from runs the forward recurrence."""
+    return 2.0 * _row_size(gap) * mass <= FORWARD_LIMIT
+
+
+def crossover_gaps(mass):
+    """The last gap read from a forward row and the first read from a
+    Miller row, if both lie below 1024 (rows change at powers of two)."""
+    miller = [d for d in (1 << j for j in range(10)) if not runs_forward(mass, d)]
+    return (miller[0] - 1, miller[0]) if miller else ()
 
 
 class TestCorrelationEntries:
@@ -63,13 +102,26 @@ class TestCorrelationEntries:
             assert abs(field_spec.phi_entry(delta) - base - want) < 1e-9
 
     def test_default_mass_entries_against_legendre_q(self):
-        # the manifests' quadrature_abs_error; off DEFAULT_MASS the
-        # quadrature misses it (2.4e-12 at mass 0.05)
+        # a tenth of the manifests' quadrature_abs_error
         want = legendre_entries(DEFAULT_MASS, (0, 1, 2, 7, 40, 150, 300))
         spec = ScalarFieldSpec()
         for d, (phi, pi) in want.items():
-            assert abs(spec.phi_entry(d) - phi) < 1e-12, d
-            assert abs(spec.pi_entry(d) - pi) < 1e-12, d
+            assert abs(spec.phi_entry(d) - phi) < ENTRY_TOL, d
+            assert abs(spec.pi_entry(d) - pi) < ENTRY_TOL, d
+
+    @pytest.mark.parametrize("mass", [1e-10, 1e-4, 1e-2, CROSSOVER_MASS * (1 - 1e-3),
+                                      CROSSOVER_MASS, CROSSOVER_MASS * (1 + 1e-3),
+                                      0.05, 0.5, 1.0])
+    def test_mass_sweep_against_legendre_q(self, mass):
+        # both recurrences and their crossover: the half-zone quadrature
+        # that came before missed 1e-12 here (2.4e-12 at 0.05, 1.0e-12 at 1e-4)
+        gaps = sorted({0, 1, 2, 7, 40, 150, 300, *crossover_gaps(mass)})
+        want = legendre_entries(mass, gaps)
+        spec = ScalarFieldSpec(mass)
+        for d, (phi, pi) in want.items():
+            tol = ENTRY_TOL if runs_forward(mass, d) else MILLER_ENTRY_TOL
+            assert abs(spec.phi_entry(d) - phi) < tol, (mass, d)
+            assert abs(spec.pi_entry(d) - pi) < tol, (mass, d)
 
     def test_momentum_quadratic_decay(self, field_spec):
         for delta in (5, 12, 25, 40):
@@ -86,16 +138,20 @@ class TestCorrelationEntries:
 
 
 class TestHalfZoneFill:
-    """Each gap's phi and pi entries come from one half-zone pass that shares
-    omega_k and cos(k d); the two-quadrature route it replaced is the
-    oracle, and the entries must equal it exactly."""
+    """The half-zone quadrature that filled each gap before the closed form
+    is the oracle, held to its own error.  Each row of a mass is computed
+    once, and every route to an entry, in any order, gives the float of the
+    entry's own row."""
 
-    def test_entries_to_gap_300_equal_two_quadratures(self):
-        spec = ScalarFieldSpec()
+    @pytest.mark.parametrize("mass", sorted(QUAD_ERROR))
+    def test_entries_to_gap_300_within_quadrature_error(self, mass):
+        spec = ScalarFieldSpec(mass)
         phi = spec.phi_block(range(301))[0]
         pi = spec.pi_block(range(301))[0]
         for d in range(301):
-            assert (phi[d], pi[d]) == quad_entries(spec.mass, d), d
+            want_phi, want_pi = quad_entries(mass, d)
+            assert abs(phi[d] - want_phi) < QUAD_ERROR[mass], d
+            assert abs(pi[d] - want_pi) < QUAD_ERROR[mass], d
 
     @settings(max_examples=25, deadline=None)
     @given(log_mass=st.floats(-10.0, 0.0),
@@ -103,14 +159,17 @@ class TestHalfZoneFill:
                st.sampled_from(["phi_entry", "pi_entry", "phi_block", "pi_block"]),
                st.lists(st.integers(0, 300), min_size=1, max_size=5)),
                min_size=1, max_size=4))
-    def test_any_route_and_order_equals_two_quadratures(self, log_mass, steps):
+    def test_any_route_and_order_gives_one_float_per_entry(self, log_mass, steps):
         _vacuum_entries.cache_clear()
         spec = ScalarFieldSpec(10.0**log_mass)
         oracle = {}
 
         def want(d, column):
+            # the entry's own row, computed afresh outside the cache
             if d not in oracle:
-                oracle[d] = quad_entries(spec.mass, d)
+                oracle[d] = tuple(row[d] for row in _vacuum_row(spec.mass, _row_size(d)))
+                quad = quad_entries(spec.mass, d)
+                assert max(abs(a - b) for a, b in zip(oracle[d], quad)) < QUAD_ERROR_ANY_MASS
             return oracle[d][column]
 
         for route, sites in steps:
@@ -122,36 +181,33 @@ class TestHalfZoneFill:
                 block = getattr(spec, route)(sites)
                 assert np.array_equal(block, [[want(abs(a - b), column) for b in sites]
                                               for a in sites])
-        # only the gaps visited were cached, each equal to the oracle
-        assert _vacuum_entries.cache_info().currsize == len(oracle)
-        for d, entry in oracle.items():
-            assert _vacuum_entries(spec.mass, d) == entry, d
+        # only the rows up to the largest gap visited were cached
+        assert _vacuum_entries.cache_info().currsize == max(map(_row_size, oracle)).bit_length()
 
-    def test_phi_then_pi_block_integrates_each_gap_once(self, monkeypatch, empty_cache):
+    def test_phi_then_pi_block_computes_each_row_once(self, computed_rows):
         spec = ScalarFieldSpec()
         sites = [0, 2, 3, 9, 30, 31, 150]
-        integrated = collections.Counter()
-        real = scalar_field.half_zone_nodes
-        monkeypatch.setattr(scalar_field, "half_zone_nodes",
-                            lambda d, **kw: integrated.update([d]) or real(d, **kw))
-        spec.phi_block(sites)
+        rows = collections.Counter(1 << j for j in range(9))  # 1 .. 256 entries
+        phi = spec.phi_block(sites)
         spec.pi_block(sites)
-        spec.phi_entry(-148)
-        gaps = {abs(a - b) for a in sites for b in sites}
-        assert integrated == collections.Counter(gaps)
+        assert computed_rows == rows
+        # each entry read alone is the block's, and computes nothing more
+        assert np.array_equal(phi, [[spec.phi_entry(a - b) for b in sites] for a in sites])
+        assert spec.pi_entry(-148) == spec.pi_block([2, 150])[0, 1]
+        assert computed_rows == rows
 
     def test_concurrent_fills_equal_serial(self):
         # more threads than cores, switching often, over overlapping gap sets:
-        # a torn or lost (phi, pi) store would leave an entry unequal to the
-        # serial fill's, or a gap missing
+        # a torn or lost row would leave an entry unequal to the serial
+        # fill's, or a row missing
         site_sets = ([0, 1, 5, 40, 120, 121], [1, 5, 41, 119, 200],
                      [0, 2, 40, 160], [3, 5, 120, 203])
         spec = ScalarFieldSpec()
         _vacuum_entries.cache_clear()
         serial_blocks = {tuple(sites): (spec.pi_block(sites), spec.phi_block(sites))
                          for sites in site_sets}
-        gaps = {abs(a - b) for sites in site_sets for a in sites for b in sites}
-        serial = {d: _vacuum_entries(spec.mass, d) for d in gaps}
+        top = _row_size(max(max(sites) - min(sites) for sites in site_sets))
+        serial = _vacuum_entries(spec.mass, top)
         _vacuum_entries.cache_clear()
         start = threading.Barrier(len(site_sets))
         blocks = {}
@@ -171,10 +227,12 @@ class TestHalfZoneFill:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        # every gap cached, and reading them back integrates none again
-        assert _vacuum_entries.cache_info().currsize == len(gaps)
+        # every row of 1 .. top entries cached, and reading them back
+        # computes none again
+        assert _vacuum_entries.cache_info().currsize == top.bit_length()
         misses = _vacuum_entries.cache_info().misses
-        assert {d: _vacuum_entries(spec.mass, d) for d in gaps} == serial
+        for got, want in zip(_vacuum_entries(spec.mass, top), serial):
+            assert np.array_equal(got, want)
         assert _vacuum_entries.cache_info().misses == misses
         for sites in site_sets:
             pi, phi = blocks[tuple(sites)]
@@ -184,21 +242,17 @@ class TestHalfZoneFill:
 
 
 class TestDefaultSpec:
-    def test_calls_without_spec_share_one_cache(self, monkeypatch):
+    def test_calls_without_spec_share_one_cache(self):
         sites = [0, 3, 7, 8]
         explicit = ScalarFieldSpec()
         want = [scalar_vacuum_cm(sites, explicit),
                 measured_vacuum_cm(sites, "phi", explicit),
                 measured_vacuum_cm(sites, "pi", explicit)]
-        scalar_vacuum_cm(sites)
-
-        def integrate(*args, **kwargs):
-            raise AssertionError("a gap was integrated again")
-
-        monkeypatch.setattr(scalar_field, "half_zone_nodes", integrate)
+        misses = _vacuum_entries.cache_info().misses
         got = [scalar_vacuum_cm(sites),
                measured_vacuum_cm(sites, "phi"),
                measured_vacuum_cm(sites, "pi")]
+        assert _vacuum_entries.cache_info().misses == misses, "a row was computed again"
         for cm, expected in zip(got, want):
             assert np.array_equal(cm, expected)
 
@@ -209,20 +263,6 @@ class TestVacuumCM:
         for i in range(5):
             for j in range(5):
                 assert block[i, j] == field_spec.pi_entry(abs(i - j))
-
-    def test_gapped_block_looks_up_each_distinct_gap_once(self, monkeypatch, empty_cache):
-        spec = ScalarFieldSpec()
-        sites = [0, 1, 40, 41]
-        integrated = []
-        real = scalar_field.half_zone_nodes
-        monkeypatch.setattr(scalar_field, "half_zone_nodes",
-                            lambda d, **kw: integrated.append(d) or real(d, **kw))
-        block = spec.phi_block(sites)
-        assert sorted(integrated) == [0, 1, 39, 40, 41]
-        # no gap 2..38 integrated or cached
-        assert _vacuum_entries.cache_info().currsize == 5
-        assert np.array_equal(block, [[spec.phi_entry(a - b) for b in sites] for a in sites])
-        assert len(integrated) == 5  # the lookups above integrated nothing more
 
     def test_window_count_equals_site_list(self, field_spec):
         assert np.array_equal(scalar_vacuum_cm(4, field_spec),
@@ -252,6 +292,53 @@ class TestMassArgument:
     def test_non_finite_mass_rejected(self, mass):
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             ScalarFieldSpec(mass)
+
+    # mass^2 overflows (1e300), or the complementary modulus mass / 2
+    # rounds to zero (5e-324), beyond the accepted range
+    @pytest.mark.parametrize("mass", [1e300, 1.0001e100, 9.999e-101, 5e-324])
+    def test_mass_outside_range_rejected(self, mass):
+        with pytest.raises(ValueError, match="mass must be positive and finite, from 1e-100"):
+            ScalarFieldSpec(mass)
+
+    @pytest.mark.parametrize("mass", MASS_RANGE)
+    def test_range_ends_give_finite_entries(self, mass):
+        spec = ScalarFieldSpec(mass)
+        for d in (0, 1, 2, 300, 600):
+            assert math.isfinite(spec.phi_entry(d)) and math.isfinite(spec.pi_entry(d)), d
+        sigma = scalar_vacuum_cm(4, spec)
+        assert np.all(np.isfinite(sigma))
+        # the massless and the heavy limits: pi_0 = 4 / pi, and phi_0 = 1 / mass
+        if mass < 1.0:
+            assert abs(spec.pi_entry(0) - 4.0 / math.pi) < 1e-12
+        else:
+            assert spec.phi_entry(0) == pytest.approx(1.0 / mass, rel=1e-15)
+
+
+class TestSiteArguments:
+    """A separation, window or site list must hold integers; none is
+    truncated (2.5 used to read as 2)."""
+
+    @pytest.mark.parametrize("lookup", ["phi_entry", "pi_entry"])
+    def test_non_integer_separation_rejected(self, field_spec, lookup):
+        for separation in (2.5, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="separation must be integer-valued"):
+                getattr(field_spec, lookup)(separation)
+        assert getattr(field_spec, lookup)(2.0) == getattr(field_spec, lookup)(2)
+
+    def test_non_integer_window_rejected(self, field_spec):
+        with pytest.raises(ValueError, match="window must be integer-valued"):
+            scalar_vacuum_cm(2.5, field_spec)
+        with pytest.raises(ValueError, match="window must be integer-valued"):
+            scalar_vacuum_cm([0, 1.5], field_spec)
+        assert np.array_equal(scalar_vacuum_cm(3.0, field_spec), scalar_vacuum_cm(3, field_spec))
+
+    @pytest.mark.parametrize("route", ["phi_block", "pi_block", "phi", "pi"])
+    def test_non_integer_sites_rejected(self, field_spec, route):
+        with pytest.raises(ValueError, match="sites must be integer-valued"):
+            if route.endswith("block"):
+                getattr(field_spec, route)([0, 0.5])
+            else:
+                measured_vacuum_cm([0, 0.5], route, field_spec)
 
 
 class TestMeasuredVacuum:

@@ -412,7 +412,7 @@ def quad_entries(mass, separation):
     numerics.quad_oscillatory each over cos(k d) / omega_k and
     cos(k d) * omega_k, both halves of the zone, with omega_k recomputed in
     every integrand call (the one half-zone pass that followed it gave the
-    same floats).  It is off the closed form by up to ~4e-12
+    same floats).  It is off the closed form by up to 4.04e-12
     (test_scalar_field.QUAD_ERROR)."""
     d = abs(int(separation))
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from ionmodes import fock, gaussian, scalar_field
 from ionmodes.ion_chain import IonChainModel
+from ionmodes.numerics import integer, integers
 
 __all__ = [
     "chain_model",
@@ -29,6 +30,19 @@ def chain_model(n_ions):
     return IonChainModel.build(n_ions)
 
 
+def _region_sites(length, size, separation):
+    """Sites of two equal regions of `size` sites, `separation` sites apart
+    and centered in a lattice of `length` sites (the extra site of an uneven
+    margin on the right), region A first; None when they do not fit."""
+    if size < 1 or separation < 0:
+        raise ValueError("region size must be >= 1 and separation >= 0")
+    span = 2 * size + separation
+    if span > length:
+        return None
+    start = (length - span) // 2
+    return list(range(start, start + size)) + list(range(start + size + separation, start + span))
+
+
 def negativity_cell(system, chain_size, region_size, separation, treatment):
     """One log-negativity value, or None when the geometry does not fit.
 
@@ -39,15 +53,13 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
     """
     if treatment not in TREATMENTS:
         raise ValueError("treatment must be one of %s" % (TREATMENTS,))
-    d = int(region_size)
-    sep = int(separation)
+    d = integer(region_size, "region_size")
+    sep = integer(separation, "separation")
     if system == "ion":
-        n = int(chain_size)
-        model = chain_model(n)  # validates n even when the geometry does not fit
-        if 2 * d + sep > n:
+        model = chain_model(integer(chain_size, "chain_size"))  # validated even when nothing fits
+        sites = _region_sites(model.n_ions, d, sep)
+        if sites is None:
             return None
-        region = gaussian.RegionSpec(n, d, sep)
-        sites = region.region_a + region.region_b
         pair = np.ix_(sites, sites)
         phi, pi = model.phi_block[pair], model.pi_block[pair]
         if treatment == "trace":
@@ -56,8 +68,7 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
             state = gaussian.measure_pure_complement(pi if treatment == "phi" else phi, treatment)
         return gaussian.log_negativity(state, range(d), range(d, 2 * d))
     if system == "scalar":
-        region = gaussian.RegionSpec(2 * d + sep, d, sep)
-        sites = region.region_a + region.region_b
+        sites = _region_sites(2 * d + sep, d, sep)
         if treatment == "trace":
             state = scalar_field.scalar_vacuum_cm(sites)
         else:
@@ -69,9 +80,9 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
 def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS):
     """Rows (system, chain_size, region_size, separation, treatment, value),
     value None for infeasible geometry, sorted by separation then treatment."""
-    rows = [(system, int(chain_size), int(region_size), int(sep), treatment,
-             negativity_cell(system, chain_size, region_size, sep, treatment))
-            for sep in separations for treatment in treatments]
+    n, d = integer(chain_size, "chain_size"), integer(region_size, "region_size")
+    rows = [(system, n, d, sep, treatment, negativity_cell(system, n, d, sep, treatment))
+            for sep in integers(separations, "separations").tolist() for treatment in treatments]
     order = {t: i for i, t in enumerate(TREATMENTS)}
     rows.sort(key=lambda r: (r[3], order[r[4]]))
     return rows
@@ -92,16 +103,17 @@ def fidelity_cell(chain_size, window, self_test=False):
     self_test replaces the scalar target by the ion source itself, which
     must drive z_star to 1 and both fidelities to 1.
     """
-    source = _window_cm(chain_model(int(chain_size)), int(window))
-    target = source if self_test else scalar_field.scalar_vacuum_cm(int(window))
+    window = integer(window, "window")
+    source = _window_cm(chain_model(integer(chain_size, "chain_size")), window)
+    target = source if self_test else scalar_field.scalar_vacuum_cm(window)
     return gaussian.optimize_global_squeeze(source, target)
 
 
 def fidelity_rows(chain_size, windows, self_test=False):
     """Rows (chain_size, window, z_star, fidelity_raw, fidelity_squeezed),
     sorted by window."""
-    rows = [(int(chain_size), int(w)) + fidelity_cell(chain_size, w, self_test)
-            for w in windows]
+    n = integer(chain_size, "chain_size")
+    rows = [(n, w) + fidelity_cell(n, w, self_test) for w in integers(windows, "windows").tolist()]
     rows.sort(key=lambda r: r[1])
     return rows
 
@@ -129,7 +141,7 @@ def fock_cell(dim):
 
 def fock_rows(dims):
     """Rows (dim, p_out_raw, p_out_squeezed), sorted by dim."""
-    rows = [(int(d),) + fock_cell(int(d)) for d in dims]
+    rows = [(d,) + fock_cell(d) for d in integers(dims, "dims").tolist()]
     rows.sort(key=lambda r: r[0])
     return rows
 
@@ -137,7 +149,7 @@ def fock_rows(dims):
 def chain_report(n_ions):
     """Equilibrium summary of a chain: positions, frequencies, and (for
     small chains) the full local-mode CM."""
-    model = chain_model(int(n_ions))
+    model = chain_model(integer(n_ions, "n_ions"))
     report = {
         "n_ions": model.n_ions,
         "positions": model.positions.tolist(),

@@ -16,7 +16,7 @@ from ionmodes.gaussian import (
     single_mode_squeeze,
     validate_cm,
 )
-from ionmodes.numerics import NumericalError
+from ionmodes.numerics import NumericalError, integer, integers
 
 __all__ = [
     "DEFAULT_OCCUPANCY_CAP",
@@ -46,7 +46,7 @@ MAX_QUDIT_DIM = 8
 
 def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
     """Validate a tuple of per-mode occupation numbers."""
-    occ = tuple(int(k) for k in occupations)
+    occ = tuple(integers(occupations, "occupations").tolist())
     if len(occ) != n_modes:
         raise ValueError("expected %d occupation numbers, got %d" % (n_modes, len(occ)))
     if any(k < 0 for k in occ):
@@ -103,7 +103,8 @@ def husimi_data(sigma):
 
 
 def _repeated_hafnian(h, reps):
-    """Hafnian of h.a_mat with row/column j repeated reps[j] times.
+    """Hafnian of h.a_mat with row/column j repeated reps[j] times, for a
+    tuple of ints reps.
 
     Pair-expansion recursion on the multiplicity vector, memoized on
     h._haf_cache: expanding the first occupied index i over its partners,
@@ -111,7 +112,7 @@ def _repeated_hafnian(h, reps):
     cross branch weight reps_j a_ij.  Identical to the hafnian of the
     explicitly expanded matrix, at polynomial cost in max(reps).
     """
-    return _haf_recurse(h.a_mat, h._haf_cache, tuple(int(k) for k in reps))
+    return _haf_recurse(h.a_mat, h._haf_cache, reps)
 
 
 def _haf_recurse(a, cache, r):
@@ -149,7 +150,7 @@ def matrix_element(h, bra, ket, cap=DEFAULT_OCCUPANCY_CAP):
     """
     bra = check_fock_index(bra, h.n_modes, cap)
     ket = check_fock_index(ket, h.n_modes, cap)
-    haf = _repeated_hafnian(h, tuple(ket) + tuple(bra))
+    haf = _repeated_hafnian(h, ket + bra)
     norm = h.sqrt_det_sigma_q * math.sqrt(
         math.prod(math.factorial(k) for k in bra) * math.prod(math.factorial(k) for k in ket))
     return haf / norm
@@ -234,7 +235,7 @@ def qudit_subspace_deficit(sigma, dim):
     z <= 2.5, the tail beyond the cap (from a 301-shell grid) exceeds it by
     at most 0.06%.
     """
-    dim = int(dim)
+    dim = integer(dim, "dim")
     if dim < 1 or dim > MAX_QUDIT_DIM:
         raise ValueError("qudit dimension must lie in [1, %d]" % MAX_QUDIT_DIM)
     prob = np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2

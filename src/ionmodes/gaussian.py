@@ -6,14 +6,11 @@ the vacuum is the identity.  The symplectic form in this basis is the
 direct sum of n copies of [[0, 1], [-1, 0]].
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ionmodes.numerics import NumericalError, maximize_1d
+from ionmodes.numerics import NumericalError, integers, maximize_1d
 
 __all__ = [
-    "RegionSpec",
     "symplectic_form",
     "from_blocks",
     "validate_cm",
@@ -52,39 +49,6 @@ SQUEEZE_BRACKET = (0.5, 20.0)
 # -AUX_UNIT_TOL times max(1, the largest) means an unphysical state, whose
 # auxiliary symplectic eigenvalues could fall below 1
 AUX_UNIT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """Two equal regions of `size` sites separated by `separation` sites,
-    centered in a lattice of `length` sites (extra site of margin on the
-    right when the fit is uneven)."""
-
-    length: int
-    size: int
-    separation: int
-
-    def __post_init__(self):
-        if self.size < 1 or self.separation < 0:
-            raise ValueError("region size must be >= 1 and separation >= 0")
-        if 2 * self.size + self.separation > self.length:
-            raise ValueError(
-                "regions of size %d separated by %d do not fit in %d sites"
-                % (self.size, self.separation, self.length))
-
-    @property
-    def left_margin(self):
-        return (self.length - 2 * self.size - self.separation) // 2
-
-    @property
-    def region_a(self):
-        start = self.left_margin
-        return list(range(start, start + self.size))
-
-    @property
-    def region_b(self):
-        start = self.left_margin + self.size + self.separation
-        return list(range(start, start + self.size))
 
 
 def symplectic_form(n_modes):
@@ -145,7 +109,7 @@ def restrict(sigma, modes):
     """Reduced state on the given modes, in the given order (partial trace
     of the rest)."""
     sigma, n = validate_cm(sigma)
-    modes = [int(m) for m in modes]
+    modes = integers(modes, "modes").tolist()
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode indices")
     if not modes or min(modes) < 0 or max(modes) >= n:
@@ -163,7 +127,7 @@ def condition_homodyne(sigma, measured, quadrature):
     "phi" or "pi".
     """
     sigma, n = validate_cm(sigma)
-    measured = sorted(set(int(m) for m in measured))
+    measured = sorted(set(integers(measured, "measured").tolist()))
     if not measured:
         return sigma.copy()
     if measured[0] < 0 or measured[-1] >= n:
@@ -234,11 +198,9 @@ def apply_symplectic(sigma, s):
 
 
 def _embed_single_mode(n_modes, block, targets):
-    if targets is None:
-        targets = range(n_modes)
+    targets = range(n_modes) if targets is None else integers(targets, "targets").tolist()
     s = np.eye(2 * n_modes)
     for t in targets:
-        t = int(t)
         if t < 0 or t >= n_modes:
             raise ValueError("target mode out of range")
         s[2 * t:2 * t + 2, 2 * t:2 * t + 2] = block
@@ -301,8 +263,8 @@ def log_negativity(sigma, region_a, region_b):
     with the flip as a sign on Omega.
     """
     sigma, n = validate_cm(sigma)
-    set_a = set(int(m) for m in region_a)
-    set_b = set(int(m) for m in region_b)
+    set_a = set(integers(region_a, "region_a").tolist())
+    set_b = set(integers(region_b, "region_b").tolist())
     if set_a & set_b:
         raise ValueError("regions A and B overlap")
     if set_a | set_b != set(range(n)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import NumericalError, sym_eigen
+from ionmodes.numerics import NumericalError, integer, sym_eigen
 
 __all__ = [
     "PhysicalScales",
@@ -77,7 +77,7 @@ def solve_equilibrium(n_ions):
     The result is exactly odd-symmetric about the origin and strictly
     ascending (NumericalError otherwise).
     """
-    n = int(n_ions)
+    n = integer(n_ions, "n_ions")
     if n < 1 or n > MAX_IONS:
         raise ValueError("ion count must be between 1 and %d" % MAX_IONS)
     if n == 1:
@@ -171,7 +171,8 @@ class IonChainModel:
         if abs(frequencies[0] - 1.0) > COM_FREQUENCY_TOL:
             raise NumericalError(
                 "lowest mode frequency %.12f is not the center-of-mass mode" % frequencies[0])
-        model = cls(int(n_ions), positions, frequencies, modes, local_mode_cm(frequencies, modes))
+        model = cls(len(positions), positions, frequencies, modes,
+                    local_mode_cm(frequencies, modes))
         for array in (positions, frequencies, modes, model.cm):
             array.flags.writeable = False
         residual = float(np.abs(model.phi_block @ model.pi_block - np.eye(model.n_ions)).max())

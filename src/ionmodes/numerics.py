@@ -1,5 +1,6 @@
-"""Shared numerical kernels: symmetric eigendecomposition with a fixed sign
-convention, Brillouin-zone quadrature, and bracketed 1D maximization.
+"""Shared numerical kernels: the package's one reader of counts and indices,
+symmetric eigendecomposition with a fixed sign convention, Brillouin-zone
+quadrature, and bracketed 1D maximization.
 
 principal_sqrt, half_zone_nodes and quad_oscillatory have no package caller
 (the lattice correlators are closed forms in scalar_field).  They stay only
@@ -16,6 +17,8 @@ from numpy.polynomial.legendre import leggauss
 # tracer and the tests' oracles only (see the module docstring)
 __all__ = [
     "NumericalError",
+    "integers",
+    "integer",
     "sym_eigen",
     "principal_sqrt",
     "half_zone_nodes",
@@ -39,6 +42,32 @@ _GOLDEN_SECTION = 0.5 * (3.0 - np.sqrt(5.0))
 
 class NumericalError(RuntimeError):
     """An iterative or numerical routine failed to meet its tolerance."""
+
+
+def integers(values, what):
+    """A count, index or sequence of them as int64 (0-d for one value).
+
+    Integer-valued numbers such as 3.0 are accepted; anything int() would
+    truncate (2.5), cannot read, or that overflows int64 raises ValueError
+    naming `what`.
+    """
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind != "i":
+            raw = raw.astype(float)
+            if not np.all((np.abs(raw) < 2.0**63) & (raw == np.round(raw))):
+                raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("%s must be integer-valued, got %r" % (what, values)) from None
+    return raw.astype(np.int64)
+
+
+def integer(value, what):
+    """One count or index as an int, read by `integers`."""
+    read = integers(value, what)
+    if read.ndim:
+        raise ValueError("%s must be a single integer, got %r" % (what, value))
+    return int(read)
 
 
 def _check_square(m):
@@ -123,7 +152,7 @@ def _panel_edges(delta, inner_scale):
     edges.append(0.0)
     edges = np.array(sorted(set(edges)))
     lo, hi = edges[:-1], edges[1:]
-    width_cap = np.pi / (2.0 * max(1, abs(int(delta))))
+    width_cap = np.pi / (2.0 * max(1, abs(integer(delta, "delta"))))
     pieces = np.ceil((hi - lo) / width_cap).astype(np.intp)
     first = np.cumsum(pieces) - pieces
     index = np.arange(1, int(pieces.sum()) + 1) - np.repeat(first, pieces)

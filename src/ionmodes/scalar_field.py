@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks, measure_pure_complement
+from ionmodes.numerics import integer, integers
 
 __all__ = ["DEFAULT_MASS", "MASS_RANGE", "ScalarFieldSpec", "scalar_vacuum_cm",
            "measured_vacuum_cm"]
@@ -123,17 +124,6 @@ def _row_size(gap):
     return 1 << int(gap).bit_length()
 
 
-def _integers(values, what):
-    """values as int64 (array or 0-d), refusing any value that int() would
-    truncate."""
-    raw = np.asarray(values)
-    if raw.dtype.kind not in "iu":
-        raw = raw.astype(float)
-        if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
-            raise ValueError("%s must be integer-valued, got %r" % (what, values))
-    return raw.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ScalarFieldSpec:
     """Lattice scalar field vacuum at one validated mass; every spec of a
@@ -161,12 +151,12 @@ class ScalarFieldSpec:
         return self._toeplitz_block(sites, 1)
 
     def _entry(self, separation, column):
-        gap = abs(int(_integers(separation, "separation")))
+        gap = abs(integer(separation, "separation"))
         return _vacuum_entries(self.mass, _row_size(gap))[column][gap]
 
     def _toeplitz_block(self, sites, column):
         """Entries over pairs of sites, from the rows up to the largest gap."""
-        sites = _integers(sites, "sites")
+        sites = integers(sites, "sites")
         gap = np.abs(sites[:, None] - sites)
         return _vacuum_entries(self.mass, _row_size(gap.max(initial=0)))[column][gap]
 
@@ -179,7 +169,7 @@ def scalar_vacuum_cm(window, spec=None):
     traced out.  Without a spec, DEFAULT_MASS is used.
     """
     spec = spec or ScalarFieldSpec()
-    sites = _integers(window, "window")
+    sites = integers(window, "window")
     sites = range(sites) if sites.ndim == 0 else sorted(set(sites.tolist()))
     if not sites:
         raise ValueError("window must contain at least one site")
@@ -198,7 +188,7 @@ def measured_vacuum_cm(sites, quadrature, spec=None):
     Without a spec, DEFAULT_MASS is used.
     """
     spec = spec or ScalarFieldSpec()
-    sites = sorted(set(_integers(sites, "sites").tolist()))
+    sites = sorted(set(integers(sites, "sites").tolist()))
     if not sites:
         raise ValueError("need at least one retained site")
     if quadrature not in ("phi", "pi"):

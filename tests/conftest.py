@@ -89,10 +89,10 @@ def hafnian_deficit(sigma, dim):
     raise numerics.NumericalError("occupancy tail failed to converge by shell 32")
 
 
-def outside(region):
-    """Sites of the region's lattice that lie in neither region, in order."""
-    inside = set(region.region_a) | set(region.region_b)
-    return [i for i in range(region.length) if i not in inside]
+def outside(length, sites):
+    """Sites of a lattice of `length` sites that are not in `sites`, in order."""
+    inside = set(sites)
+    return [i for i in range(length) if i not in inside]
 
 
 def sqrtm_fidelity(sigma_1, sigma_2):

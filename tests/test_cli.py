@@ -304,6 +304,17 @@ class TestExitCodes:
         assert code == 1
         assert "cannot parse integer range" in err
 
+    @pytest.mark.parametrize("separation", ["3", "11"])
+    def test_region_size_zero_is_usage_error(self, capsys, separation):
+        # refused before the fit check: separation 3 fits in 10 ions, 11 does not
+        code, out, err = run_cli(capsys, [
+            "negativity", "--system", "ion", "--chain-size", "10",
+            "--region-size", "0", "--separations", separation])
+        assert code == 1
+        assert out == ""
+        assert "error: region size must be >= 1" in err
+        assert "does not fit" not in err
+
     def test_numerical_failure_exit(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("synthetic failure")

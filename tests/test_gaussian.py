@@ -25,8 +25,8 @@ from conftest import (
     two_pencil_objective,
 )
 from ionmodes import experiments, gaussian, golden, ion_chain, scalar_field
+from ionmodes.experiments import _region_sites as region_sites
 from ionmodes.gaussian import (
-    RegionSpec,
     apply_symplectic,
     assert_physical,
     assert_symplectic,
@@ -47,32 +47,33 @@ from ionmodes.gaussian import (
 from ionmodes.numerics import NumericalError
 
 
-class TestRegionSpec:
+class TestRegionSites:
+    """experiments._region_sites: the two regions of a negativity cell."""
+
     def test_even_fit_centered(self):
-        spec = RegionSpec(10, 2, 3)
-        assert spec.left_margin == 1
-        assert spec.region_a == [1, 2]
-        assert spec.region_b == [6, 7]
-        assert outside(spec) == [0, 3, 4, 5, 8, 9]
+        sites = region_sites(10, 2, 3)
+        assert sites == [1, 2, 6, 7]  # one site of margin on each side
+        assert outside(10, sites) == [0, 3, 4, 5, 8, 9]
 
     def test_uneven_fit_leaves_extra_site_right(self):
-        spec = RegionSpec(11, 2, 3)
-        assert spec.left_margin == 2
-        assert spec.region_b[-1] == 8  # two sites of margin left, three right
+        sites = region_sites(11, 2, 3)
+        assert sites[0] == 2 and sites[-1] == 8  # two sites of margin left, three right
 
     def test_tight_fit(self):
-        spec = RegionSpec(4, 2, 0)
-        assert spec.region_a == [0, 1]
-        assert spec.region_b == [2, 3]
-        assert outside(spec) == []
+        sites = region_sites(4, 2, 0)
+        assert sites == [0, 1, 2, 3]
+        assert outside(4, sites) == []
 
     def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            RegionSpec(5, 3, 0)
-        with pytest.raises(ValueError):
-            RegionSpec(5, 0, 1)
-        with pytest.raises(ValueError):
-            RegionSpec(5, 1, -1)
+        assert region_sites(5, 3, 0) is None  # does not fit
+        with pytest.raises(ValueError, match="region size must be >= 1"):
+            region_sites(5, 0, 1)
+        with pytest.raises(ValueError, match="separation >= 0"):
+            region_sites(5, 1, -1)
+        # checked before the fit: a size of 0 or less is refused at any separation
+        for size, separation in ((0, 6), (-1, 0), (1, -9)):
+            with pytest.raises(ValueError, match="region size must be >= 1"):
+                region_sites(5, size, separation)
 
 
 class TestBasics:
@@ -178,17 +179,18 @@ def _mp_chain_blocks(n_ions, dps):
     return phi, pi
 
 
-def _mp_measured_negativity(phi, pi, region, quadrature):
-    """E_N at the working precision of the regions after measuring one
-    quadrature on the rest of a pure state, by the same closed form, with
-    the partially transposed spectrum from the symmetric L^T P Pi P L
-    (phi block = L L^T, P the momentum sign flip on region B)."""
-    sites = region.region_a + region.region_b
+def _mp_measured_negativity(phi, pi, sites, quadrature):
+    """E_N at the working precision of two equal regions (`sites`, region A
+    first) after measuring one quadrature on the rest of a pure state, by
+    the same closed form, with the partially transposed spectrum from the
+    symmetric L^T P Pi P L (phi block = L L^T, P the momentum sign flip on
+    region B)."""
+    size = len(sites) // 2
     source = pi if quadrature == "phi" else phi
     kept = mpmath.matrix([[source[i, j] for j in sites] for i in sites])
     inverse = mpmath.inverse(kept)
     phi_k, pi_k = (inverse, kept) if quadrature == "phi" else (kept, inverse)
-    flip = mpmath.diag([1] * region.size + [-1] * region.size)
+    flip = mpmath.diag([1] * size + [-1] * size)
     chol = mpmath.cholesky(phi_k)
     nu_sq = mpmath.eigsy(chol.T * flip * pi_k * flip * chol, eigvals_only=True)
     nu = [mpmath.sqrt(v) for v in nu_sq]
@@ -243,12 +245,12 @@ class TestPureConditioning:
         for table in (1, 2, 3):
             d = golden.TABLES[table][1]["region_size"]
             for row in golden.load_table(table):
-                region = RegionSpec(150, d, int(row["separation"]))
+                separation = int(row["separation"])
+                measured = outside(150, region_sites(150, d, separation))
                 for quadrature in ("phi", "pi"):
-                    schur = log_negativity(condition_homodyne(cm, outside(region), quadrature),
+                    schur = log_negativity(condition_homodyne(cm, measured, quadrature),
                                            range(d), range(d, 2 * d))
-                    closed = experiments.negativity_cell("ion", 150, d, region.separation,
-                                                         quadrature)
+                    closed = experiments.negativity_cell("ion", 150, d, separation, quadrature)
                     worst = max(worst, abs(closed - schur))
         assert worst < 1e-12
 
@@ -259,7 +261,7 @@ class TestPureConditioning:
         # 1e-9 window on nu as log_negativity
         with mpmath.workdps(40):
             want = _mp_measured_negativity(*_mp_chain_blocks(30, 40),
-                                           RegionSpec(30, size, separation),
+                                           region_sites(30, size, separation),
                                            quadrature)
         got = experiments.negativity_cell("ion", 30, size, separation, quadrature)
         assert abs(got / float(want) - 1.0) < 1e-12
@@ -377,8 +379,7 @@ class TestSpectrumRoutes:
         # table 3, ion_trace: E_N ~ 1.2e-7 and 4.5e-8 hang on the smallest
         # partially transposed nu_k, within 1e-7 of 1
         for separation in (28, 29):
-            region = RegionSpec(150, 5, separation)
-            state = restrict(experiments.chain_model(150).cm, region.region_a + region.region_b)
+            state = restrict(experiments.chain_model(150).cm, region_sites(150, 5, separation))
             flipped = partial_transpose(state, range(5, 10))
             with mpmath.workdps(40):
                 omega = mpmath.matrix(symplectic_form(10).tolist())

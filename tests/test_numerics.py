@@ -1,12 +1,17 @@
-"""Numerical kernels: deterministic eigendecomposition, symmetric matrix
-square root, oscillatory quadrature, bounded Brent search."""
+"""Numerical kernels: the index reader and the entries it guards,
+deterministic eigendecomposition, symmetric matrix square root, oscillatory
+quadrature, bounded Brent search."""
+
+import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from conftest import loop_panel_edges, panel_loop_quad
-from ionmodes import numerics
+from ionmodes import experiments, fock, gaussian, ion_chain, numerics, scalar_field
 from ionmodes.numerics import (
     NumericalError,
     maximize_1d,
@@ -14,6 +19,108 @@ from ionmodes.numerics import (
     quad_oscillatory,
     sym_eigen,
 )
+
+
+def _four_mode_cm():
+    return experiments.chain_model(4).cm
+
+
+def _case(label, name, entry):
+    return pytest.param(entry, name, id="%s-%s" % (label, name))
+
+
+# (entry, argument name): each entry takes the guarded argument as x and
+# holds every other argument fixed; x = 3 is a valid value for each
+INDEX_ENTRIES = [
+    _case("negativity_cell-ion", "region_size",
+          lambda x: experiments.negativity_cell("ion", 10, x, 1, "trace")),
+    _case("negativity_cell-ion", "separation",
+          lambda x: experiments.negativity_cell("ion", 10, 1, x, "phi")),
+    _case("negativity_cell-ion", "chain_size",
+          lambda x: experiments.negativity_cell("ion", x, 1, 1, "pi")),
+    _case("negativity_cell-scalar", "region_size",
+          lambda x: experiments.negativity_cell("scalar", 0, x, 1, "trace")),
+    _case("negativity_cell-scalar", "separation",
+          lambda x: experiments.negativity_cell("scalar", 0, 1, x, "phi")),
+    _case("negativity_rows", "chain_size",
+          lambda x: experiments.negativity_rows("ion", x, 1, [1], ["trace"])),
+    _case("negativity_rows", "region_size",
+          lambda x: experiments.negativity_rows("ion", 10, x, [1], ["trace"])),
+    _case("negativity_rows", "separations",
+          lambda x: experiments.negativity_rows("ion", 10, 1, [0, x], ["trace"])),
+    _case("fidelity_cell", "chain_size", lambda x: experiments.fidelity_cell(x, 2)),
+    _case("fidelity_cell", "window", lambda x: experiments.fidelity_cell(10, x)),
+    _case("fidelity_rows", "chain_size", lambda x: experiments.fidelity_rows(x, [2])),
+    _case("fidelity_rows", "windows", lambda x: experiments.fidelity_rows(10, [2, x])),
+    _case("fock_cell", "dim", lambda x: experiments.fock_cell(x)),
+    _case("fock_rows", "dims", lambda x: experiments.fock_rows([2, x])),
+    _case("chain_model", "n_ions", lambda x: experiments.chain_model(x)),
+    _case("chain_report", "n_ions", lambda x: experiments.chain_report(x)),
+    _case("solve_equilibrium", "n_ions", lambda x: ion_chain.solve_equilibrium(x)),
+    _case("IonChainModel.build", "n_ions", lambda x: ion_chain.IonChainModel.build(x)),
+    _case("restrict", "modes", lambda x: gaussian.restrict(_four_mode_cm(), [0, x])),
+    _case("condition_homodyne", "measured",
+          lambda x: gaussian.condition_homodyne(_four_mode_cm(), [x], "phi")),
+    _case("log_negativity", "region_a",
+          lambda x: gaussian.log_negativity(_four_mode_cm(), [x], [0, 1, 2])),
+    _case("log_negativity", "region_b",
+          lambda x: gaussian.log_negativity(_four_mode_cm(), [0, 1, 2], [x])),
+    _case("single_mode_squeeze", "targets",
+          lambda x: gaussian.single_mode_squeeze(4, 1.5, [0, x])),
+    _case("single_mode_rotation", "targets",
+          lambda x: gaussian.single_mode_rotation(4, 0.3, [x])),
+    _case("check_fock_index", "occupations", lambda x: fock.check_fock_index((1, x), 2)),
+    _case("qudit_subspace_deficit", "dim",
+          lambda x: fock.qudit_subspace_deficit(experiments.chain_model(2).cm, x)),
+    _case("phi_entry", "separation", lambda x: scalar_field.ScalarFieldSpec().phi_entry(x)),
+    _case("pi_entry", "separation", lambda x: scalar_field.ScalarFieldSpec().pi_entry(x)),
+    _case("phi_block", "sites", lambda x: scalar_field.ScalarFieldSpec().phi_block([0, x])),
+    _case("scalar_vacuum_cm", "window", lambda x: scalar_field.scalar_vacuum_cm(x)),
+    _case("measured_vacuum_cm", "sites",
+          lambda x: scalar_field.measured_vacuum_cm([0, x], "pi")),
+]
+
+
+def _same(a, b):
+    """Whether two results are equal down to the types of their parts."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return _same(vars(a), vars(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+class TestIndexReader:
+    @pytest.mark.parametrize("entry,name", INDEX_ENTRIES)
+    def test_non_integer_index_rejected(self, entry, name):
+        # no value is truncated (2.5 used to read as 2); integer-valued
+        # numbers of any type give exactly the result of the int
+        want = entry(3)
+        for same in (3.0, np.int64(3)):
+            assert _same(entry(same), want), same
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^%s must be integer-valued" % re.escape(name)):
+                entry(bad)
+
+    def test_single_index_refuses_a_sequence(self):
+        with pytest.raises(ValueError, match="separation must be a single integer"):
+            scalar_field.ScalarFieldSpec().phi_entry([1, 2])
+
+    def test_reader_values(self):
+        assert numerics.integer(np.float32(7.0), "n") == 7
+        assert type(numerics.integer(np.int64(-2), "n")) is int
+        got = numerics.integers([1, 2.0, np.int64(3)], "sites")
+        assert got.dtype == np.int64 and got.tolist() == [1, 2, 3]
+        assert numerics.integers([], "sites").shape == (0,)
+        for bad in (1e30, 2**64, None, "abc", [[1, 2], [3]], [0, 0.5]):
+            with pytest.raises(ValueError, match="^sites must be integer-valued"):
+                numerics.integers(bad, "sites")
 
 
 class TestSymEigen:

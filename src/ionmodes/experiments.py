@@ -23,10 +23,16 @@ __all__ = [
 
 TREATMENTS = ("trace", "phi", "pi")
 
-@functools.lru_cache(maxsize=None)
+
 def chain_model(n_ions):
-    """Cached IonChainModel (builds are deterministic and models read-only,
-    so sharing is safe)."""
+    """Cached IonChainModel, keyed on n_ions read as an integer, so 3 and
+    3.0 share one build (builds are deterministic and models read-only, so
+    sharing is safe)."""
+    return _chain_model(integer(n_ions, "n_ions"))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_model(n_ions):
     return IonChainModel.build(n_ions)
 
 

@@ -40,15 +40,6 @@ TABLES = {
     7: ("fock", {}),
 }
 
-NEGATIVITY_COLUMNS = {
-    "ion_trace": ("ion", "trace"),
-    "ion_phi": ("ion", "phi"),
-    "ion_pi": ("ion", "pi"),
-    "scalar_trace": ("scalar", "trace"),
-    "scalar_phi": ("scalar", "phi"),
-    "scalar_pi": ("scalar", "pi"),
-}
-
 
 def _read_csv(fh):
     reader = csv.DictReader(fh)
@@ -66,13 +57,18 @@ def load_table(table, data_dir=None):
     and no other row repeats; otherwise a ValueError names the file, and
     the line and column of a bad cell.
     """
+    return _load(table, data_dir)[1]
+
+
+def _load(table, data_dir):
+    """(columns of the shipped CSV, key column first; rows as load_table)."""
     if table not in TABLES:
         raise ValueError("table number must be in 1..7")
     name = "table%d.csv" % table
     with resources.files("ionmodes.data").joinpath(name).open(newline="") as fh:
         columns, rows = _read_csv(fh)
     if data_dir is None:
-        return rows
+        return columns, rows
     path = "%s/%s" % (data_dir, name)
     with open(path, newline="") as fh:
         present, rows = _read_csv(fh)
@@ -106,7 +102,7 @@ def load_table(table, data_dir=None):
                        else "%d is outside %d..%d" % (value, keys[0], keys[-1]))
             raise ValueError("%s line %d column %s: %s" % (path, number, columns[0], problem))
         seen[value] = number
-    return rows
+    return columns, rows
 
 
 def significant_figures(printed):
@@ -118,15 +114,14 @@ def significant_figures(printed):
     return len(digits)
 
 
-def cell_tolerance(printed, policy="default", figures=None):
+def cell_tolerance(printed, policy="default"):
     """Absolute tolerance for a printed golden value, or None for '0'
     (a golden zero must be reproduced as exact separability)."""
-    slack = POLICY_SLACK[policy]
     value = float(printed)
     if value == 0.0:
         return None
-    s = figures if figures is not None else significant_figures(printed)
-    return slack * 10.0 ** (math.floor(math.log10(abs(value))) - s + 1)
+    exponent = math.floor(math.log10(abs(value))) - significant_figures(printed) + 1
+    return POLICY_SLACK[policy] * 10.0 ** exponent
 
 
 @dataclass(frozen=True)
@@ -166,64 +161,41 @@ class TableReport:
         return max(self.cells, key=lambda c: c.margin)
 
 
-def _check_cell(table, row, column, printed, computed, policy, figures=None, floor=None):
-    tol = cell_tolerance(printed, policy, figures)
-    if tol is not None and floor is not None:
-        tol = max(tol, floor)
-    if tol is None:
-        ok = computed == 0.0
-    else:
-        ok = abs(computed - float(printed)) <= tol
+def _check_cell(table, row, column, printed, computed, policy):
+    tol = cell_tolerance(printed, policy)
+    if tol is not None and column == "squeeze_z":
+        tol = max(tol, Z_STAR_TOL)
+    ok = computed == 0.0 if tol is None else abs(computed - float(printed)) <= tol
     return CellCheck(table, row, column, printed, float(computed), tol, ok)
 
 
+def _recompute(table, columns, keys):
+    """{(key, column): value} of one table at the given keys.  Negativity
+    columns are named <system>_<treatment>; the other kinds' rows give their
+    values in the order of `columns`, the shipped CSV's value columns."""
+    kind, params = TABLES[table]
+    if kind == "negativity":
+        return {(sep, "%s_%s" % (system, treatment)): value
+                for system in ("ion", "scalar")
+                for _, _, _, sep, treatment, value in experiments.negativity_rows(
+                    system, params["chain_size"], params["region_size"], keys)}
+    if kind == "fidelity":
+        rows = [row[1:] for row in experiments.fidelity_rows(params["chain_size"], keys)]
+    else:
+        rows = experiments.fock_rows(keys)
+    return {(row[0], column): value for row in rows for column, value in zip(columns, row[1:])}
+
+
 def check_table(table, policy="default", data_dir=None):
-    """Recompute one golden table and compare every cell under the policy."""
-    golden_rows = load_table(table, data_dir)
+    """Recompute one golden table and compare every cell under the policy:
+    each golden row in file order, each value column of the shipped CSV in
+    its order, the row labelled <key column>=<key>."""
+    (key, *columns), golden_rows = _load(table, data_dir)
     if policy not in POLICY_SLACK:
         raise ValueError("policy must be one of %s" % sorted(POLICY_SLACK))
-    kind, params = TABLES[table]
-    cells = []
-    if kind == "negativity":
-        separations = [int(r["separation"]) for r in golden_rows]
-        computed = {}
-        for system in ("ion", "scalar"):
-            rows = experiments.negativity_rows(
-                system, params["chain_size"], params["region_size"], separations)
-            for _, _, _, sep, treatment, value in rows:
-                computed[("%s_%s" % (system, treatment), sep)] = value
-        for row in golden_rows:
-            sep = int(row["separation"])
-            for column in NEGATIVITY_COLUMNS:
-                cells.append(_check_cell(
-                    table, "separation=%d" % sep, column, row[column],
-                    computed[(column, sep)], policy))
-    elif kind == "fidelity":
-        windows = [int(r["region_size"]) for r in golden_rows]
-        rows = experiments.fidelity_rows(params["chain_size"], windows)
-        by_window = {r[1]: r for r in rows}
-        for row in golden_rows:
-            w = int(row["region_size"])
-            _, _, z_star, raw, squeezed = by_window[w]
-            key = "region_size=%d" % w
-            cells.append(_check_cell(
-                table, key, "squeeze_z", row["squeeze_z"], z_star, policy, floor=Z_STAR_TOL))
-            cells.append(_check_cell(table, key, "fidelity_raw", row["fidelity_raw"], raw, policy))
-            cells.append(_check_cell(
-                table, key, "fidelity_squeezed", row["fidelity_squeezed"], squeezed, policy))
-    else:
-        dims = [int(r["qudit_dim"]) for r in golden_rows]
-        rows = experiments.fock_rows(dims)
-        by_dim = {r[0]: r for r in rows}
-        for row in golden_rows:
-            dim = int(row["qudit_dim"])
-            _, raw, squeezed = by_dim[dim]
-            key = "qudit_dim=%d" % dim
-            cells.append(_check_cell(table, key, "p_out_raw", row["p_out_raw"], raw, policy))
-            # the squeezed tail at dim >= 7 is checked to 2 significant
-            # figures under the default policy (documented relaxation);
-            # measured headroom is recorded by the acceptance suite
-            figures = 2 if (policy == "default" and dim >= 7) else None
-            cells.append(_check_cell(
-                table, key, "p_out_squeezed", row["p_out_squeezed"], squeezed, policy, figures))
-    return TableReport(table, policy, tuple(cells))
+    keys = [int(row[key]) for row in golden_rows]
+    computed = _recompute(table, columns, keys)
+    cells = tuple(_check_cell(table, "%s=%d" % (key, k), column, row[column],
+                              computed[(k, column)], policy)
+                  for k, row in zip(keys, golden_rows) for column in columns)
+    return TableReport(table, policy, cells)

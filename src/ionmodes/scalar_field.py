@@ -156,8 +156,10 @@ class ScalarFieldSpec:
 
     def _toeplitz_block(self, sites, column):
         """Entries over pairs of sites, from the rows up to the largest gap."""
-        sites = integers(sites, "sites")
-        gap = np.abs(sites[:, None] - sites)
+        index = integers(sites, "sites")
+        if index.ndim != 1:
+            raise ValueError("sites must be a sequence of site indices, got %r" % (sites,))
+        gap = np.abs(index[:, None] - index)
         return _vacuum_entries(self.mass, _row_size(gap.max(initial=0)))[column][gap]
 
 

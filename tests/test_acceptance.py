@@ -188,12 +188,10 @@ def test_6_qudit_deficit_table():
         assert abs(raw - want_raw) <= sig_fig_tolerance(want_raw, 3)
         worst_raw = max(worst_raw, abs(raw - want_raw) / want_raw)
         want_sq = float(row["p_out_squeezed"])
-        figures = 2 if dim >= 7 else 3
-        assert abs(squeezed - want_sq) <= sig_fig_tolerance(want_sq, figures)
+        assert abs(squeezed - want_sq) <= sig_fig_tolerance(want_sq, 3)
         worst_squeezed = max(worst_squeezed, abs(squeezed - want_sq) / want_sq)
-    print("criterion 6 pass: 7 rows; achieved relative error %.2e (raw), "
-          "%.2e (squeezed; 2 sig figs accepted at dim >= 7)"
-          % (worst_raw, worst_squeezed))
+    print("criterion 6 pass: 7 rows at 3 significant figures; achieved relative "
+          "error %.2e (raw), %.2e (squeezed)" % (worst_raw, worst_squeezed))
 
 
 def test_7_property_suites():

@@ -337,7 +337,10 @@ def mp_deficit(sigma, dim, size=60):
 
 
 class TestDeficitAgainstMpmath:
-    @pytest.mark.parametrize("state,dim", [("raw", 5), ("raw", 6), ("squeezed", 3)])
+    # squeezed at 7 and 8: the ~1e-13 and ~1e-14 cells table 7 checks at
+    # their printed 3 figures
+    @pytest.mark.parametrize("state,dim", [("raw", 5), ("raw", 6), ("squeezed", 3),
+                                           ("squeezed", 7), ("squeezed", 8)])
     def test_table_cells(self, state, dim):
         raw, squeezed = experiments.two_ion_states()
         sigma = raw if state == "raw" else squeezed

@@ -183,8 +183,8 @@ class TestSharedModel:
     def test_concurrent_builds_agree_then_one_model_is_shared(self, monkeypatch):
         # a cache of its own, so every thread misses it; more threads than
         # cores, switching often
-        monkeypatch.setattr(experiments, "chain_model",
-                            functools.lru_cache(maxsize=None)(experiments.chain_model.__wrapped__))
+        monkeypatch.setattr(experiments, "_chain_model",
+                            functools.lru_cache(maxsize=None)(experiments._chain_model.__wrapped__))
         n, count = 40, 6
         start = threading.Barrier(count)
         models = []
@@ -210,6 +210,19 @@ class TestSharedModel:
             for name in ("positions", "frequencies", "modes", "cm"):
                 assert np.array_equal(getattr(model, name), getattr(want, name)), name
         assert experiments.chain_model(n) is experiments.chain_model(n)
+
+    def test_integer_valued_counts_share_one_build(self, monkeypatch):
+        model = experiments.chain_model(3)
+        assert experiments.chain_model(3.0) is model
+        assert experiments.chain_model(np.int64(3)) is model
+        # a cache of its own: one build for all three spellings
+        monkeypatch.setattr(experiments, "_chain_model",
+                            functools.lru_cache(maxsize=None)(experiments._chain_model.__wrapped__))
+        for n in (3, 3.0, np.int64(3)):
+            experiments.chain_model(n)
+        assert experiments._chain_model.cache_info().misses == 1
+        with pytest.raises(ValueError, match="n_ions must be integer-valued"):
+            experiments.chain_model(2.5)
 
     @pytest.mark.parametrize("window", [1, 10, 50, 150])
     def test_fidelity_window_sliced_from_blocks(self, window):

@@ -19,7 +19,7 @@ import ionmodes
 from ionmodes import experiments, gaussian, golden, scalar_field
 from ionmodes.fock import TAIL_RELATIVE_TOL
 from ionmodes.ion_chain import GRADIENT_TOL
-from ionmodes.numerics import NumericalError
+from ionmodes.numerics import NumericalError, blas_threads
 
 __all__ = ["main", "RunManifest"]
 
@@ -105,13 +105,15 @@ def parse_int_range(spec):
 
 
 def _emit(args, manifest, body):
-    """Stamp wall_ms and write one command's output to --out or stdout.
+    """Stamp wall_ms and blas_threads (None for a BLAS other than numpy's
+    OpenBLAS) and write one command's output to --out or stdout.
 
     A dict body is a JSON payload and carries the manifest inside it.  A
     text body gets its manifest next to the file (PATH.manifest.json), or
     on stderr when printing to stdout.
     """
     manifest.wall_ms = (time.monotonic() - args._start) * 1000.0
+    manifest.metadata["blas_threads"] = blas_threads()
     embedded = isinstance(body, dict)
     if embedded:
         body = json.dumps(dict(body, manifest=asdict(manifest)), indent=2, sort_keys=True) + "\n"

@@ -8,7 +8,7 @@ import numpy as np
 
 from ionmodes import fock, gaussian, scalar_field
 from ionmodes.ion_chain import IonChainModel
-from ionmodes.numerics import integer, integers
+from ionmodes.numerics import integer, integer_list
 
 __all__ = [
     "chain_model",
@@ -88,7 +88,7 @@ def negativity_rows(system, chain_size, region_size, separations, treatments=TRE
     value None for infeasible geometry, sorted by separation then treatment."""
     n, d = integer(chain_size, "chain_size"), integer(region_size, "region_size")
     rows = [(system, n, d, sep, treatment, negativity_cell(system, n, d, sep, treatment))
-            for sep in integers(separations, "separations").tolist() for treatment in treatments]
+            for sep in integer_list(separations, "separations") for treatment in treatments]
     order = {t: i for i, t in enumerate(TREATMENTS)}
     rows.sort(key=lambda r: (r[3], order[r[4]]))
     return rows
@@ -119,7 +119,7 @@ def fidelity_rows(chain_size, windows, self_test=False):
     """Rows (chain_size, window, z_star, fidelity_raw, fidelity_squeezed),
     sorted by window."""
     n = integer(chain_size, "chain_size")
-    rows = [(n, w) + fidelity_cell(n, w, self_test) for w in integers(windows, "windows").tolist()]
+    rows = [(n, w) + fidelity_cell(n, w, self_test) for w in integer_list(windows, "windows")]
     rows.sort(key=lambda r: r[1])
     return rows
 
@@ -147,7 +147,7 @@ def fock_cell(dim):
 
 def fock_rows(dims):
     """Rows (dim, p_out_raw, p_out_squeezed), sorted by dim."""
-    rows = [(d,) + fock_cell(d) for d in integers(dims, "dims").tolist()]
+    rows = [(d,) + fock_cell(d) for d in integer_list(dims, "dims")]
     rows.sort(key=lambda r: r[0])
     return rows
 

@@ -16,7 +16,7 @@ from ionmodes.gaussian import (
     single_mode_squeeze,
     validate_cm,
 )
-from ionmodes.numerics import NumericalError, integer, integers
+from ionmodes.numerics import NumericalError, integer, integer_list
 
 __all__ = [
     "DEFAULT_OCCUPANCY_CAP",
@@ -46,7 +46,7 @@ MAX_QUDIT_DIM = 8
 
 def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
     """Validate a tuple of per-mode occupation numbers."""
-    occ = tuple(integers(occupations, "occupations").tolist())
+    occ = tuple(integer_list(occupations, "occupations"))
     if len(occ) != n_modes:
         raise ValueError("expected %d occupation numbers, got %d" % (n_modes, len(occ)))
     if any(k < 0 for k in occ):

@@ -8,7 +8,7 @@ direct sum of n copies of [[0, 1], [-1, 0]].
 
 import numpy as np
 
-from ionmodes.numerics import NumericalError, integers, maximize_1d
+from ionmodes.numerics import NumericalError, integer_list, maximize_1d
 
 __all__ = [
     "symplectic_form",
@@ -109,7 +109,7 @@ def restrict(sigma, modes):
     """Reduced state on the given modes, in the given order (partial trace
     of the rest)."""
     sigma, n = validate_cm(sigma)
-    modes = integers(modes, "modes").tolist()
+    modes = integer_list(modes, "modes")
     if len(set(modes)) != len(modes):
         raise ValueError("duplicate mode indices")
     if not modes or min(modes) < 0 or max(modes) >= n:
@@ -127,7 +127,7 @@ def condition_homodyne(sigma, measured, quadrature):
     "phi" or "pi".
     """
     sigma, n = validate_cm(sigma)
-    measured = sorted(set(integers(measured, "measured").tolist()))
+    measured = sorted(set(integer_list(measured, "measured")))
     if not measured:
         return sigma.copy()
     if measured[0] < 0 or measured[-1] >= n:
@@ -198,7 +198,7 @@ def apply_symplectic(sigma, s):
 
 
 def _embed_single_mode(n_modes, block, targets):
-    targets = range(n_modes) if targets is None else integers(targets, "targets").tolist()
+    targets = range(n_modes) if targets is None else integer_list(targets, "targets")
     s = np.eye(2 * n_modes)
     for t in targets:
         if t < 0 or t >= n_modes:
@@ -263,8 +263,8 @@ def log_negativity(sigma, region_a, region_b):
     with the flip as a sign on Omega.
     """
     sigma, n = validate_cm(sigma)
-    set_a = set(integers(region_a, "region_a").tolist())
-    set_b = set(integers(region_b, "region_b").tolist())
+    set_a = set(integer_list(region_a, "region_a"))
+    set_b = set(integer_list(region_b, "region_b"))
     if set_a & set_b:
         raise ValueError("regions A and B overlap")
     if set_a | set_b != set(range(n)):

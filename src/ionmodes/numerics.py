@@ -1,6 +1,16 @@
-"""Shared numerical kernels: the package's one reader of counts and indices,
-symmetric eigendecomposition with a fixed sign convention, Brillouin-zone
-quadrature, and bracketed 1D maximization.
+"""Shared numerical kernels and policy: the package's one reader of counts
+and indices, symmetric eigendecomposition with a fixed sign convention,
+Brillouin-zone quadrature, bracketed 1D maximization, and one BLAS thread.
+
+Importing the package sets the OpenBLAS behind numpy.linalg to one thread,
+for the whole process, including any other numpy code it runs.  The
+package's kernels are small (chains of up to 300 ions, regions of up to 50
+modes), where a second BLAS thread saved no wall time but spun on the
+second core and doubled the CPU time; and a thread count that follows the
+core count changes the last bits of the results, so pinned, every output
+is the same float on every machine.  The OpenBLAS is found through numpy's
+own LAPACK extension (numpy >= 2 and 1.x wheels); any other BLAS is left
+as it is, and blas_threads() then reads None.
 
 principal_sqrt, half_zone_nodes and quad_oscillatory have no package caller
 (the lattice correlators are closed forms in scalar_field).  They stay only
@@ -8,6 +18,7 @@ because the benchmark's span tracer (perfbench/spans.py) names
 principal_sqrt and quad_oscillatory, and the tests' oracles use all three;
 the benchmark refresh (ROADMAP item 2) moves them into tests/conftest.py."""
 
+import ctypes
 import functools
 
 import numpy as np
@@ -19,6 +30,8 @@ __all__ = [
     "NumericalError",
     "integers",
     "integer",
+    "integer_list",
+    "blas_threads",
     "sym_eigen",
     "principal_sqrt",
     "half_zone_nodes",
@@ -38,6 +51,14 @@ BRENT_MAX_ITER = 200
 # golden-section fraction (3 - sqrt 5) / 2: where Brent's search places its
 # first point, and the share of the larger side a fallback step covers
 _GOLDEN_SECTION = 0.5 * (3.0 - np.sqrt(5.0))
+
+# (setter, getter) of the OpenBLAS thread count: numpy >= 2 wheels, numpy
+# 1.x wheels, then a plain OpenBLAS build
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 class NumericalError(RuntimeError):
@@ -68,6 +89,40 @@ def integer(value, what):
     if read.ndim:
         raise ValueError("%s must be a single integer, got %r" % (what, value))
     return int(read)
+
+
+def integer_list(values, what):
+    """A sequence of counts or indices as a list of ints, read by `integers`;
+    a single number or a nested list raises ValueError naming `what`."""
+    read = integers(values, what)
+    if read.ndim != 1:
+        raise ValueError("%s must be a sequence of integers, got %r" % (what, values))
+    return read.tolist()
+
+
+def _pin_blas_threads():
+    """Set numpy's OpenBLAS to one thread, process-wide (see the module
+    docstring); returns its thread-count getter, None for any other BLAS."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for setter, getter in _OPENBLAS_THREAD_CALLS:
+        if hasattr(lib, setter) and hasattr(lib, getter):
+            set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(1)
+            return get_threads
+    return None
+
+
+_OPENBLAS_THREADS = _pin_blas_threads()
+
+
+def blas_threads():
+    """The thread count of numpy's OpenBLAS, or None for any other BLAS."""
+    return None if _OPENBLAS_THREADS is None else _OPENBLAS_THREADS()
 
 
 def _check_square(m):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks, measure_pure_complement
-from ionmodes.numerics import integer, integers
+from ionmodes.numerics import integer, integer_list, integers
 
 __all__ = ["DEFAULT_MASS", "MASS_RANGE", "ScalarFieldSpec", "scalar_vacuum_cm",
            "measured_vacuum_cm"]
@@ -156,9 +156,7 @@ class ScalarFieldSpec:
 
     def _toeplitz_block(self, sites, column):
         """Entries over pairs of sites, from the rows up to the largest gap."""
-        index = integers(sites, "sites")
-        if index.ndim != 1:
-            raise ValueError("sites must be a sequence of site indices, got %r" % (sites,))
+        index = np.array(integer_list(sites, "sites"), dtype=np.int64)
         gap = np.abs(index[:, None] - index)
         return _vacuum_entries(self.mass, _row_size(gap.max(initial=0)))[column][gap]
 
@@ -171,8 +169,8 @@ def scalar_vacuum_cm(window, spec=None):
     traced out.  Without a spec, DEFAULT_MASS is used.
     """
     spec = spec or ScalarFieldSpec()
-    sites = integers(window, "window")
-    sites = range(sites) if sites.ndim == 0 else sorted(set(sites.tolist()))
+    count = integers(window, "window")
+    sites = range(count) if count.ndim == 0 else sorted(set(integer_list(window, "window")))
     if not sites:
         raise ValueError("window must contain at least one site")
     return from_blocks(spec.phi_block(sites), spec.pi_block(sites))
@@ -190,7 +188,7 @@ def measured_vacuum_cm(sites, quadrature, spec=None):
     Without a spec, DEFAULT_MASS is used.
     """
     spec = spec or ScalarFieldSpec()
-    sites = sorted(set(integers(sites, "sites").tolist()))
+    sites = sorted(set(integer_list(sites, "sites")))
     if not sites:
         raise ValueError("need at least one retained site")
     if quadrature not in ("phi", "pi"):

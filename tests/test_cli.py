@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ionmodes
-from ionmodes import experiments
+from ionmodes import experiments, numerics
 from ionmodes.cli import UsageError, main, parse_int_range
 from ionmodes.numerics import NumericalError
 
@@ -353,6 +353,9 @@ class TestManifestFile:
         assert manifest["wall_ms"] > 0.0
         assert manifest["tolerances"]["golden_slack_default"] == 0.6
         assert manifest["params"]["dims"] == "2"
+        # numpy's OpenBLAS, pinned to one thread when the package is imported
+        pinned = None if numerics._OPENBLAS_THREADS is None else 1
+        assert manifest["metadata"]["blas_threads"] == pinned
 
 
 def test_every_exported_name_resolves():

@@ -377,7 +377,10 @@ class TestSpectrumRoutes:
 
     def test_near_separable_table_cell_against_mpmath(self):
         # table 3, ion_trace: E_N ~ 1.2e-7 and 4.5e-8 hang on the smallest
-        # partially transposed nu_k, within 1e-7 of 1
+        # partially transposed nu_k, within 1e-7 of 1; the squared-spectrum
+        # oracle misses by ~2e-13 on such cells, but by luck of round-off
+        # only 5.9e-15 at separation 28 with one BLAS thread
+        oracle_miss = 0.0
         for separation in (28, 29):
             state = restrict(experiments.chain_model(150).cm, region_sites(150, 5, separation))
             flipped = partial_transpose(state, range(5, 10))
@@ -389,7 +392,8 @@ class TestSpectrumRoutes:
             got = experiments.negativity_cell("ion", 150, 5, separation, "trace")
             oracle = -sum(np.log2(v) for v in sqrt_spectrum(flipped) if v < 1.0)
             assert abs(got - want) < 1e-15, separation
-            assert abs(oracle - want) > 1e-13, separation
+            oracle_miss = max(oracle_miss, abs(oracle - want))
+        assert oracle_miss > 1e-13
 
 
 class TestEntanglementMeasures:

@@ -1,10 +1,15 @@
-"""Numerical kernels: the index reader and the entries it guards,
-deterministic eigendecomposition, symmetric matrix square root, oscillatory
-quadrature, bounded Brent search."""
+"""Numerical kernels: the index reader and the entries it guards, the BLAS
+thread pin, deterministic eigendecomposition, symmetric matrix square root,
+oscillatory quadrature, bounded Brent search."""
 
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +86,30 @@ INDEX_ENTRIES = [
 ]
 
 
+# (entry, argument name): each entry takes the guarded sequence of indices
+# as x and holds every other argument fixed
+INDEX_LIST_ENTRIES = [
+    _case("measured_vacuum_cm", "sites", lambda x: scalar_field.measured_vacuum_cm(x, "phi")),
+    _case("phi_block", "sites", lambda x: scalar_field.ScalarFieldSpec().phi_block(x)),
+    _case("scalar_vacuum_cm", "window", lambda x: scalar_field.scalar_vacuum_cm(x)),
+    _case("restrict", "modes", lambda x: gaussian.restrict(_four_mode_cm(), x)),
+    _case("condition_homodyne", "measured",
+          lambda x: gaussian.condition_homodyne(_four_mode_cm(), x, "phi")),
+    _case("log_negativity", "region_a",
+          lambda x: gaussian.log_negativity(_four_mode_cm(), x, [1, 2, 3])),
+    _case("log_negativity", "region_b",
+          lambda x: gaussian.log_negativity(_four_mode_cm(), [0, 1, 2], x)),
+    _case("single_mode_squeeze", "targets", lambda x: gaussian.single_mode_squeeze(2, 1.1, x)),
+    _case("single_mode_rotation", "targets",
+          lambda x: gaussian.single_mode_rotation(2, 0.3, x)),
+    _case("check_fock_index", "occupations", lambda x: fock.check_fock_index(x, 2)),
+    _case("negativity_rows", "separations",
+          lambda x: experiments.negativity_rows("ion", 10, 1, x, ["trace"])),
+    _case("fidelity_rows", "windows", lambda x: experiments.fidelity_rows(10, x)),
+    _case("fock_rows", "dims", lambda x: experiments.fock_rows(x)),
+]
+
+
 def _same(a, b):
     """Whether two results are equal down to the types of their parts."""
     if type(a) is not type(b):
@@ -108,6 +137,16 @@ class TestIndexReader:
             with pytest.raises(ValueError, match=r"^%s must be integer-valued" % re.escape(name)):
                 entry(bad)
 
+    @pytest.mark.parametrize("entry,name", INDEX_LIST_ENTRIES)
+    def test_index_list_refuses_other_shapes(self, entry, name):
+        # a single number (where scalar_vacuum_cm reads a count) or a nested
+        # list used to die with a bare TypeError
+        single = [] if name == "window" else [0]
+        for bad in single + [[[0], [1]]]:
+            with pytest.raises(ValueError,
+                               match=r"^%s must be a sequence of integers" % re.escape(name)):
+                entry(bad)
+
     def test_single_index_refuses_a_sequence(self):
         with pytest.raises(ValueError, match="separation must be a single integer"):
             scalar_field.ScalarFieldSpec().phi_entry([1, 2])
@@ -121,6 +160,46 @@ class TestIndexReader:
         for bad in (1e30, 2**64, None, "abc", [[1, 2], [3]], [0, 0.5]):
             with pytest.raises(ValueError, match="^sites must be integer-valued"):
                 numerics.integers(bad, "sites")
+
+
+# runs in a fresh process: the 300-ion CM, the seed-3 negativity scan of
+# perfbench/worker.py and golden-check --table 3, at full precision
+_PIN_PROBE = """
+import contextlib, hashlib, io, json, sys
+sys.path[:0] = sys.argv[1:]
+import worker
+from ionmodes import cli, experiments, numerics
+rows = io.StringIO()
+with contextlib.redirect_stdout(rows), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["golden-check", "--table", "3", "--format", "json"])
+print(json.dumps({
+    "blas_threads": numerics.blas_threads(),
+    "cm": hashlib.sha256(experiments.chain_model(300).cm.tobytes()).hexdigest(),
+    "scan": worker.run_negativity(3, None)["values"],
+    "golden_check": [code, json.loads(rows.getvalue())["rows"]],
+}))
+"""
+
+
+@pytest.mark.skipif(numerics._OPENBLAS_THREADS is None,
+                    reason="numpy.linalg has no known OpenBLAS thread setter")
+def test_outputs_independent_of_openblas_threads():
+    # unpinned, two OpenBLAS threads changed 191 of the 504 scan values in
+    # the last bits and table-3 cells in the 9th printed digit
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), str(root / "perfbench")]
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONDONTWRITEBYTECODE"] = "1"  # nothing cached inside perfbench/
+    procs = [subprocess.Popen([sys.executable, "-c", _PIN_PROBE] + paths,
+                              env=dict(base, **extra), stdout=subprocess.PIPE, text=True)
+             for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
+    outputs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0, 0]
+    unset, one, two = map(json.loads, outputs)
+    assert unset["blas_threads"] == 1
+    assert unset["golden_check"][0] == 0 and len(unset["scan"]) == 504
+    assert one == unset
+    assert two == unset
 
 
 class TestSymEigen:

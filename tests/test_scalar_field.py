@@ -343,7 +343,7 @@ class TestSiteArguments:
     def test_single_site_number_rejected(self, field_spec, route):
         # a block needs a sequence of sites; scalar_vacuum_cm alone reads a
         # number, as a window of that many sites
-        with pytest.raises(ValueError, match="sites must be a sequence of site indices, got 3"):
+        with pytest.raises(ValueError, match="sites must be a sequence of integers, got 3"):
             getattr(field_spec, route)(3)
         assert getattr(field_spec, route)([3]).shape == (1, 1)
         assert scalar_vacuum_cm(3, field_spec).shape == (6, 6)

@@ -33,7 +33,7 @@ SCALAR_CHAIN_SIZE = 0
 
 TOLERANCES = {
     "newton_gradient_inf_norm": GRADIENT_TOL,
-    "quadrature_abs_error": 1e-12,
+    "correlator_abs_error": scalar_field.CORRELATOR_ABS_ERROR,
     "symplectic_residual": gaussian.SYMPLECTIC_TOL,
     "nu_unit_window": gaussian.NU_UNIT_TOL,
     "squeeze_search_ln_z": gaussian.LN_Z_TOL,
@@ -129,6 +129,14 @@ def _emit(args, manifest, body):
             sys.stderr.write(manifest.to_json())
 
 
+def _manifest(args, **metadata):
+    """The run manifest of one command: its params are every argument the
+    command's parser read."""
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "run", "_start")}
+    return RunManifest(args.command, params, metadata=metadata)
+
+
 def _rows_body(args, header, rows):
     """Table rows as a JSON payload for --format json, else as CSV text."""
     if args.format == "json":
@@ -140,7 +148,7 @@ def _rows_body(args, header, rows):
 
 def _run_chain(args):
     report = experiments.chain_report(args.n_ions)
-    manifest = RunManifest("chain", {"n_ions": args.n_ions, "format": args.format})
+    manifest = _manifest(args)
     if args.format == "json":
         body = {"report": report}
     elif args.format == "csv":
@@ -178,16 +186,11 @@ def _run_negativity(args):
         if system == "scalar":
             chain_size = SCALAR_CHAIN_SIZE
         out_rows.append((system, chain_size, region_size, sep, treatment, value))
-    manifest = RunManifest(
-        "negativity",
-        {"system": args.system, "chain_size": args.chain_size,
-         "region_size": args.region_size, "separations": args.separations,
-         "treatment": args.treatment},
-        metadata={
-            "scalar_measurement": "exact infinite-exterior homodyne (Toeplitz symbol inversion)",
-            "scalar_mass": scalar_field.DEFAULT_MASS,
-            "skipped_separations": skipped,
-        })
+    manifest = _manifest(
+        args,
+        scalar_measurement="exact infinite-exterior homodyne (Toeplitz symbol inversion)",
+        scalar_mass=scalar_field.DEFAULT_MASS,
+        skipped_separations=skipped)
     header = ("system", "chain_size", "region_size", "separation", "treatment", "log_negativity")
     _emit(args, manifest, _rows_body(args, header, out_rows))
     return EXIT_OK
@@ -196,12 +199,8 @@ def _run_negativity(args):
 def _run_fidelity(args):
     windows = parse_int_range(args.region_sizes)
     rows = experiments.fidelity_rows(args.chain_size, windows, args.self_test)
-    manifest = RunManifest(
-        "fidelity",
-        {"chain_size": args.chain_size, "region_sizes": args.region_sizes,
-         "self_test": args.self_test},
-        metadata={"squeeze_bracket": list(gaussian.SQUEEZE_BRACKET),
-                  "scalar_mass": scalar_field.DEFAULT_MASS})
+    manifest = _manifest(args, squeeze_bracket=list(gaussian.SQUEEZE_BRACKET),
+                         scalar_mass=scalar_field.DEFAULT_MASS)
     header = ("chain_size", "region_size", "squeeze_z", "fidelity_raw", "fidelity_squeezed")
     _emit(args, manifest, _rows_body(args, header, rows))
     return EXIT_OK
@@ -210,10 +209,8 @@ def _run_fidelity(args):
 def _run_fock(args):
     dims = parse_int_range(args.dims)
     rows = experiments.fock_rows(dims)
-    manifest = RunManifest(
-        "fock",
-        {"dims": args.dims},
-        metadata={"tail_sum": "occupancy shells max(m1, m2) >= D of pure-state amplitudes"})
+    manifest = _manifest(
+        args, tail_sum="occupancy shells max(m1, m2) >= D of pure-state amplitudes")
     header = ("qudit_dim", "p_out_raw", "p_out_squeezed")
     _emit(args, manifest, _rows_body(args, header, rows))
     return EXIT_OK
@@ -231,11 +228,8 @@ def _run_golden_check(args):
                          cell.tolerance if cell.tolerance is not None else "exact-zero",
                          "pass" if cell.passed else "FAIL"))
     n_fail = sum(1 for r in reports for c in r.failures)
-    manifest = RunManifest(
-        "golden-check",
-        {"table": args.table, "tol_policy": args.tol_policy},
-        metadata={"cells": len(rows), "failures": n_fail,
-                  "worst_margin": max((r.worst.margin for r in reports), default=0.0)})
+    manifest = _manifest(args, cells=len(rows), failures=n_fail,
+                         worst_margin=max((r.worst.margin for r in reports), default=0.0))
     _emit(args, manifest, _rows_body(args, header, rows))
     for report in reports:
         worst = report.worst

@@ -55,7 +55,9 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
     system "ion": regions of `region_size` ions centered in a chain of
     `chain_size`, everything else traced out or phi/pi-homodyned.
     system "scalar": same regions on the infinite lattice (chain_size is
-    ignored); measurements cover the whole infinite exterior.
+    ignored); measurements cover the whole infinite exterior.  Both states
+    are pure with no phi-pi cross block, so one step builds either from its
+    (Phi, Pi) blocks over the regions' sites.
     """
     if treatment not in TREATMENTS:
         raise ValueError("treatment must be one of %s" % (TREATMENTS,))
@@ -68,19 +70,17 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
             return None
         pair = np.ix_(sites, sites)
         phi, pi = model.phi_block[pair], model.pi_block[pair]
-        if treatment == "trace":
-            state = gaussian.from_blocks(phi, pi)
-        else:
-            state = gaussian.measure_pure_complement(pi if treatment == "phi" else phi, treatment)
-        return gaussian.log_negativity(state, range(d), range(d, 2 * d))
-    if system == "scalar":
+    elif system == "scalar":
         sites = _region_sites(2 * d + sep, d, sep)
-        if treatment == "trace":
-            state = scalar_field.scalar_vacuum_cm(sites)
-        else:
-            state = scalar_field.measured_vacuum_cm(sites, treatment)
-        return gaussian.log_negativity(state, range(d), range(d, 2 * d))
-    raise ValueError("system must be 'ion' or 'scalar'")
+        spec = scalar_field.ScalarFieldSpec()
+        phi, pi = spec.phi_block(sites), spec.pi_block(sites)
+    else:
+        raise ValueError("system must be 'ion' or 'scalar'")
+    if treatment == "trace":
+        state = gaussian.from_blocks(phi, pi)
+    else:
+        state = gaussian.measure_pure_complement(phi, pi, treatment)
+    return gaussian.log_negativity(state, range(d), range(d, 2 * d))
 
 
 def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS):
@@ -131,10 +131,10 @@ def two_ion_states():
     equalizes the phi and pi variances per mode; for the two-ion chain it
     turns the state into an exact two-mode squeezed vacuum.
     """
-    raw = chain_model(2).cm
-    squeezed = raw
+    model = chain_model(2)
+    raw = squeezed = model.cm
     for j in range(2):
-        z = (raw[2 * j + 1, 2 * j + 1] / raw[2 * j, 2 * j]) ** 0.25
+        z = (model.pi_block[j, j] / model.phi_block[j, j]) ** 0.25
         s = gaussian.single_mode_squeeze(2, z, [j])
         squeezed = gaussian.apply_symplectic(squeezed, s)
     return raw, squeezed

@@ -102,20 +102,16 @@ def husimi_data(sigma):
     return HusimiData(n, sigma_q, a_mat, math.sqrt(det.real))
 
 
-def _repeated_hafnian(h, reps):
-    """Hafnian of h.a_mat with row/column j repeated reps[j] times, for a
-    tuple of ints reps.
+def _haf_recurse(a, cache, r):
+    """Hafnian of a with row/column j repeated r[j] times, for a tuple of
+    ints r.
 
     Pair-expansion recursion on the multiplicity vector, memoized on
-    h._haf_cache: expanding the first occupied index i over its partners,
-    the same-index branch carries weight (reps_i - 1) a_ii and each
-    cross branch weight reps_j a_ij.  Identical to the hafnian of the
-    explicitly expanded matrix, at polynomial cost in max(reps).
+    cache: expanding the first occupied index i over its partners, the
+    same-index branch carries weight (r_i - 1) a_ii and each cross branch
+    weight r_j a_ij.  Identical to the hafnian of the explicitly expanded
+    matrix, at polynomial cost in max(r).
     """
-    return _haf_recurse(h.a_mat, h._haf_cache, reps)
-
-
-def _haf_recurse(a, cache, r):
     # a module-level function, not a closure: a closure that calls itself
     # is a reference cycle, which would keep the memo alive until the
     # cyclic garbage collector runs
@@ -150,7 +146,7 @@ def matrix_element(h, bra, ket, cap=DEFAULT_OCCUPANCY_CAP):
     """
     bra = check_fock_index(bra, h.n_modes, cap)
     ket = check_fock_index(ket, h.n_modes, cap)
-    haf = _repeated_hafnian(h, ket + bra)
+    haf = _haf_recurse(h.a_mat, h._haf_cache, ket + bra)
     norm = h.sqrt_det_sigma_q * math.sqrt(
         math.prod(math.factorial(k) for k in bra) * math.prod(math.factorial(k) for k in ket))
     return haf / norm

@@ -154,7 +154,7 @@ def condition_homodyne(sigma, measured, quadrature):
     return 0.5 * (out + out.T)
 
 
-def measure_pure_complement(kept_block, quadrature):
+def measure_pure_complement(phi_block, pi_block, quadrature):
     """State of the kept modes of a pure state with no phi-pi cross block
     after homodyne measurement of one quadrature on every other mode.
 
@@ -162,20 +162,19 @@ def measure_pure_complement(kept_block, quadrature):
     `condition_homodyne` has a closed form in the kept block of the
     unmeasured quadrature alone: measuring phi leaves the pi block Pi_K
     and replaces the phi block by Pi_K^-1; measuring pi leaves Phi_K and
-    replaces the pi block by Phi_K^-1.  `kept_block` is Pi_K when
-    `quadrature` is "phi" and Phi_K when it is "pi".
+    replaces the pi block by Phi_K^-1.  `phi_block` and `pi_block` are
+    Phi_K and Pi_K over the kept modes; only the unmeasured one is read.
     """
     kept_name = {"phi": "pi", "pi": "phi"}.get(quadrature)
     if kept_name is None:
         raise ValueError("quadrature must be 'phi' or 'pi'")
+    blocks = {"phi": phi_block, "pi": pi_block}
     try:
-        conditioned = np.linalg.inv(kept_block)
+        conditioned = np.linalg.inv(blocks[kept_name])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("%s-correlator restriction is singular" % kept_name) from exc
-    conditioned = 0.5 * (conditioned + conditioned.T)
-    if quadrature == "phi":
-        return from_blocks(conditioned, kept_block)
-    return from_blocks(kept_block, conditioned)
+    blocks[quadrature] = 0.5 * (conditioned + conditioned.T)
+    return from_blocks(blocks["phi"], blocks["pi"])
 
 
 def assert_symplectic(s):

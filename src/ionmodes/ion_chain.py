@@ -21,7 +21,7 @@ __all__ = [
     "solve_equilibrium",
     "build_hessian",
     "normal_modes",
-    "local_mode_cm",
+    "local_mode_blocks",
     "compute_scales",
 ]
 
@@ -137,32 +137,33 @@ def normal_modes(hessian):
     return np.sqrt(vals), vecs.T
 
 
-def local_mode_cm(frequencies, modes):
-    """Ground-state covariance matrix in the site-local mode basis.
+def local_mode_blocks(frequencies, modes):
+    """(Phi, Pi) blocks of the ground state in the site-local mode basis.
 
     sigma_phiphi(i, j) = sum_k modes[k, i] modes[k, j] / frequencies[k] and
     sigma_pipi with weight frequencies[k] instead; the cross block vanishes.
-    Returned interleaved, vacuum = identity.
+    Vacuum = identity.
     """
     freqs = np.asarray(frequencies, dtype=float)
     e = np.asarray(modes, dtype=float)
-    phi_block = (e.T / freqs) @ e
-    pi_block = (e.T * freqs) @ e
-    return from_blocks(phi_block, pi_block)
+    return (e.T / freqs) @ e, (e.T * freqs) @ e
 
 
 @dataclass(frozen=True)
 class IonChainModel:
     """Equilibrium structure and local-mode ground state of an ion chain.
 
-    Built models are shared between callers, so their arrays are read-only.
+    The ground state has no phi-pi cross block, so it is kept as its two
+    n x n blocks over all sites.  Built models are shared between callers,
+    so their arrays are read-only.
     """
 
     n_ions: int
     positions: np.ndarray
     frequencies: np.ndarray
     modes: np.ndarray
-    cm: np.ndarray
+    phi_block: np.ndarray
+    pi_block: np.ndarray
 
     @classmethod
     def build(cls, n_ions):
@@ -172,8 +173,8 @@ class IonChainModel:
             raise NumericalError(
                 "lowest mode frequency %.12f is not the center-of-mass mode" % frequencies[0])
         model = cls(len(positions), positions, frequencies, modes,
-                    local_mode_cm(frequencies, modes))
-        for array in (positions, frequencies, modes, model.cm):
+                    *local_mode_blocks(frequencies, modes))
+        for array in (positions, frequencies, modes, model.phi_block, model.pi_block):
             array.flags.writeable = False
         residual = float(np.abs(model.phi_block @ model.pi_block - np.eye(model.n_ions)).max())
         if residual > PURITY_TOL:
@@ -182,14 +183,12 @@ class IonChainModel:
         return model
 
     @property
-    def phi_block(self):
-        """sigma_phiphi over all sites, a view of `cm`."""
-        return self.cm[0::2, 0::2]
-
-    @property
-    def pi_block(self):
-        """sigma_pipi over all sites, a view of `cm`."""
-        return self.cm[1::2, 1::2]
+    def cm(self):
+        """The interleaved 2n x 2n CM, assembled from the blocks on each
+        call and read-only like them."""
+        cm = from_blocks(self.phi_block, self.pi_block)
+        cm.flags.writeable = False
+        return cm
 
 
 @dataclass(frozen=True)

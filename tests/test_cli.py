@@ -357,6 +357,33 @@ class TestManifestFile:
         pinned = None if numerics._OPENBLAS_THREADS is None else 1
         assert manifest["metadata"]["blas_threads"] == pinned
 
+    @pytest.mark.parametrize("argv,params", [
+        (["chain", "3"], {"n_ions": 3, "format": "text"}),
+        (["negativity", "--system", "ion", "--chain-size", "6", "--region-size", "1",
+          "--separations", "0:1", "--treatment", "phi", "--format", "json"],
+         {"system": "ion", "chain_size": 6, "region_size": 1, "separations": "0:1",
+          "treatment": "phi", "format": "json"}),
+        (["fidelity", "--chain-size", "4", "--region-sizes", "2", "--self-test"],
+         {"chain_size": 4, "region_sizes": "2", "self_test": True, "format": "csv"}),
+        (["fock", "--dims", "2"], {"dims": "2", "format": "csv"}),
+        (["golden-check", "--table", "7", "--tol-policy", "strict", "--golden-dir", "GOLDEN"],
+         {"table": "7", "tol_policy": "strict", "golden_dir": "GOLDEN", "format": "csv"}),
+    ], ids=["chain", "negativity", "fidelity", "fock", "golden-check"])
+    def test_params_hold_every_option(self, capsys, tmp_path, argv, params):
+        shutil.copy(resources.files("ionmodes.data").joinpath("table7.csv"), tmp_path)
+        out_path = str(tmp_path / "out")
+        code, _, _ = run_cli(capsys, [str(tmp_path) if arg == "GOLDEN" else arg
+                                      for arg in argv] + ["--out", out_path])
+        assert code == 0
+        if params["format"] == "json":
+            manifest = json.loads(open(out_path).read())["manifest"]
+        else:
+            manifest = json.loads(open(out_path + ".manifest.json").read())
+        assert manifest["command"] == argv[0]
+        assert manifest["params"] == dict(
+            {key: str(tmp_path) if value == "GOLDEN" else value for key, value in params.items()},
+            out=out_path)
+
 
 def test_every_exported_name_resolves():
     modules = [ionmodes] + [importlib.import_module("ionmodes." + info.name)

@@ -21,15 +21,14 @@ from conftest import (
 from ionmodes import experiments, fock
 from ionmodes.fock import (
     MAX_QUDIT_DIM,
-    HusimiData,
     check_fock_index,
     husimi_data,
     matrix_element,
     qudit_subspace_deficit,
     subspace_sweep,
     tmsv_disentangle,
+    _haf_recurse,
     _pure_amplitudes,
-    _repeated_hafnian,
 )
 from ionmodes.gaussian import apply_symplectic, single_mode_rotation, single_mode_squeeze
 from ionmodes.numerics import NumericalError
@@ -72,7 +71,7 @@ def plain_hafnian(b):
     """Hafnian of a symmetric matrix through the repeated-row recursion,
     every row taken once."""
     b = np.asarray(b)
-    return _repeated_hafnian(HusimiData(len(b) // 2, None, b, 1.0), (1,) * len(b))
+    return _haf_recurse(b, {}, (1,) * len(b))
 
 
 class TestRepeatedHafnian:
@@ -132,7 +131,7 @@ class TestMatrixElements:
             reps = tuple(int(k) for k in rng.integers(0, 3, size=4))
             if sum(reps) > 8:
                 continue
-            got = _repeated_hafnian(h, reps)
+            got = _haf_recurse(h.a_mat, h._haf_cache, reps)
             want = recursive_hafnian(expand_matrix(h.a_mat, reps))
             assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 

@@ -227,16 +227,18 @@ class TestPureConditioning:
         phi, pi = _random_pure_blocks(rng, n)
         kept = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         measured = [m for m in range(n) if m not in kept]
-        kept_block = (pi if quadrature == "phi" else phi)[np.ix_(kept, kept)]
+        pair = np.ix_(kept, kept)
         want = condition_homodyne(from_blocks(phi, pi), measured, quadrature)
-        got = measure_pure_complement(kept_block, quadrature)
+        got = measure_pure_complement(phi[pair], pi[pair], quadrature)
         assert np.abs(got - want).max() <= 1e-9
 
     def test_rejects_bad_quadrature_and_singular_block(self):
-        with pytest.raises(ValueError):
-            measure_pure_complement(np.eye(2), "x")
+        with pytest.raises(ValueError, match="quadrature must be 'phi' or 'pi'"):
+            measure_pure_complement(np.eye(2), np.eye(2), "x")
         with pytest.raises(NumericalError, match="pi-correlator restriction is singular"):
-            measure_pure_complement(np.zeros((2, 2)), "phi")
+            measure_pure_complement(np.eye(2), np.zeros((2, 2)), "phi")
+        with pytest.raises(NumericalError, match="phi-correlator restriction is singular"):
+            measure_pure_complement(np.zeros((2, 2)), np.eye(2), "pi")
 
     def test_table_geometries_match_schur_route(self):
         # every ion_phi / ion_pi cell of tables 1-3 (150 ions)

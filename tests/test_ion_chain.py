@@ -22,7 +22,7 @@ from ionmodes.ion_chain import (
     _gradient_compensated,
     build_hessian,
     compute_scales,
-    local_mode_cm,
+    local_mode_blocks,
     normal_modes,
     solve_equilibrium,
     ytterbium_mass,
@@ -156,20 +156,26 @@ class TestLocalModeCM:
 
     def test_cm_blocks_from_modes(self):
         freqs, modes = normal_modes(build_hessian(solve_equilibrium(5)))
-        cm = local_mode_cm(freqs, modes)
+        phi, pi_block = local_mode_blocks(freqs, modes)
         # phi-phi block carries inverse frequency weights, pi-pi direct
         want_phi = modes.T @ np.diag(1.0 / freqs) @ modes
         want_pi = modes.T @ np.diag(freqs) @ modes
-        assert np.allclose(cm[0::2, 0::2], want_phi, atol=1e-13)
-        assert np.allclose(cm[1::2, 1::2], want_pi, atol=1e-13)
-        assert np.allclose(cm[0::2, 1::2], 0.0, atol=1e-15)
+        assert np.allclose(phi, want_phi, atol=1e-13)
+        assert np.allclose(pi_block, want_pi, atol=1e-13)
 
 
 class TestSharedModel:
-    def test_blocks_are_views_of_cm(self, three_ion_model):
-        for block, start in ((three_ion_model.phi_block, 0), (three_ion_model.pi_block, 1)):
-            assert np.shares_memory(block, three_ion_model.cm)
-            assert np.array_equal(block, three_ion_model.cm[start::2, start::2])
+    def test_cm_assembles_the_stored_blocks(self):
+        for n in (3, 300):
+            model = experiments.chain_model(n)
+            want = np.zeros((2 * n, 2 * n))
+            want[0::2, 0::2] = model.phi_block
+            want[1::2, 1::2] = model.pi_block
+            assert model.cm.tobytes() == want.tobytes()
+            for block in (model.phi_block, model.pi_block):
+                assert block.shape == (n, n) and block.flags.c_contiguous
+            # the model keeps the two n x n blocks and no 2n x 2n array
+            assert not any(np.shape(value) == (2 * n, 2 * n) for value in vars(model).values())
 
     def test_arrays_are_read_only(self, three_ion_model):
         model = experiments.chain_model(3)
@@ -245,11 +251,10 @@ class TestSharedModel:
 
     def test_perturbed_momentum_block_fails_purity_check(self, monkeypatch):
         def perturbed(frequencies, modes):
-            cm = local_mode_cm(frequencies, modes)
-            cm[1::2, 1::2] *= 1.0 + 1e-10
-            return cm
+            phi, pi_block = local_mode_blocks(frequencies, modes)
+            return phi, pi_block * (1.0 + 1e-10)
 
-        monkeypatch.setattr(ion_chain, "local_mode_cm", perturbed)
+        monkeypatch.setattr(ion_chain, "local_mode_blocks", perturbed)
         with pytest.raises(NumericalError, match="not pure"):
             IonChainModel.build(10)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import quad_entries
 from ionmodes import gaussian, scalar_field
 from ionmodes.scalar_field import (
+    CORRELATOR_ABS_ERROR,
     DEFAULT_MASS,
     FORWARD_LIMIT,
     MASS_RANGE,
@@ -101,12 +102,13 @@ class TestCorrelationEntries:
             assert abs(field_spec.phi_entry(delta) - base - want) < 1e-9
 
     def test_default_mass_entries_against_legendre_q(self):
-        # a tenth of the manifests' quadrature_abs_error
+        # a tenth of the manifests' correlator_abs_error
+        tol = CORRELATOR_ABS_ERROR / 10
         want = legendre_entries(DEFAULT_MASS, (0, 1, 2, 7, 40, 150, 300))
         spec = ScalarFieldSpec()
         for d, (phi, pi) in want.items():
-            assert abs(spec.phi_entry(d) - phi) < ENTRY_TOL, d
-            assert abs(spec.pi_entry(d) - pi) < ENTRY_TOL, d
+            assert abs(spec.phi_entry(d) - phi) < tol, d
+            assert abs(spec.pi_entry(d) - pi) < tol, d
 
     @pytest.mark.parametrize("mass", [1e-10, 1e-4, 1e-2, CROSSOVER_MASS * (1 - 1e-3),
                                       CROSSOVER_MASS, CROSSOVER_MASS * (1 + 1e-3),

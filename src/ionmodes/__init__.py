@@ -1,8 +1,9 @@
 """Gaussian ground-state entanglement of local motional modes in trapped-ion
 chains and of the vacuum of a massive scalar field on a 1D lattice.
 
-The covariance-matrix convention throughout is the interleaved quadrature
-basis (phi_1, pi_1, ..., phi_n, pi_n) with the vacuum equal to the identity.
+Covariance matrices are in the interleaved quadrature basis (phi_1, pi_1,
+..., phi_n, pi_n) with the vacuum equal to the identity; cross-free routes
+take a state with no phi-pi cross block as its (Phi, Pi) blocks instead.
 """
 
 from ionmodes.numerics import NumericalError

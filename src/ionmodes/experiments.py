@@ -76,11 +76,9 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
         phi, pi = spec.phi_block(sites), spec.pi_block(sites)
     else:
         raise ValueError("system must be 'ion' or 'scalar'")
-    if treatment == "trace":
-        state = gaussian.from_blocks(phi, pi)
-    else:
-        state = gaussian.measure_pure_complement(phi, pi, treatment)
-    return gaussian.log_negativity(state, range(d), range(d, 2 * d))
+    if treatment != "trace":
+        phi, pi = gaussian.measure_pure_complement(phi, pi, treatment)
+    return gaussian.log_negativity(gaussian.from_blocks(phi, pi), range(d), range(d, 2 * d))
 
 
 def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS):
@@ -94,12 +92,13 @@ def negativity_rows(system, chain_size, region_size, separations, treatments=TRE
     return rows
 
 
-def _window_cm(model, window):
+def _window_blocks(model, window):
+    """(Phi, Pi) of the centered window of `window` ions."""
     if window > model.n_ions or window < 1:
         raise ValueError("window must fit inside the chain")
     left = (model.n_ions - window) // 2
     sites = slice(left, left + window)
-    return gaussian.from_blocks(model.phi_block[sites, sites], model.pi_block[sites, sites])
+    return model.phi_block[sites, sites], model.pi_block[sites, sites]
 
 
 def fidelity_cell(chain_size, window, self_test=False):
@@ -110,8 +109,9 @@ def fidelity_cell(chain_size, window, self_test=False):
     must drive z_star to 1 and both fidelities to 1.
     """
     window = integer(window, "window")
-    source = _window_cm(chain_model(integer(chain_size, "chain_size")), window)
-    target = source if self_test else scalar_field.scalar_vacuum_cm(window)
+    source = _window_blocks(chain_model(integer(chain_size, "chain_size")), window)
+    spec, sites = scalar_field.ScalarFieldSpec(), range(window)
+    target = source if self_test else (spec.phi_block(sites), spec.pi_block(sites))
     return gaussian.optimize_global_squeeze(source, target)
 
 

@@ -1,10 +1,14 @@
 """Gaussian-state operations on covariance matrices.
 
-All covariance matrices are real symmetric 2n x 2n arrays over the
-interleaved quadrature basis (phi_1, pi_1, ..., phi_n, pi_n), normalized so
-the vacuum is the identity.  The symplectic form in this basis is the
-direct sum of n copies of [[0, 1], [-1, 0]].
+Covariance matrices are real symmetric 2n x 2n arrays over the interleaved
+quadrature basis (phi_1, pi_1, ..., phi_n, pi_n), normalized so the vacuum
+is the identity, with the symplectic form the direct sum of n copies of
+[[0, 1], [-1, 0]].  The cross-free routes (`measure_pure_complement`,
+`fidelity`, `optimize_global_squeeze`) take and return a state with no
+phi-pi cross block as its (Phi, Pi) pair of n x n blocks instead.
 """
+
+import math
 
 import numpy as np
 
@@ -71,6 +75,15 @@ def from_blocks(phi_block, pi_block):
     return sigma
 
 
+def _check_finite_symmetric(mat, what):
+    """Require finite entries and symmetry to 1e-12 max(1, the largest entry)."""
+    largest = float(np.abs(mat).max())
+    if not math.isfinite(largest):
+        raise NumericalError("%s has non-finite entries" % what)
+    if float(np.abs(mat - mat.T).max()) > 1e-12 * max(1.0, largest):
+        raise ValueError("%s is not symmetric" % what)
+
+
 def validate_cm(sigma):
     """Check shape, finiteness and symmetry; return (sigma, n_modes)."""
     sigma = np.asarray(sigma, dtype=float)
@@ -78,14 +91,20 @@ def validate_cm(sigma):
         raise ValueError("covariance matrix must be square of even dimension")
     if not sigma.size:
         raise ValueError("covariance matrix needs at least one mode")
-    largest = float(np.abs(sigma).max())
-    if not np.isfinite(largest):
-        raise NumericalError("covariance matrix has non-finite entries")
-    scale = max(1.0, largest)
-    asym = sigma - sigma.T
-    if max(float(asym.max()), -float(asym.min())) > 1e-12 * scale:
-        raise ValueError("covariance matrix is not symmetric")
+    _check_finite_symmetric(sigma, "covariance matrix")
     return sigma, sigma.shape[0] // 2
+
+
+def _validate_blocks(*named):
+    """Check (name, block) pairs: square blocks of one mode count, finite and
+    symmetric; return the blocks as float arrays."""
+    blocks = [np.asarray(block, dtype=float) for _, block in named]
+    shape = blocks[0].shape
+    for (name, _), block in zip(named, blocks):
+        if block.ndim != 2 or block.shape != shape or shape[0] != shape[1] or not block.size:
+            raise ValueError("phi and pi blocks must be square and of one mode count")
+        _check_finite_symmetric(block, name + " block")
+    return blocks
 
 
 def assert_physical(sigma):
@@ -155,26 +174,27 @@ def condition_homodyne(sigma, measured, quadrature):
 
 
 def measure_pure_complement(phi_block, pi_block, quadrature):
-    """State of the kept modes of a pure state with no phi-pi cross block
-    after homodyne measurement of one quadrature on every other mode.
+    """(Phi, Pi) of the kept modes of a pure state with no phi-pi cross
+    block after homodyne measurement of one quadrature on every other mode.
 
     Such a state has Pi = Phi^-1, so the Schur complement of
     `condition_homodyne` has a closed form in the kept block of the
     unmeasured quadrature alone: measuring phi leaves the pi block Pi_K
     and replaces the phi block by Pi_K^-1; measuring pi leaves Phi_K and
     replaces the pi block by Phi_K^-1.  `phi_block` and `pi_block` are
-    Phi_K and Pi_K over the kept modes; only the unmeasured one is read.
+    Phi_K and Pi_K over the kept modes; only the unmeasured one is read and
+    validated.
     """
     kept_name = {"phi": "pi", "pi": "phi"}.get(quadrature)
     if kept_name is None:
         raise ValueError("quadrature must be 'phi' or 'pi'")
-    blocks = {"phi": phi_block, "pi": pi_block}
+    kept, = _validate_blocks((kept_name, {"phi": phi_block, "pi": pi_block}[kept_name]))
     try:
-        conditioned = np.linalg.inv(blocks[kept_name])
+        conditioned = np.linalg.inv(kept)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("%s-correlator restriction is singular" % kept_name) from exc
-    blocks[quadrature] = 0.5 * (conditioned + conditioned.T)
-    return from_blocks(blocks["phi"], blocks["pi"])
+    conditioned = 0.5 * (conditioned + conditioned.T)
+    return (conditioned, kept) if quadrature == "phi" else (kept, conditioned)
 
 
 def assert_symplectic(s):
@@ -315,16 +335,11 @@ def _defect(phi, pi):
         raise NumericalError("phi block of a state is singular") from exc
 
 
-def _validate_pair(sigma_1, sigma_2):
-    """Validate two CMs of equal mode count, neither with a phi-pi cross
-    block (ValueError otherwise)."""
-    sigma_1, n = validate_cm(sigma_1)
-    sigma_2, n2 = validate_cm(sigma_2)
-    if n != n2:
-        raise ValueError("states have different mode counts")
-    if _has_cross_block(sigma_1) or _has_cross_block(sigma_2):
-        raise ValueError("fidelity and the squeeze search need states with no phi-pi cross block")
-    return sigma_1, sigma_2
+def _validate_pair(source, target):
+    """Validate two (Phi, Pi) states of one mode count."""
+    (phi_1, pi_1), (phi_2, pi_2) = source, target
+    blocks = _validate_blocks(("phi", phi_1), ("pi", pi_1), ("phi", phi_2), ("pi", pi_2))
+    return blocks[:2], blocks[2:]
 
 
 def _fidelity_from_aux(roots, logdet):
@@ -336,9 +351,9 @@ def _fidelity_from_aux(roots, logdet):
     return float(min(max(f, 0.0), 1.0))
 
 
-def fidelity(sigma_1, sigma_2):
+def fidelity(state_1, state_2):
     """Uhlmann fidelity of two zero-mean Gaussian states with no phi-pi
-    cross block.
+    cross block, each given as its (Phi, Pi) pair of n x n blocks.
 
     Evaluated from the auxiliary symplectic spectrum w_k (Banchi, Braunstein
     & Pirandola, PRL 115, 260501, 2015) in the hbar = 1 convention (vacuum
@@ -346,12 +361,11 @@ def fidelity(sigma_1, sigma_2):
 
         ln F = (1/4) [2 sum_k asinh sqrt(w_k^2 - 1) - ln det((sigma_1 + sigma_2) / 2)]
 
-    by the squeeze search's objective at ln z = 0 (`_cross_free_fidelity`),
-    so both states must have no phi-pi cross block (the ValueError of
-    `optimize_global_squeeze` otherwise), as every table pair has.  No matrix
-    square root is taken; the result is clamped to [0, 1].
+    by the squeeze search's objective at ln z = 0 (`_cross_free_fidelity`).
+    Every table pair is of this kind.  No matrix square root is taken; the
+    result is clamped to [0, 1].
     """
-    return _cross_free_fidelity(*_validate_pair(sigma_1, sigma_2))(0.0)
+    return _cross_free_fidelity(*_validate_pair(state_1, state_2))(0.0)
 
 
 def _defect_factor(defect, basis, what):
@@ -366,10 +380,10 @@ def _defect_factor(defect, basis, what):
     return vecs[:, mu > 0.0] * np.sqrt(mu[mu > 0.0])
 
 
-def _cross_free_fidelity(sigma_source, sigma_target):
-    """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, for
-    two validated states of n modes with no phi-pi cross block: `fidelity`
-    evaluates it at ln z = 0, the squeeze search at 0 and across its bracket.
+def _cross_free_fidelity(source, target):
+    """F(S_z source S_z^T, target) as a function of ln z, for two validated
+    (Phi, Pi) states of n modes: `fidelity` evaluates it at ln z = 0, the
+    squeeze search at 0 and across its bracket.
 
     For such a pair, with D_i = Pi_i - Phi_i^-1 >= 0 (zero for a pure state)
     and R = (Phi_1^-1 + Phi_2^-1)^-1 = L L^T, the sum of the pi blocks is
@@ -394,9 +408,8 @@ def _cross_free_fidelity(sigma_source, sigma_target):
     where X is the sum of the phi blocks.  A step costs one Cholesky of the
     (r_1 + r_2)-square K (0 x 0 for a pure pair), one solve and one svd.
     """
-    n = sigma_source.shape[0] // 2
-    phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
-    phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
+    (phi_1, pi_1), (phi_2, pi_2) = source, target
+    n = phi_1.shape[0]
     chol = _cholesky(phi_2, "phi block of the target")
     half = np.linalg.solve(chol, phi_1)
     alpha, u = np.linalg.eigh(np.linalg.solve(chol, half.T))
@@ -422,20 +435,20 @@ def _cross_free_fidelity(sigma_source, sigma_target):
     return objective
 
 
-def optimize_global_squeeze(sigma_source, sigma_target):
+def optimize_global_squeeze(source, target):
     """Best uniform single-mode squeeze of the source towards the target.
 
-    Maximizes F(S_z sigma_source S_z^T, sigma_target) over z in
-    SQUEEZE_BRACKET (widened once if the maximum sits at an edge), with
-    S_z = diag(z, 1/z) on every mode, by bounded Brent search on ln z.
-    Both states must have no phi-pi cross block (the ValueError of
-    `fidelity` otherwise).  The objective is `fidelity`'s own route,
-    factored once per search (`_cross_free_fidelity`): f_raw, its value at
+    Maximizes F(S_z source S_z^T, target) over z in SQUEEZE_BRACKET
+    (widened once if the maximum sits at an edge), with S_z = diag(z, 1/z)
+    on every mode, by bounded Brent search on ln z.  Both states are
+    (Phi, Pi) pairs, as `fidelity` takes them; S_z maps the source to
+    (z^2 Phi, Pi / z^2).  The objective is `fidelity`'s own route, factored
+    once per search (`_cross_free_fidelity`): f_raw, its value at
     ln z = 0, is `fidelity`'s, and f_star is its value at ln z_star.
 
     Returns:
         (z_star, f_raw, f_star)
     """
-    objective = _cross_free_fidelity(*_validate_pair(sigma_source, sigma_target))
+    objective = _cross_free_fidelity(*_validate_pair(source, target))
     ln_star, f_star = maximize_1d(objective, *np.log(SQUEEZE_BRACKET), tol=LN_Z_TOL)
     return float(np.exp(ln_star)), objective(0.0), f_star

@@ -16,6 +16,9 @@ bound the run manifests state as correlator_abs_error.
 
 The small default mass only regulates the phi-phi zero mode; every quantity
 with a massless limit is within O(mass^2 log mass) of it.
+
+The tables read ScalarFieldSpec's (Phi, Pi) blocks, so the interleaved
+scalar_vacuum_cm and measured_vacuum_cm have no package caller (library API).
 """
 
 import functools
@@ -27,7 +30,7 @@ import numpy as np
 from ionmodes.gaussian import from_blocks, measure_pure_complement
 from ionmodes.numerics import integer, integer_list, integers
 
-__all__ = ["DEFAULT_MASS", "MASS_RANGE", "CORRELATOR_ABS_ERROR", "ScalarFieldSpec",
+__all__ = ["DEFAULT_MASS", "MASS_RANGE", "CORRELATOR_ABS_ERROR", "MAX_GAP", "ScalarFieldSpec",
            "scalar_vacuum_cm", "measured_vacuum_cm"]
 
 DEFAULT_MASS = 1e-10
@@ -48,6 +51,10 @@ FORWARD_LIMIT = 7.0
 # Miller's recurrence starts this many e-folds of Q_{d-1/2} past a row's
 # end, so the dominant solution it lets in is down by exp(-40) there
 MILLER_EFOLDS = 20.0
+
+# largest site gap served: its cached rows, up to 2^16 entries, take ~0.08 s;
+# the cost grows linearly, so a gap of 1e8 would take ~2 min and ~10 GB
+MAX_GAP = (1 << 16) - 1
 
 
 def _elliptic_k_e(k2, k_comp):
@@ -124,7 +131,9 @@ def _vacuum_entries(mass, size):
 
 
 def _row_size(gap):
-    """The power of two above gap: the size of the row it is read from."""
+    """The power of two above gap (at most MAX_GAP): the row it is read from."""
+    if gap > MAX_GAP:
+        raise ValueError("site gap %d exceeds the largest supported gap, %d" % (gap, MAX_GAP))
     return 1 << int(gap).bit_length()
 
 
@@ -197,4 +206,5 @@ def measured_vacuum_cm(sites, quadrature, spec=None):
     sites = sorted(set(integer_list(sites, "sites")))
     if not sites:
         raise ValueError("need at least one retained site")
-    return measure_pure_complement(spec.phi_block(sites), spec.pi_block(sites), quadrature)
+    return from_blocks(*measure_pure_complement(spec.phi_block(sites), spec.pi_block(sites),
+                                                quadrature))

@@ -119,6 +119,13 @@ def sqrtm_fidelity(sigma_1, sigma_2):
     return float(np.exp(0.25 * (logdet_n - logdet_d)))
 
 
+def cm_blocks(sigma):
+    """The (Phi, Pi) pair of an interleaved CM with no phi-pi cross block."""
+    sigma = np.asarray(sigma, dtype=float)
+    assert not (sigma[0::2, 1::2].any() or sigma[1::2, 0::2].any())
+    return sigma[0::2, 0::2], sigma[1::2, 1::2]
+
+
 def block_state(rng, n, mix):
     """Random physical CM with no phi-pi cross block: Pi >= Phi^-1, with
     equality (a pure state) when mix is 0."""
@@ -173,9 +180,9 @@ def interleaved_fidelity(sigma_1, sigma_2):
     return _fidelity_from_excess(w * w - 1.0, float(logdet))
 
 
-def two_pencil_objective(sigma_source, sigma_target):
-    """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, as
-    gaussian._cross_free_fidelity computed it before its Gram form
+def two_pencil_objective(source, target):
+    """F(S_z source S_z^T, target) of two (Phi, Pi) states as a function of
+    ln z, as gaussian._cross_free_fidelity computed it before its Gram form
     (`two_cholesky_objective`).
 
     With X, Y the sums of the phi and pi blocks, D_i = Pi_i - Phi_i^-1 and
@@ -192,9 +199,8 @@ def two_pencil_objective(sigma_source, sigma_target):
     noise, and the square roots of the positive half bias F upwards by up
     to 4.7e-9 on 50-mode table windows.
     """
-    n = sigma_source.shape[0] // 2
-    phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
-    phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
+    (phi_1, pi_1), (phi_2, pi_2) = source, target
+    n = phi_1.shape[0]
 
     def pencil(source_block, target_block):
         chol = np.linalg.cholesky(target_block)
@@ -225,10 +231,10 @@ def two_pencil_objective(sigma_source, sigma_target):
     return objective
 
 
-def two_cholesky_objective(sigma_source, sigma_target):
-    """F(S_z sigma_source S_z^T, sigma_target) as a function of ln z, as
-    gaussian._cross_free_fidelity computed it before its stacked Gram
-    matrix: full n-column defect factors F_i, whose clipped eigenvalues
+def two_cholesky_objective(source, target):
+    """F(S_z source S_z^T, target) of two (Phi, Pi) states as a function of
+    ln z, as gaussian._cross_free_fidelity computed it before its stacked
+    Gram matrix: full n-column defect factors F_i, whose clipped eigenvalues
     leave zero columns, and per step two n x n Choleskys,
 
         G = 1 + g_1^T g_1 = L_G L_G^T,  W = L_G^-1 g_1^T g_2,
@@ -238,9 +244,8 @@ def two_cholesky_objective(sigma_source, sigma_target):
 
     with g_1, g_2 and ln det X Y as in the package kernel.
     """
-    n = sigma_source.shape[0] // 2
-    phi_1, pi_1 = sigma_source[0::2, 0::2], sigma_source[1::2, 1::2]
-    phi_2, pi_2 = sigma_target[0::2, 0::2], sigma_target[1::2, 1::2]
+    (phi_1, pi_1), (phi_2, pi_2) = source, target
+    n = phi_1.shape[0]
     chol = np.linalg.cholesky(phi_2)
     half = np.linalg.solve(chol, phi_1)
     alpha, u = np.linalg.eigh(np.linalg.solve(chol, half.T))

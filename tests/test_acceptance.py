@@ -8,10 +8,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
-from conftest import block_state, random_local_symplectic, random_physical_cm
+from conftest import block_state, cm_blocks, random_local_symplectic, random_physical_cm
 from ionmodes import experiments, gaussian, golden
 from ionmodes.fock import husimi_data, matrix_element, tmsv_disentangle
 
@@ -120,7 +119,7 @@ def test_4_fidelity_tables_with_oracle_gate():
     # convention gate first: overlap of the vacuum with a squeezed vacuum
     # has the closed form sqrt(2 z / (z^2 + 1))
     for z in (0.3, 0.8, 1.0, 1.7, 4.0, 6.5):
-        got = gaussian.fidelity(np.eye(2), np.diag([z * z, 1.0 / (z * z)]))
+        got = gaussian.fidelity((np.eye(1), np.eye(1)), ([[z * z]], [[1.0 / (z * z)]]))
         assert abs(got - math.sqrt(2.0 * z / (z * z + 1.0))) < 1e-8
 
     worst = 0.0
@@ -207,17 +206,11 @@ def test_7_property_suites():
                                         [0], [1, 2])
         assert abs(base - moved) < 1e-8
 
-    # fidelity rejects pairs with a phi-pi cross block, and on cross-free
-    # pairs is symmetric and one on the diagonal
-    for _ in range(100):
-        sigma_1, _, _ = random_physical_cm(rng, 2)
-        sigma_2, _, _ = random_physical_cm(rng, 2)
-        with pytest.raises(ValueError, match="cross block"):
-            gaussian.fidelity(sigma_1, sigma_2)
+    # fidelity of (Phi, Pi) states is symmetric and one on the diagonal
     cross_free_rng = np.random.default_rng(20260826)
     for _ in range(100):
-        sigma_1 = block_state(cross_free_rng, 2, cross_free_rng.uniform(0.0, 1.0))
-        sigma_2 = block_state(cross_free_rng, 2, cross_free_rng.uniform(0.0, 1.0))
+        sigma_1 = cm_blocks(block_state(cross_free_rng, 2, cross_free_rng.uniform(0.0, 1.0)))
+        sigma_2 = cm_blocks(block_state(cross_free_rng, 2, cross_free_rng.uniform(0.0, 1.0)))
         f12 = gaussian.fidelity(sigma_1, sigma_2)
         f21 = gaussian.fidelity(sigma_2, sigma_1)
         assert abs(f12 - f21) < 1e-9

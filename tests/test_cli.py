@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ionmodes
-from ionmodes import experiments, numerics
+from ionmodes import experiments, numerics, scalar_field
 from ionmodes.cli import UsageError, main, parse_int_range
 from ionmodes.numerics import NumericalError
 
@@ -314,6 +314,21 @@ class TestExitCodes:
         assert out == ""
         assert "error: region size must be >= 1" in err
         assert "does not fit" not in err
+
+    @pytest.mark.parametrize("separation", ["65535", "100000000"])
+    def test_scalar_gap_beyond_bound_is_usage_error(self, capsys, monkeypatch, separation):
+        # one site of each region is separation + 1 sites from the other: the
+        # gap is refused before any correlator row is built
+        def no_row(*args):
+            raise AssertionError("a correlator row was built")
+
+        monkeypatch.setattr(scalar_field, "_vacuum_entries", no_row)
+        code, out, err = run_cli(capsys, [
+            "negativity", "--system", "scalar", "--region-size", "1",
+            "--separations", separation])
+        assert code == 1
+        assert out == ""
+        assert "exceeds the largest supported gap, %d" % scalar_field.MAX_GAP in err
 
     def test_numerical_failure_exit(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

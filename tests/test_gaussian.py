@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_state,
+    cm_blocks,
     interleaved_fidelity,
     outside,
     partial_transpose,
@@ -229,7 +230,7 @@ class TestPureConditioning:
         measured = [m for m in range(n) if m not in kept]
         pair = np.ix_(kept, kept)
         want = condition_homodyne(from_blocks(phi, pi), measured, quadrature)
-        got = measure_pure_complement(phi[pair], pi[pair], quadrature)
+        got = from_blocks(*measure_pure_complement(phi[pair], pi[pair], quadrature))
         assert np.abs(got - want).max() <= 1e-9
 
     def test_rejects_bad_quadrature_and_singular_block(self):
@@ -239,6 +240,21 @@ class TestPureConditioning:
             measure_pure_complement(np.eye(2), np.zeros((2, 2)), "phi")
         with pytest.raises(NumericalError, match="phi-correlator restriction is singular"):
             measure_pure_complement(np.zeros((2, 2)), np.eye(2), "pi")
+
+    def test_rejects_asymmetric_block(self):
+        # a non-symmetric kept block used to come back as a non-symmetric state
+        with pytest.raises(ValueError, match="phi block is not symmetric"):
+            measure_pure_complement([[2.0, 1.0], [0.0, 1.0]], np.eye(2), "pi")
+
+    def test_rejects_non_finite_block(self):
+        # a NaN in the kept block used to come back as a non-finite state
+        with pytest.raises(NumericalError, match="phi block has non-finite entries"):
+            measure_pure_complement([[np.nan, 0.0], [0.0, 1.0]], np.eye(2), "pi")
+
+    def test_rejects_non_square_block(self):
+        # a usage error, not the "restriction is singular" numerical failure
+        with pytest.raises(ValueError, match="must be square"):
+            measure_pure_complement(np.ones((2, 3)), np.ones((2, 3)), "pi")
 
     def test_table_geometries_match_schur_route(self):
         # every ion_phi / ion_pi cell of tables 1-3 (150 ions)
@@ -463,28 +479,21 @@ class TestFidelity:
         for z in (0.5, 0.9, 1.0, 1.7, 4.0):
             squeezed = apply_symplectic(np.eye(2), single_mode_squeeze(1, z))
             want = np.sqrt(2.0 * z / (z * z + 1.0))
-            assert abs(fidelity(np.eye(2), squeezed) - want) < 1e-8
+            assert abs(fidelity(cm_blocks(np.eye(2)), cm_blocks(squeezed)) - want) < 1e-8
 
     def test_product_states_factorize(self):
         z1, z2 = 1.4, 0.7
         s = single_mode_squeeze(2, z1, [0]) @ single_mode_squeeze(2, z2, [1])
         squeezed = apply_symplectic(np.eye(4), s)
         want = np.sqrt(2.0 * z1 / (z1**2 + 1.0)) * np.sqrt(2.0 * z2 / (z2**2 + 1.0))
-        assert abs(fidelity(np.eye(4), squeezed) - want) < 1e-8
+        assert abs(fidelity(cm_blocks(np.eye(4)), cm_blocks(squeezed)) - want) < 1e-8
 
     def test_self_fidelity_and_symmetry(self):
-        rng = np.random.default_rng(47)
-        for _ in range(100):
-            n = int(rng.integers(1, 4))
-            sigma1, _, _ = random_physical_cm(rng, n)
-            sigma2, _, _ = random_physical_cm(rng, n)
-            with pytest.raises(ValueError, match="cross block"):
-                fidelity(sigma1, sigma2)
         rng = np.random.default_rng(48)
         for _ in range(100):
             n = int(rng.integers(1, 4))
-            sigma1 = block_state(rng, n, rng.uniform(0.0, 1.0))
-            sigma2 = block_state(rng, n, rng.uniform(0.0, 1.0))
+            sigma1 = cm_blocks(block_state(rng, n, rng.uniform(0.0, 1.0)))
+            sigma2 = cm_blocks(block_state(rng, n, rng.uniform(0.0, 1.0)))
             assert abs(fidelity(sigma1, sigma1) - 1.0) < 1e-7
             f12 = fidelity(sigma1, sigma2)
             f21 = fidelity(sigma2, sigma1)
@@ -496,11 +505,19 @@ class TestFidelity:
         for nu in (1.5, 3.0):
             thermal = np.diag([nu, nu])
             want = np.sqrt(2.0 / (1.0 + nu))
-            assert abs(fidelity(np.eye(2), thermal) - want) < 1e-10
+            assert abs(fidelity(cm_blocks(np.eye(2)), cm_blocks(thermal)) - want) < 1e-10
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
-            fidelity(np.eye(2), np.eye(4))
+            fidelity(cm_blocks(np.eye(2)), cm_blocks(np.eye(4)))
+
+    def test_states_must_be_block_pairs(self):
+        vacuum = (np.eye(2), np.eye(2))
+        for bad in (np.eye(4), (np.eye(2), np.eye(3)), (np.eye(2), [[1.0, 1.0], [0.0, 1.0]])):
+            for pair in ((bad, vacuum), (vacuum, bad)):
+                for call in (fidelity, optimize_global_squeeze):
+                    with pytest.raises(ValueError):
+                        call(*pair)
 
 
 # the squeeze bracket after one widening on either side: ln z within
@@ -517,7 +534,7 @@ class TestFidelityRoutes:
         rng = np.random.default_rng(seed)
         sigma_1 = block_state(rng, n, mix_1)
         sigma_2 = block_state(rng, n, mix_2)
-        block = fidelity(sigma_1, sigma_2)
+        block = fidelity(cm_blocks(sigma_1), cm_blocks(sigma_2))
         # a common phase rotation keeps F; the interleaved and sqrtm routes
         # take the turned pair whether or not it has a phi-pi cross block
         rot = single_mode_rotation(n, angle)
@@ -535,15 +552,15 @@ class TestFidelityRoutes:
         sigma_1 = block_state(rng, n, 0.0)
         sigma_2 = block_state(rng, n, mix)
         want = np.linalg.det(0.5 * (sigma_1 + sigma_2)) ** -0.25
-        assert abs(fidelity(sigma_1, sigma_2) - want) <= 1e-10 * want
+        assert abs(fidelity(cm_blocks(sigma_1), cm_blocks(sigma_2)) - want) <= 1e-10 * want
         rot = single_mode_rotation(n, 0.7)
         turned = [apply_symplectic(sigma, rot) for sigma in (sigma_1, sigma_2)]
         assert abs(interleaved_fidelity(*turned) - want) <= 1e-6 * want
 
     def test_unphysical_pair_rejected(self):
         # Pi < Phi^-1: a negative eigenvalue of the defect, source or target
-        bad = from_blocks(np.eye(2), 0.5 * np.eye(2))
-        good = from_blocks(2.0 * np.eye(2), np.eye(2))
+        bad = (np.eye(2), 0.5 * np.eye(2))
+        good = (2.0 * np.eye(2), np.eye(2))
         for pair in ((bad, good), (good, bad)):
             with pytest.raises(NumericalError, match="unphysical"):
                 fidelity(*pair)
@@ -566,7 +583,8 @@ class TestFidelityRoutes:
         sigma_1 = block_state(rng, n, mix_1)
         sigma_2 = block_state(rng, n, mix_2)
         d = np.tile([np.exp(-ln_z), np.exp(ln_z)], n)
-        got = gaussian._cross_free_fidelity(sigma_1 * np.outer(d, d), sigma_2)(ln_z)
+        got = gaussian._cross_free_fidelity(cm_blocks(sigma_1 * np.outer(d, d)),
+                                            cm_blocks(sigma_2))(ln_z)
         rot = single_mode_rotation(n, angle)
         turned = [apply_symplectic(sigma, rot) for sigma in (sigma_1, sigma_2)]
         want = interleaved_fidelity(*turned)
@@ -658,7 +676,7 @@ class TestFidelityAgainstMpmath:
     @pytest.mark.parametrize("chain_size,window", MP_CASES)
     def test_table_window_within_1e8(self, chain_size, window, z):
         source, target, want = _table_pair(chain_size, window, z)
-        got = fidelity(source, target)
+        got = fidelity(cm_blocks(source), cm_blocks(target))
         assert abs(got / float(want) - 1.0) < _mp_bound(chain_size, window)
 
     def test_sqrtm_route_misses_on_large_windows(self):
@@ -669,14 +687,20 @@ class TestFidelityAgainstMpmath:
 
 
 def _table_windows():
-    """(source, target) of every window of tables 4-6: the centered chain
-    window and the lattice vacuum window of the same size."""
+    """(source, target) (Phi, Pi) pairs of every window of tables 4-6: the
+    centered chain window and the lattice vacuum window of the same size."""
+    spec = scalar_field.ScalarFieldSpec()
     for table in (4, 5, 6):
         chain_size = golden.TABLES[table][1]["chain_size"]
         for row in golden.load_table(table):
-            window = int(row["region_size"])
-            yield (experiments._window_cm(experiments.chain_model(chain_size), window),
-                   scalar_field.scalar_vacuum_cm(window))
+            sites = range(int(row["region_size"]))
+            yield (experiments._window_blocks(experiments.chain_model(chain_size), len(sites)),
+                   (spec.phi_block(sites), spec.pi_block(sites)))
+
+
+def _squeezed(state, z):
+    """S_z = diag(z, 1/z) on every mode of a (Phi, Pi) state: (z^2 Phi, Pi / z^2)."""
+    return state[0] * (z * z), state[1] / (z * z)
 
 
 class TestSqueezeObjective:
@@ -685,10 +709,8 @@ class TestSqueezeObjective:
         for source, target in _table_windows():
             objective = gaussian._cross_free_fidelity(source, target)
             old_objective = two_pencil_objective(source, target)
-            n = source.shape[0] // 2
             for z in WIDENED_Z:
-                d = np.tile([z, 1.0 / z], n)
-                want = fidelity(source * np.outer(d, d), target)
+                want = fidelity(_squeezed(source, z), target)
                 got = objective(np.log(z))
                 assert abs(got / want - 1.0) <= 1e-8
                 assert abs(old_objective(np.log(z)) / got - 1.0) <= 1e-8
@@ -712,10 +734,10 @@ class TestSqueezeObjective:
     def test_defect_factor_keeps_positive_columns(self):
         dropped = 0
         for source, target in _table_windows():
-            n = source.shape[0] // 2
-            basis = np.linalg.cholesky(target[0::2, 0::2])  # any congruence will do
-            for sigma in (source, target):
-                defect = gaussian._defect(sigma[0::2, 0::2], sigma[1::2, 1::2])
+            n = source[0].shape[0]
+            basis = np.linalg.cholesky(target[0])  # any congruence will do
+            for phi, pi in (source, target):
+                defect = gaussian._defect(phi, pi)
                 factor = gaussian._defect_factor(defect, basis, "table")
                 mu, vecs = np.linalg.eigh(basis.T @ defect @ basis)
                 keep = mu > 0.0
@@ -735,9 +757,9 @@ class TestSqueezeObjective:
             return out
 
         monkeypatch.setattr(gaussian, "_defect_factor", recorded)
-        whole_chain = experiments._window_cm(chain30, 30)
-        exact = from_blocks(np.diag([2.0, 4.0]), np.diag([0.5, 0.25]))
-        for sigma in (two_ion_cm, whole_chain, exact):
+        whole_chain = experiments._window_blocks(chain30, 30)
+        exact = (np.diag([2.0, 4.0]), np.diag([0.5, 0.25]))
+        for sigma in (cm_blocks(two_ion_cm), whole_chain, exact):
             assert abs(fidelity(sigma, sigma) - 1.0) <= 1e-15
             z_star, f_raw, f_star = optimize_global_squeeze(sigma, sigma)
             assert abs(f_raw - 1.0) <= 1e-15
@@ -753,7 +775,7 @@ class TestSqueezeObjective:
     def test_table_window_within_1e8_of_mpmath(self, chain_size, window, z):
         source, target, _ = _table_pair(chain_size, window, 1.0)
         want = _table_pair(chain_size, window, z)[2]
-        got = gaussian._cross_free_fidelity(source, target)(np.log(z))
+        got = gaussian._cross_free_fidelity(cm_blocks(source), cm_blocks(target))(np.log(z))
         assert abs(got / float(want) - 1.0) < _mp_bound(chain_size, window)
 
     def test_f_star_is_objective_at_z_star(self, chain30, field_spec, monkeypatch):
@@ -766,25 +788,16 @@ class TestSqueezeObjective:
 
         monkeypatch.setattr(gaussian, "maximize_1d", recorded)
         for window in (4, 10):
-            source = experiments._window_cm(chain30, window)
-            target = scalar_field.scalar_vacuum_cm(window, field_spec)
+            source = experiments._window_blocks(chain30, window)
+            target = field_spec.phi_block(range(window)), field_spec.pi_block(range(window))
             z_star, f_raw, f_star = optimize_global_squeeze(source, target)
             ln_star = found[-1][0]
             assert z_star == np.exp(ln_star)
             assert f_star == gaussian._cross_free_fidelity(source, target)(ln_star)
             assert f_raw == gaussian._cross_free_fidelity(source, target)(0.0)
             # the squeezed source factored afresh rounds differently
-            d = np.tile([z_star, 1.0 / z_star], window)
-            assert abs(fidelity(source * np.outer(d, d), target) / f_star - 1.0) <= 1e-8
+            assert abs(fidelity(_squeezed(source, z_star), target) / f_star - 1.0) <= 1e-8
         assert len(found) == 2
-
-    def test_cross_block_rejected(self, two_ion_cm):
-        turned = apply_symplectic(two_ion_cm, single_mode_rotation(2, 0.7))
-        assert np.abs(turned[0::2, 1::2]).max() > 1e-3
-        for pair in ((turned, two_ion_cm), (two_ion_cm, turned)):
-            for call in (optimize_global_squeeze, fidelity):
-                with pytest.raises(ValueError, match="cross block"):
-                    call(*pair)
 
 
 class TestGlobalSqueezeOptimizer:
@@ -830,7 +843,7 @@ class TestGlobalSqueezeOptimizer:
             assert raw == fidelity(source, target)
 
     def test_self_target_recovers_unit_squeeze(self, chain30):
-        source = restrict(chain30.cm, range(10, 20))
+        source = cm_blocks(restrict(chain30.cm, range(10, 20)))
         z_star, _, f_star = optimize_global_squeeze(source, source)
         # the fidelity plateau is flat to round-off within ~1e-4 of z = 1
         assert abs(z_star - 1.0) < 1e-3
@@ -838,8 +851,8 @@ class TestGlobalSqueezeOptimizer:
 
     def test_beats_raw_fidelity(self, chain30, field_spec):
         from ionmodes import scalar_field
-        source = restrict(chain30.cm, range(13, 17))
-        target = scalar_field.scalar_vacuum_cm(4, field_spec)
+        source = cm_blocks(restrict(chain30.cm, range(13, 17)))
+        target = cm_blocks(scalar_field.scalar_vacuum_cm(4, field_spec))
         raw = fidelity(source, target)
         z_star, f_raw, f_star = optimize_global_squeeze(source, target)
         assert f_raw == raw
@@ -849,10 +862,10 @@ class TestGlobalSqueezeOptimizer:
     def test_optimum_is_stationary(self, chain30, field_spec):
         from ionmodes import scalar_field
         source = restrict(chain30.cm, range(13, 17))
-        target = scalar_field.scalar_vacuum_cm(4, field_spec)
-        z_star, _, f_star = optimize_global_squeeze(source, target)
+        target = cm_blocks(scalar_field.scalar_vacuum_cm(4, field_spec))
+        z_star, _, f_star = optimize_global_squeeze(cm_blocks(source), target)
         n = 4
         for eps in (1e-3, -1e-3):
             s = single_mode_squeeze(n, z_star * (1.0 + eps))
-            perturbed = fidelity(apply_symplectic(source, s), target)
+            perturbed = fidelity(cm_blocks(apply_symplectic(source, s)), target)
             assert perturbed <= f_star + 1e-12

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from ionmodes import golden
+from ionmodes import gaussian, golden, ion_chain, scalar_field
 
 
 @pytest.mark.parametrize("table", [0, 8])
@@ -40,3 +40,16 @@ def test_cells_are_the_shipped_grid_at_printed_figures(table):
                     if c.column == "p_out_squeezed"}
         assert squeezed["qudit_dim=7"] == pytest.approx(6e-16, rel=1e-12)
         assert squeezed["qudit_dim=8"] == pytest.approx(6e-17, rel=1e-12)
+
+
+def test_fidelity_table_builds_no_interleaved_cm(monkeypatch):
+    # chain windows and lattice targets go to the squeeze search as their
+    # (Phi, Pi) blocks
+    def refused(*args, **kwargs):
+        raise AssertionError("an interleaved CM was built")
+
+    for module, name in ((gaussian, "from_blocks"), (ion_chain, "from_blocks"),
+                         (scalar_field, "from_blocks"), (scalar_field, "scalar_vacuum_cm")):
+        monkeypatch.setattr(module, name, refused)
+    report = golden.check_table(4)
+    assert report.passed and len(report.cells) == 45

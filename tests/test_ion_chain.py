@@ -13,7 +13,7 @@ from scipy.constants import elementary_charge, pi
 
 from conftest import damped_solve_equilibrium, loop_gradient_compensated
 from ionmodes import experiments, ion_chain
-from ionmodes.gaussian import restrict, symplectic_spectrum
+from ionmodes.gaussian import from_blocks, restrict, symplectic_spectrum
 from ionmodes.ion_chain import (
     GRADIENT_TOL,
     MAX_IONS,
@@ -235,13 +235,14 @@ class TestSharedModel:
         model = experiments.chain_model(150)
         left = (150 - window) // 2
         want = restrict(model.cm, range(left, left + window))
-        got = experiments._window_cm(model, window)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = experiments._window_blocks(model, window)
+        assert [block.shape for block in got] == [(window, window)] * 2
+        assert from_blocks(*got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("window", [0, 151])
     def test_fidelity_window_must_fit(self, window):
         with pytest.raises(ValueError, match="window must fit"):
-            experiments._window_cm(experiments.chain_model(150), window)
+            experiments._window_blocks(experiments.chain_model(150), window)
 
     @pytest.mark.parametrize("n", [2, 150, 300])
     def test_ground_state_passes_purity_check(self, n):

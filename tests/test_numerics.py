@@ -169,14 +169,17 @@ import contextlib, hashlib, io, json, sys
 sys.path[:0] = sys.argv[1:]
 import worker
 from ionmodes import cli, experiments, numerics
-rows = io.StringIO()
-with contextlib.redirect_stdout(rows), contextlib.redirect_stderr(io.StringIO()):
-    code = cli.main(["golden-check", "--table", "3", "--format", "json"])
+def golden_check(table):
+    rows = io.StringIO()
+    with contextlib.redirect_stdout(rows), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["golden-check", "--table", table, "--format", "json"])
+    return [code, json.loads(rows.getvalue())["rows"]]
 print(json.dumps({
     "blas_threads": numerics.blas_threads(),
     "cm": hashlib.sha256(experiments.chain_model(300).cm.tobytes()).hexdigest(),
     "scan": worker.run_negativity(3, None)["values"],
-    "golden_check": [code, json.loads(rows.getvalue())["rows"]],
+    "golden_check": golden_check("3"),
+    "fidelity_check": golden_check("4"),
 }))
 """
 
@@ -185,7 +188,8 @@ print(json.dumps({
                     reason="numpy.linalg has no known OpenBLAS thread setter")
 def test_outputs_independent_of_openblas_threads():
     # unpinned, two OpenBLAS threads changed 191 of the 504 scan values in
-    # the last bits and table-3 cells in the 9th printed digit
+    # the last bits and table-3 cells in the 9th printed digit; table 4
+    # covers the fidelity route
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src"), str(root / "perfbench")]
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -198,6 +202,7 @@ def test_outputs_independent_of_openblas_threads():
     unset, one, two = map(json.loads, outputs)
     assert unset["blas_threads"] == 1
     assert unset["golden_check"][0] == 0 and len(unset["scan"]) == 504
+    assert unset["fidelity_check"][0] == 0 and len(unset["fidelity_check"][1]) == 45
     assert one == unset
     assert two == unset
 

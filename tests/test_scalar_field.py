@@ -20,6 +20,7 @@ from ionmodes.scalar_field import (
     DEFAULT_MASS,
     FORWARD_LIMIT,
     MASS_RANGE,
+    MAX_GAP,
     ScalarFieldSpec,
     _row_size,
     _vacuum_entries,
@@ -349,6 +350,14 @@ class TestSiteArguments:
             getattr(field_spec, route)(3)
         assert getattr(field_spec, route)([3]).shape == (1, 1)
         assert scalar_vacuum_cm(3, field_spec).shape == (6, 6)
+
+    def test_gap_bound(self):
+        # every gap in use (299 in the tables and scan, 600 in tests) is
+        # admitted; the row of the largest admitted gap has 2^16 entries
+        assert _row_size(600) == 1024
+        assert _row_size(MAX_GAP) == 1 << 16
+        with pytest.raises(ValueError, match="gap 65536 exceeds the largest supported gap, 65535"):
+            _row_size(MAX_GAP + 1)
 
 
 class TestMeasuredVacuum:

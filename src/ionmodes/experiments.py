@@ -4,8 +4,6 @@ qudit-subspace occupation deficits."""
 
 import functools
 
-import numpy as np
-
 from ionmodes import fock, gaussian, scalar_field
 from ionmodes.ion_chain import IonChainModel
 from ionmodes.numerics import integer, integer_list
@@ -56,26 +54,24 @@ def negativity_cell(system, chain_size, region_size, separation, treatment):
     `chain_size`, everything else traced out or phi/pi-homodyned.
     system "scalar": same regions on the infinite lattice (chain_size is
     ignored); measurements cover the whole infinite exterior.  Both states
-    are pure with no phi-pi cross block, so one step builds either from its
-    (Phi, Pi) blocks over the regions' sites.
+    are pure with no phi-pi cross block, so one step builds either from the
+    (Phi, Pi) blocks its source reads over the regions' sites.
     """
     if treatment not in TREATMENTS:
         raise ValueError("treatment must be one of %s" % (TREATMENTS,))
     d = integer(region_size, "region_size")
     sep = integer(separation, "separation")
     if system == "ion":
-        model = chain_model(integer(chain_size, "chain_size"))  # validated even when nothing fits
-        sites = _region_sites(model.n_ions, d, sep)
-        if sites is None:
-            return None
-        pair = np.ix_(sites, sites)
-        phi, pi = model.phi_block[pair], model.pi_block[pair]
+        source = chain_model(integer(chain_size, "chain_size"))  # validated even when nothing fits
+        length = source.n_ions
     elif system == "scalar":
-        sites = _region_sites(2 * d + sep, d, sep)
-        spec = scalar_field.ScalarFieldSpec()
-        phi, pi = spec.phi_block(sites), spec.pi_block(sites)
+        source, length = scalar_field.ScalarFieldSpec(), 2 * d + sep
     else:
         raise ValueError("system must be 'ion' or 'scalar'")
+    sites = _region_sites(length, d, sep)
+    if sites is None:
+        return None
+    phi, pi = source.blocks(sites)
     if treatment != "trace":
         phi, pi = gaussian.measure_pure_complement(phi, pi, treatment)
     return gaussian.log_negativity(gaussian.from_blocks(phi, pi), range(d), range(d, 2 * d))
@@ -92,15 +88,6 @@ def negativity_rows(system, chain_size, region_size, separations, treatments=TRE
     return rows
 
 
-def _window_blocks(model, window):
-    """(Phi, Pi) of the centered window of `window` ions."""
-    if window > model.n_ions or window < 1:
-        raise ValueError("window must fit inside the chain")
-    left = (model.n_ions - window) // 2
-    sites = slice(left, left + window)
-    return model.phi_block[sites, sites], model.pi_block[sites, sites]
-
-
 def fidelity_cell(chain_size, window, self_test=False):
     """(z_star, raw fidelity, squeezed fidelity) for the centered window of
     the chain against the same-size scalar vacuum window.
@@ -109,9 +96,12 @@ def fidelity_cell(chain_size, window, self_test=False):
     must drive z_star to 1 and both fidelities to 1.
     """
     window = integer(window, "window")
-    source = _window_blocks(chain_model(integer(chain_size, "chain_size")), window)
-    spec, sites = scalar_field.ScalarFieldSpec(), range(window)
-    target = source if self_test else (spec.phi_block(sites), spec.pi_block(sites))
+    model = chain_model(integer(chain_size, "chain_size"))
+    if not 1 <= window <= model.n_ions:
+        raise ValueError("window must fit inside the chain")
+    left = (model.n_ions - window) // 2
+    source = model.blocks(range(left, left + window))
+    target = source if self_test else scalar_field.ScalarFieldSpec().blocks(range(window))
     return gaussian.optimize_global_squeeze(source, target)
 
 

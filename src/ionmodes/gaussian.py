@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ionmodes.numerics import NumericalError, integer_list, maximize_1d
+from ionmodes.numerics import NumericalError, integer_list, maximize_1d, positive
 
 __all__ = [
     "symplectic_form",
@@ -202,9 +202,11 @@ def assert_symplectic(s):
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise ValueError("symplectic matrix must be square of even dimension")
+    if not np.isfinite(s).all():
+        raise NumericalError("symplectic matrix has non-finite entries")
     omega = symplectic_form(s.shape[0] // 2)
     residual = float(np.abs(s @ omega @ s.T - omega).max())
-    if residual > SYMPLECTIC_TOL:
+    if not residual <= SYMPLECTIC_TOL:
         raise NumericalError("matrix is not symplectic: residual %.3e" % residual)
 
 
@@ -228,13 +230,14 @@ def _embed_single_mode(n_modes, block, targets):
 
 def single_mode_squeeze(n_modes, z, targets=None):
     """diag(z, 1/z) on each target mode (all modes when targets is None)."""
-    if z <= 0:
-        raise ValueError("squeeze parameter must be positive")
+    z = positive(z, "squeeze parameter z")
     return _embed_single_mode(n_modes, np.diag([z, 1.0 / z]), targets)
 
 
 def single_mode_rotation(n_modes, phi, targets=None):
     """Passive phase-space rotation by phi on each target mode."""
+    if not math.isfinite(phi):
+        raise ValueError("rotation angle phi must be finite, got %r" % phi)
     c, s = np.cos(phi), np.sin(phi)
     return _embed_single_mode(n_modes, np.array([[c, s], [-s, c]]), targets)
 

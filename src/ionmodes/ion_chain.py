@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import NumericalError, integer, sym_eigen
+from ionmodes.numerics import NumericalError, integer, integer_list, positive, sym_eigen
 
 __all__ = [
     "PhysicalScales",
@@ -182,6 +182,14 @@ class IonChainModel:
                                  % residual)
         return model
 
+    def blocks(self, sites):
+        """(Phi, Pi) over pairs of the given sites, in their order."""
+        index = integer_list(sites, "sites")
+        if index and not 0 <= min(index) <= max(index) < self.n_ions:  # numpy wraps -1
+            raise ValueError("sites must lie in 0..%d, got %r" % (self.n_ions - 1, sites))
+        pair = np.ix_(index, index)
+        return self.phi_block[pair], self.pi_block[pair]
+
     @property
     def cm(self):
         """The interleaved 2n x 2n CM, assembled from the blocks on each
@@ -222,18 +230,14 @@ def compute_scales(charge=elementary_charge, mass=None, curvature=None, axial_fr
     scale obeys l^3 = q / (8 pi epsilon_0 kappa_2) and the ground-state
     scale is sqrt(hbar / (m omega_z)).
     """
-    if mass is None or mass <= 0 or charge <= 0:
-        raise ValueError("charge and mass must be positive")
     if (curvature is None) == (axial_frequency is None):
         raise ValueError("supply exactly one of curvature or axial_frequency")
+    charge, mass = positive(charge, "charge"), positive(mass, "mass")
     if curvature is not None:
-        if curvature <= 0:
-            raise ValueError("curvature must be positive")
+        curvature = positive(curvature, "curvature")
         omega_z = math.sqrt(2.0 * charge * curvature / mass)
     else:
-        if axial_frequency <= 0:
-            raise ValueError("axial_frequency must be positive")
-        omega_z = float(axial_frequency)
+        omega_z = positive(axial_frequency, "axial_frequency")
         curvature = mass * omega_z**2 / (2.0 * charge)
     spacing = (charge / (8.0 * math.pi * epsilon_0 * curvature)) ** (1.0 / 3.0)
     ground = math.sqrt(hbar / (mass * omega_z))

@@ -1,6 +1,6 @@
-"""Shared numerical kernels and policy: the package's one reader of counts
-and indices, symmetric eigendecomposition with a fixed sign convention,
-Brillouin-zone quadrature, bracketed 1D maximization, and one BLAS thread.
+"""Shared numerical kernels and policy: the package's one reader of counts,
+indices and positive parameters, symmetric eigendecomposition with fixed
+signs, Brillouin-zone quadrature, bracketed 1D maximization, one BLAS thread.
 
 Importing the package sets the OpenBLAS behind numpy.linalg to one thread,
 for the whole process, including any other numpy code it runs.  The
@@ -24,6 +24,7 @@ the benchmark refresh (ROADMAP item 2) moves them into tests/conftest.py."""
 
 import ctypes
 import functools
+import numbers
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,6 +36,7 @@ __all__ = [
     "integers",
     "integer",
     "integer_list",
+    "positive",
     "blas_threads",
     "sym_eigen",
     "principal_sqrt",
@@ -102,6 +104,13 @@ def integer_list(values, what):
     if read.ndim != 1:
         raise ValueError("%s must be a sequence of integers, got %r" % (what, values))
     return read.tolist()
+
+
+def positive(value, what):
+    """One positive finite real number as a float, else ValueError naming `what`."""
+    if isinstance(value, numbers.Real) and 0.0 < value < np.inf:
+        return float(value)
+    raise ValueError("%s must be positive and finite, got %r" % (what, value))
 
 
 def _pin_blas_threads():

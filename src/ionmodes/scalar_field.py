@@ -17,7 +17,7 @@ bound the run manifests state as correlator_abs_error.
 The small default mass only regulates the phi-phi zero mode; every quantity
 with a massless limit is within O(mass^2 log mass) of it.
 
-The tables read ScalarFieldSpec's (Phi, Pi) blocks, so the interleaved
+The tables read the vacuum by ScalarFieldSpec.blocks alone, so the interleaved
 scalar_vacuum_cm and measured_vacuum_cm have no package caller (library API).
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks, measure_pure_complement
-from ionmodes.numerics import integer, integer_list, integers
+from ionmodes.numerics import integer, integer_list, integers, positive
 
 __all__ = ["DEFAULT_MASS", "MASS_RANGE", "CORRELATOR_ABS_ERROR", "MAX_GAP", "ScalarFieldSpec",
            "scalar_vacuum_cm", "measured_vacuum_cm"]
@@ -145,7 +145,7 @@ class ScalarFieldSpec:
     mass: float = DEFAULT_MASS
 
     def __post_init__(self):
-        if not MASS_RANGE[0] <= self.mass <= MASS_RANGE[1]:
+        if not MASS_RANGE[0] <= positive(self.mass, "mass") <= MASS_RANGE[1]:
             raise ValueError("mass must be positive and finite, from %g to %g (it regulates "
                              "the zero mode), got %r" % (*MASS_RANGE, self.mass))
 
@@ -157,23 +157,17 @@ class ScalarFieldSpec:
         """<pi_0 pi_separation> in the vacuum."""
         return self._entry(separation, 1)
 
-    def phi_block(self, sites):
-        """<phi_i phi_j> over pairs of the given sites, in their order."""
-        return self._toeplitz_block(sites, 0)
-
-    def pi_block(self, sites):
-        """<pi_i pi_j> over pairs of the given sites, in their order."""
-        return self._toeplitz_block(sites, 1)
+    def blocks(self, sites):
+        """(Phi, Pi): <phi_i phi_j> and <pi_i pi_j> over pairs of the given
+        sites, in their order, from the rows up to the largest gap."""
+        index = np.array(integer_list(sites, "sites"), dtype=np.int64)
+        gap = np.abs(index[:, None] - index)
+        phi, pi = _vacuum_entries(self.mass, _row_size(gap.max(initial=0)))
+        return phi[gap], pi[gap]
 
     def _entry(self, separation, column):
         gap = abs(integer(separation, "separation"))
         return _vacuum_entries(self.mass, _row_size(gap))[column][gap]
-
-    def _toeplitz_block(self, sites, column):
-        """Entries over pairs of sites, from the rows up to the largest gap."""
-        index = np.array(integer_list(sites, "sites"), dtype=np.int64)
-        gap = np.abs(index[:, None] - index)
-        return _vacuum_entries(self.mass, _row_size(gap.max(initial=0)))[column][gap]
 
 
 def scalar_vacuum_cm(window, spec=None):
@@ -188,7 +182,7 @@ def scalar_vacuum_cm(window, spec=None):
     sites = range(count) if count.ndim == 0 else sorted(set(integer_list(window, "window")))
     if not sites:
         raise ValueError("window must contain at least one site")
-    return from_blocks(spec.phi_block(sites), spec.pi_block(sites))
+    return from_blocks(*spec.blocks(sites))
 
 
 def measured_vacuum_cm(sites, quadrature, spec=None):
@@ -206,5 +200,4 @@ def measured_vacuum_cm(sites, quadrature, spec=None):
     sites = sorted(set(integer_list(sites, "sites")))
     if not sites:
         raise ValueError("need at least one retained site")
-    return from_blocks(*measure_pure_complement(spec.phi_block(sites), spec.pi_block(sites),
-                                                quadrature))
+    return from_blocks(*measure_pure_complement(*spec.blocks(sites), quadrature))

@@ -126,6 +126,18 @@ def cm_blocks(sigma):
     return sigma[0::2, 0::2], sigma[1::2, 1::2]
 
 
+def fidelity_pair(chain_size, window):
+    """The (source, target) (Phi, Pi) pairs `experiments.fidelity_cell` hands
+    its squeeze search: the centered chain window and the lattice vacuum
+    window of the same size.  The search itself does not run."""
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaussian, "optimize_global_squeeze", lambda *pair: handed.append(pair))
+        experiments.fidelity_cell(chain_size, window)
+    (pair,) = handed
+    return pair
+
+
 def block_state(rng, n, mix):
     """Random physical CM with no phi-pi cross block: Pi >= Phi^-1, with
     equality (a pure state) when mix is 0."""

@@ -3,6 +3,7 @@ conditioning, symplectic operations, entanglement measures, fidelity, and
 the global squeeze optimizer."""
 
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     block_state,
     cm_blocks,
+    fidelity_pair,
     interleaved_fidelity,
     outside,
     partial_transpose,
@@ -294,6 +296,28 @@ class TestSymplectics:
     def test_assert_symplectic_rejects(self):
         with pytest.raises(NumericalError):
             assert_symplectic(2.0 * np.eye(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_assert_symplectic_rejects_non_finite(self, bad):
+        # a NaN residual used to pass `residual > tol`
+        with pytest.raises(NumericalError, match="non-finite"):
+            assert_symplectic(np.full((4, 4), bad))
+        s = np.eye(4)
+        s[0, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            apply_symplectic(np.eye(4), s)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -1.0, "2", None])
+    def test_squeeze_needs_positive_finite_parameter(self, z):
+        # nan or inf used to build a non-finite S that turned every CM it
+        # was applied to into NaN
+        with pytest.raises(ValueError, match="^squeeze parameter z must be positive and finite"):
+            single_mode_squeeze(2, z)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rotation_needs_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="^rotation angle phi must be finite"):
+            single_mode_rotation(2, angle)
 
     def test_squeeze_on_vacuum(self):
         z = 1.9
@@ -686,16 +710,47 @@ class TestFidelityAgainstMpmath:
         assert max(misses) > 1e-7
 
 
-def _table_windows():
-    """(source, target) (Phi, Pi) pairs of every window of tables 4-6: the
-    centered chain window and the lattice vacuum window of the same size."""
-    spec = scalar_field.ScalarFieldSpec()
+def _table_window_cells():
+    """fidelity_cell arguments (chain_size, window) of every window of
+    tables 4-6 (65 in all)."""
     for table in (4, 5, 6):
         chain_size = golden.TABLES[table][1]["chain_size"]
         for row in golden.load_table(table):
-            sites = range(int(row["region_size"]))
-            yield (experiments._window_blocks(experiments.chain_model(chain_size), len(sites)),
-                   (spec.phi_block(sites), spec.pi_block(sites)))
+            yield chain_size, int(row["region_size"])
+
+
+def _table_windows():
+    """(source, target) (Phi, Pi) pairs of every window of tables 4-6, as
+    fidelity_cell hands them to its search."""
+    for cell in _table_window_cells():
+        yield fidelity_pair(*cell)
+
+
+def test_every_table_cell_gathers_one_blocks_call_per_source(monkeypatch):
+    # every negativity cell of tables 1-3 reads its one source, and every
+    # fidelity window of tables 4-6 the chain and the lattice, through one
+    # blocks call each: no cell slices a source's arrays itself
+    calls = []
+    for source in (ion_chain.IonChainModel, scalar_field.ScalarFieldSpec):
+        def counted(self, sites, read=source.blocks, name=source.__name__):
+            calls.append(name)
+            return read(self, sites)
+
+        monkeypatch.setattr(source, "blocks", counted)
+    monkeypatch.setattr(gaussian, "optimize_global_squeeze", lambda source, target: None)
+    sources = {"ion": ["IonChainModel"], "scalar": ["ScalarFieldSpec"]}
+    cells = 0
+    for cell in _negativity_table_cells():
+        calls.clear()
+        experiments.negativity_cell(*cell)
+        assert calls == sources[cell[0]], cell
+        cells += 1
+    for cell in _table_window_cells():
+        calls.clear()
+        experiments.fidelity_cell(*cell)
+        assert calls == ["IonChainModel", "ScalarFieldSpec"], cell
+        cells += 1
+    assert cells == 510 + 65
 
 
 def _squeezed(state, z):
@@ -757,7 +812,7 @@ class TestSqueezeObjective:
             return out
 
         monkeypatch.setattr(gaussian, "_defect_factor", recorded)
-        whole_chain = experiments._window_blocks(chain30, 30)
+        whole_chain = chain30.blocks(range(30))
         exact = (np.diag([2.0, 4.0]), np.diag([0.5, 0.25]))
         for sigma in (cm_blocks(two_ion_cm), whole_chain, exact):
             assert abs(fidelity(sigma, sigma) - 1.0) <= 1e-15
@@ -778,7 +833,7 @@ class TestSqueezeObjective:
         got = gaussian._cross_free_fidelity(cm_blocks(source), cm_blocks(target))(np.log(z))
         assert abs(got / float(want) - 1.0) < _mp_bound(chain_size, window)
 
-    def test_f_star_is_objective_at_z_star(self, chain30, field_spec, monkeypatch):
+    def test_f_star_is_objective_at_z_star(self, monkeypatch):
         found = []
         search = gaussian.maximize_1d
 
@@ -788,8 +843,7 @@ class TestSqueezeObjective:
 
         monkeypatch.setattr(gaussian, "maximize_1d", recorded)
         for window in (4, 10):
-            source = experiments._window_blocks(chain30, window)
-            target = field_spec.phi_block(range(window)), field_spec.pi_block(range(window))
+            source, target = fidelity_pair(30, window)
             z_star, f_raw, f_star = optimize_global_squeeze(source, target)
             ln_star = found[-1][0]
             assert z_star == np.exp(ln_star)

@@ -2,6 +2,7 @@
 matrix, and physical trap scales."""
 
 import functools
+import math
 import sys
 import threading
 
@@ -11,7 +12,7 @@ import pytest
 import scipy.constants
 from scipy.constants import elementary_charge, pi
 
-from conftest import damped_solve_equilibrium, loop_gradient_compensated
+from conftest import damped_solve_equilibrium, fidelity_pair, loop_gradient_compensated
 from ionmodes import experiments, ion_chain
 from ionmodes.gaussian import from_blocks, restrict, symplectic_spectrum
 from ionmodes.ion_chain import (
@@ -235,14 +236,14 @@ class TestSharedModel:
         model = experiments.chain_model(150)
         left = (150 - window) // 2
         want = restrict(model.cm, range(left, left + window))
-        got = experiments._window_blocks(model, window)
+        got, _ = fidelity_pair(150, window)
         assert [block.shape for block in got] == [(window, window)] * 2
         assert from_blocks(*got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("window", [0, 151])
     def test_fidelity_window_must_fit(self, window):
         with pytest.raises(ValueError, match="window must fit"):
-            experiments._window_blocks(experiments.chain_model(150), window)
+            experiments.fidelity_cell(150, window)
 
     @pytest.mark.parametrize("n", [2, 150, 300])
     def test_ground_state_passes_purity_check(self, n):
@@ -296,3 +297,13 @@ class TestPhysicalScales:
             compute_scales(mass=mass, curvature=1.0e8, axial_frequency=1.0e6)
         with pytest.raises(ValueError):
             compute_scales(mass=-1.0, curvature=1.0e8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, "1"])
+    @pytest.mark.parametrize("name", ["charge", "mass", "curvature", "axial_frequency"])
+    def test_non_finite_or_non_numeric_argument_rejected(self, name, bad):
+        # a NaN mass or curvature, or an infinite one, used to give NaN scales
+        good = {"charge": elementary_charge, "mass": ytterbium_mass(171), "curvature": 1.0e8}
+        if name == "axial_frequency":
+            del good["curvature"]
+        with pytest.raises(ValueError, match="^%s must be positive and finite" % name):
+            compute_scales(**dict(good, **{name: bad}))

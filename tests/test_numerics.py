@@ -30,12 +30,13 @@ def _four_mode_cm():
     return experiments.chain_model(4).cm
 
 
-def _case(label, name, entry):
-    return pytest.param(entry, name, id="%s-%s" % (label, name))
+def _case(label, name, entry, *outside):
+    return pytest.param(entry, name, outside, id="%s-%s" % (label, name))
 
 
-# (entry, argument name): each entry takes the guarded argument as x and
-# holds every other argument fixed; x = 3 is a valid value for each
+# (entry, argument name, values outside its bounds): each entry takes the
+# guarded argument as x and holds every other argument fixed; x = 3 is a
+# valid value for each
 INDEX_ENTRIES = [
     _case("negativity_cell-ion", "region_size",
           lambda x: experiments.negativity_cell("ion", 10, x, 1, "trace")),
@@ -79,18 +80,22 @@ INDEX_ENTRIES = [
           lambda x: fock.qudit_subspace_deficit(experiments.chain_model(2).cm, x)),
     _case("phi_entry", "separation", lambda x: scalar_field.ScalarFieldSpec().phi_entry(x)),
     _case("pi_entry", "separation", lambda x: scalar_field.ScalarFieldSpec().pi_entry(x)),
-    _case("phi_block", "sites", lambda x: scalar_field.ScalarFieldSpec().phi_block([0, x])),
+    _case("blocks", "sites", lambda x: scalar_field.ScalarFieldSpec().blocks([0, x])),
+    _case("IonChainModel.blocks", "sites", lambda x: experiments.chain_model(4).blocks([0, x]),
+          -1, 4),
     _case("scalar_vacuum_cm", "window", lambda x: scalar_field.scalar_vacuum_cm(x)),
     _case("measured_vacuum_cm", "sites",
           lambda x: scalar_field.measured_vacuum_cm([0, x], "pi")),
 ]
 
 
-# (entry, argument name): each entry takes the guarded sequence of indices
-# as x and holds every other argument fixed
+# (entry, argument name, values outside its bounds): each entry takes the
+# guarded sequence of indices as x and holds every other argument fixed
 INDEX_LIST_ENTRIES = [
     _case("measured_vacuum_cm", "sites", lambda x: scalar_field.measured_vacuum_cm(x, "phi")),
-    _case("phi_block", "sites", lambda x: scalar_field.ScalarFieldSpec().phi_block(x)),
+    _case("blocks", "sites", lambda x: scalar_field.ScalarFieldSpec().blocks(x)),
+    _case("IonChainModel.blocks", "sites", lambda x: experiments.chain_model(4).blocks(x),
+          [2, -1], [0, 4]),
     _case("scalar_vacuum_cm", "window", lambda x: scalar_field.scalar_vacuum_cm(x)),
     _case("restrict", "modes", lambda x: gaussian.restrict(_four_mode_cm(), x)),
     _case("condition_homodyne", "measured",
@@ -125,9 +130,16 @@ def _same(a, b):
     return a == b
 
 
+def _refuses_outside(entry, name, outside):
+    # the chain's sites lie in 0 .. n - 1; numpy would wrap -1 to the last
+    for bad in outside:
+        with pytest.raises(ValueError, match=r"^%s must lie in" % re.escape(name)):
+            entry(bad)
+
+
 class TestIndexReader:
-    @pytest.mark.parametrize("entry,name", INDEX_ENTRIES)
-    def test_non_integer_index_rejected(self, entry, name):
+    @pytest.mark.parametrize("entry,name,outside", INDEX_ENTRIES)
+    def test_non_integer_index_rejected(self, entry, name, outside):
         # no value is truncated (2.5 used to read as 2); integer-valued
         # numbers of any type give exactly the result of the int
         want = entry(3)
@@ -136,9 +148,10 @@ class TestIndexReader:
         for bad in (2.5, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"^%s must be integer-valued" % re.escape(name)):
                 entry(bad)
+        _refuses_outside(entry, name, outside)
 
-    @pytest.mark.parametrize("entry,name", INDEX_LIST_ENTRIES)
-    def test_index_list_refuses_other_shapes(self, entry, name):
+    @pytest.mark.parametrize("entry,name,outside", INDEX_LIST_ENTRIES)
+    def test_index_list_refuses_other_shapes(self, entry, name, outside):
         # a single number (where scalar_vacuum_cm reads a count) or a nested
         # list used to die with a bare TypeError
         single = [] if name == "window" else [0]
@@ -146,6 +159,7 @@ class TestIndexReader:
             with pytest.raises(ValueError,
                                match=r"^%s must be a sequence of integers" % re.escape(name)):
                 entry(bad)
+        _refuses_outside(entry, name, outside)
 
     def test_single_index_refuses_a_sequence(self):
         with pytest.raises(ValueError, match="separation must be a single integer"):

@@ -148,8 +148,7 @@ class TestHalfZoneFill:
     @pytest.mark.parametrize("mass", sorted(QUAD_ERROR))
     def test_entries_to_gap_300_within_quadrature_error(self, mass):
         spec = ScalarFieldSpec(mass)
-        phi = spec.phi_block(range(301))[0]
-        pi = spec.pi_block(range(301))[0]
+        phi, pi = (block[0] for block in spec.blocks(range(301)))
         for d in range(301):
             want_phi, want_pi = quad_entries(mass, d)
             assert abs(phi[d] - want_phi) < QUAD_ERROR[mass], d
@@ -158,7 +157,7 @@ class TestHalfZoneFill:
     @settings(max_examples=25, deadline=None)
     @given(log_mass=st.floats(-10.0, 0.0),
            steps=st.lists(st.tuples(
-               st.sampled_from(["phi_entry", "pi_entry", "phi_block", "pi_block"]),
+               st.sampled_from(["phi_entry", "pi_entry", "blocks"]),
                st.lists(st.integers(0, 300), min_size=1, max_size=5)),
                min_size=1, max_size=4))
     def test_any_route_and_order_gives_one_float_per_entry(self, log_mass, steps):
@@ -175,27 +174,31 @@ class TestHalfZoneFill:
             return oracle[d][column]
 
         for route, sites in steps:
-            column = 0 if route.startswith("phi") else 1
-            if route.endswith("entry"):
+            if route == "blocks":
+                for column, block in enumerate(spec.blocks(sites)):
+                    assert np.array_equal(block, [[want(abs(a - b), column) for b in sites]
+                                                  for a in sites])
+            else:
+                column = 0 if route == "phi_entry" else 1
                 for d in sites:
                     assert getattr(spec, route)(d) == want(d, column)
-            else:
-                block = getattr(spec, route)(sites)
-                assert np.array_equal(block, [[want(abs(a - b), column) for b in sites]
-                                              for a in sites])
         # only the rows up to the largest gap visited were cached
         assert _vacuum_entries.cache_info().currsize == max(map(_row_size, oracle)).bit_length()
 
-    def test_phi_then_pi_block_computes_each_row_once(self, computed_rows):
+    def test_phi_then_pi_block_computes_each_row_once(self, computed_rows, monkeypatch):
+        # one blocks call looks up the row of its largest gap once for both
         spec = ScalarFieldSpec()
         sites = [0, 2, 3, 9, 30, 31, 150]
         rows = collections.Counter(1 << j for j in range(9))  # 1 .. 256 entries
-        phi = spec.phi_block(sites)
-        spec.pi_block(sites)
+        lookups = []
+        monkeypatch.setattr(scalar_field, "_row_size",
+                            lambda gap: lookups.append(gap) or _row_size(gap))
+        phi, _ = spec.blocks(sites)
         assert computed_rows == rows
+        assert lookups == [150]
         # each entry read alone is the block's, and computes nothing more
         assert np.array_equal(phi, [[spec.phi_entry(a - b) for b in sites] for a in sites])
-        assert spec.pi_entry(-148) == spec.pi_block([2, 150])[0, 1]
+        assert spec.pi_entry(-148) == spec.blocks([2, 150])[1][0, 1]
         assert computed_rows == rows
 
     def test_concurrent_fills_equal_serial(self):
@@ -206,7 +209,7 @@ class TestHalfZoneFill:
                      [0, 2, 40, 160], [3, 5, 120, 203])
         spec = ScalarFieldSpec()
         _vacuum_entries.cache_clear()
-        serial_blocks = {tuple(sites): (spec.pi_block(sites), spec.phi_block(sites))
+        serial_blocks = {tuple(sites): spec.blocks(sites)
                          for sites in site_sets}
         top = _row_size(max(max(sites) - min(sites) for sites in site_sets))
         serial = _vacuum_entries(spec.mass, top)
@@ -216,7 +219,7 @@ class TestHalfZoneFill:
 
         def fill(sites):
             start.wait(timeout=60)
-            blocks[tuple(sites)] = (spec.pi_block(sites), spec.phi_block(sites))
+            blocks[tuple(sites)] = spec.blocks(sites)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -237,10 +240,10 @@ class TestHalfZoneFill:
             assert np.array_equal(got, want)
         assert _vacuum_entries.cache_info().misses == misses
         for sites in site_sets:
-            pi, phi = blocks[tuple(sites)]
-            want_pi, want_phi = serial_blocks[tuple(sites)]
-            assert np.array_equal(pi, want_pi)
+            phi, pi = blocks[tuple(sites)]
+            want_phi, want_pi = serial_blocks[tuple(sites)]
             assert np.array_equal(phi, want_phi)
+            assert np.array_equal(pi, want_pi)
 
 
 class TestDefaultSpec:
@@ -261,10 +264,11 @@ class TestDefaultSpec:
 
 class TestVacuumCM:
     def test_toeplitz_structure(self, field_spec):
-        block = field_spec.pi_block(range(5))
+        phi, pi = field_spec.blocks(range(5))
         for i in range(5):
             for j in range(5):
-                assert block[i, j] == field_spec.pi_entry(abs(i - j))
+                assert phi[i, j] == field_spec.phi_entry(abs(i - j))
+                assert pi[i, j] == field_spec.pi_entry(abs(i - j))
 
     def test_window_count_equals_site_list(self, field_spec):
         assert np.array_equal(scalar_vacuum_cm(4, field_spec),
@@ -295,6 +299,12 @@ class TestMassArgument:
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             ScalarFieldSpec(mass)
 
+    @pytest.mark.parametrize("mass", ["1", None, [1.0], np.array(1.0)])
+    def test_non_numeric_mass_rejected(self, mass):
+        # a string used to die with a bare TypeError from the range check
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            ScalarFieldSpec(mass)
+
     # mass^2 overflows (1e300), or the complementary modulus mass / 2
     # rounds to zero (5e-324), beyond the accepted range
     @pytest.mark.parametrize("mass", [1e300, 1.0001e100, 9.999e-101, 5e-324])
@@ -314,6 +324,10 @@ class TestMassArgument:
             assert abs(spec.pi_entry(0) - 4.0 / math.pi) < 1e-12
         else:
             assert spec.phi_entry(0) == pytest.approx(1.0 / mass, rel=1e-15)
+
+
+# the block of ScalarFieldSpec.blocks each block route of TestSiteArguments reads
+BLOCK = {"phi_block": 0, "pi_block": 1}
 
 
 class TestSiteArguments:
@@ -338,7 +352,7 @@ class TestSiteArguments:
     def test_non_integer_sites_rejected(self, field_spec, route):
         with pytest.raises(ValueError, match="sites must be integer-valued"):
             if route.endswith("block"):
-                getattr(field_spec, route)([0, 0.5])
+                field_spec.blocks([0, 0.5])[BLOCK[route]]
             else:
                 measured_vacuum_cm([0, 0.5], route, field_spec)
 
@@ -347,8 +361,8 @@ class TestSiteArguments:
         # a block needs a sequence of sites; scalar_vacuum_cm alone reads a
         # number, as a window of that many sites
         with pytest.raises(ValueError, match="sites must be a sequence of integers, got 3"):
-            getattr(field_spec, route)(3)
-        assert getattr(field_spec, route)([3]).shape == (1, 1)
+            field_spec.blocks(3)[BLOCK[route]]
+        assert field_spec.blocks([3])[BLOCK[route]].shape == (1, 1)
         assert scalar_vacuum_cm(3, field_spec).shape == (6, 6)
 
     def test_gap_bound(self):
@@ -371,12 +385,12 @@ class TestMeasuredVacuum:
     def test_field_measurement_keeps_momentum_block(self, field_spec):
         sites = [0, 1, 5]
         sigma = measured_vacuum_cm(sites, "phi", field_spec)
-        assert np.allclose(sigma[1::2, 1::2], field_spec.pi_block(sites), atol=1e-14)
+        assert np.allclose(sigma[1::2, 1::2], field_spec.blocks(sites)[1], atol=1e-14)
 
     def test_momentum_measurement_keeps_field_block(self, field_spec):
         sites = [0, 2]
         sigma = measured_vacuum_cm(sites, "pi", field_spec)
-        assert np.allclose(sigma[0::2, 0::2], field_spec.phi_block(sites), atol=1e-14)
+        assert np.allclose(sigma[0::2, 0::2], field_spec.blocks(sites)[0], atol=1e-14)
 
     def test_single_site_field_measured_negativity(self, field_spec):
         # adjacent sites after measuring the field everywhere else carry

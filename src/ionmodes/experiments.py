@@ -48,41 +48,47 @@ def _region_sites(length, size, separation):
 
 
 def negativity_cell(system, chain_size, region_size, separation, treatment):
-    """One log-negativity value, or None when the geometry does not fit.
-
-    system "ion": regions of `region_size` ions centered in a chain of
-    `chain_size`, everything else traced out or phi/pi-homodyned.
-    system "scalar": same regions on the infinite lattice (chain_size is
-    ignored); measurements cover the whole infinite exterior.  Both states
-    are pure with no phi-pi cross block, so one step builds either from the
-    (Phi, Pi) blocks its source reads over the regions' sites.
-    """
-    if treatment not in TREATMENTS:
-        raise ValueError("treatment must be one of %s" % (TREATMENTS,))
-    d = integer(region_size, "region_size")
+    """One log-negativity value, or None when the geometry does not fit: the
+    value of the one row negativity_rows gives for this separation and
+    treatment."""
     sep = integer(separation, "separation")
-    if system == "ion":
-        source = chain_model(integer(chain_size, "chain_size"))  # validated even when nothing fits
-        length = source.n_ions
-    elif system == "scalar":
-        source, length = scalar_field.ScalarFieldSpec(), 2 * d + sep
-    else:
-        raise ValueError("system must be 'ion' or 'scalar'")
-    sites = _region_sites(length, d, sep)
-    if sites is None:
-        return None
-    phi, pi = source.blocks(sites)
-    if treatment != "trace":
-        phi, pi = gaussian.measure_pure_complement(phi, pi, treatment)
-    return gaussian.log_negativity(gaussian.from_blocks(phi, pi), range(d), range(d, 2 * d))
+    return negativity_rows(system, chain_size, region_size, [sep], [treatment])[0][5]
 
 
 def negativity_rows(system, chain_size, region_size, separations, treatments=TREATMENTS):
     """Rows (system, chain_size, region_size, separation, treatment, value),
-    value None for infeasible geometry, sorted by separation then treatment."""
+    value None for infeasible geometry, sorted by separation then treatment.
+
+    system "ion": regions of `region_size` ions centered in a chain of
+    `chain_size`, everything else traced out or phi/pi-homodyned.
+    system "scalar": same regions on the infinite lattice (chain_size is
+    read but unused); measurements cover the whole infinite exterior.  Both
+    states are pure with no phi-pi cross block, so one step builds either
+    from the (Phi, Pi) blocks its source reads over the regions' sites, one
+    `blocks` call per separation for all treatments.
+    """
+    if any(treatment not in TREATMENTS for treatment in treatments):
+        raise ValueError("treatment must be one of %s" % (TREATMENTS,))
     n, d = integer(chain_size, "chain_size"), integer(region_size, "region_size")
-    rows = [(system, n, d, sep, treatment, negativity_cell(system, n, d, sep, treatment))
-            for sep in integer_list(separations, "separations") for treatment in treatments]
+    seps = integer_list(separations, "separations")
+    if system == "ion":
+        source = chain_model(n)  # validated even when nothing fits
+    elif system == "scalar":
+        source = scalar_field.ScalarFieldSpec()
+    else:
+        raise ValueError("system must be 'ion' or 'scalar'")
+    rows = []
+    for sep in seps:
+        sites = _region_sites(source.n_ions if system == "ion" else 2 * d + sep, d, sep)
+        if sites is None:
+            rows.extend((system, n, d, sep, treatment, None) for treatment in treatments)
+            continue
+        blocks = source.blocks(sites)
+        for treatment in treatments:
+            phi, pi = (blocks if treatment == "trace"
+                       else gaussian.measure_pure_complement(*blocks, treatment))
+            value = gaussian.log_negativity(gaussian.from_blocks(phi, pi), range(d), range(d, 2 * d))
+            rows.append((system, n, d, sep, treatment, value))
     order = {t: i for i, t in enumerate(TREATMENTS)}
     rows.sort(key=lambda r: (r[3], order[r[4]]))
     return rows

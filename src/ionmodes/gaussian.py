@@ -229,8 +229,11 @@ def _embed_single_mode(n_modes, block, targets):
 
 
 def single_mode_squeeze(n_modes, z, targets=None):
-    """diag(z, 1/z) on each target mode (all modes when targets is None)."""
+    """diag(z, 1/z) on each target mode (all modes when targets is None); a
+    z whose reciprocal overflows raises ValueError."""
     z = positive(z, "squeeze parameter z")
+    if not 1.0 / z < math.inf:
+        raise ValueError("squeeze parameter z = %r has no finite reciprocal" % z)
     return _embed_single_mode(n_modes, np.diag([z, 1.0 / z]), targets)
 
 

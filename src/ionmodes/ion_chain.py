@@ -5,6 +5,9 @@ are both 1.  The dimensionless potential is
     u(z) = sum_i z_i^2 + sum_{i != j} 1 / |z_i - z_j|
 
 so its Hessian is twice the usual dynamical matrix of the quadratic form.
+The trap and the repulsion are mirror-symmetric, so the chain is solved
+on its upper half and its Hessian diagonalized in its even and odd
+blocks, each about half the size (James, Appl. Phys. B 66, 181 (1998)).
 """
 
 import math
@@ -13,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import NumericalError, integer, integer_list, positive, sym_eigen
+from ionmodes.numerics import (
+    SYMMETRY_TOL,
+    NumericalError,
+    fix_signs,
+    integer,
+    integer_list,
+    positive,
+)
 
 __all__ = [
     "PhysicalScales",
@@ -35,8 +45,8 @@ GRADIENT_TOL = 1e-12
 COM_FREQUENCY_TOL = 1e-10
 
 # max-norm of Phi Pi - 1 for the local-mode ground state: a pure state with
-# no phi-pi cross block has Pi = Phi^-1 (measured 4e-15 at N = 150 and
-# 6e-15 at N = 300), which homodyne conditioning by
+# no phi-pi cross block has Pi = Phi^-1 (measured 3.3e-15 at N = 150 and
+# 3.6e-15 at N = 300), which homodyne conditioning by
 # gaussian.measure_pure_complement relies on
 PURITY_TOL = 1e-12
 
@@ -48,62 +58,96 @@ epsilon_0 = 8.8541878188e-12  # F / m
 hbar = 1.0545718176461565e-34  # J s
 
 
-def _gradient(z):
-    """Potential gradient, vectorized (round-off floor ~1e-11 for large N)."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return 2.0 * z - 2.0 * np.sum(np.sign(diff) / diff**2, axis=1)
+def _gradient(z, rows):
+    """Potential gradient at the given ions, vectorized (round-off floor
+    ~1e-11 for large N)."""
+    diff = z[rows, None] - z[None, :]
+    diff[np.arange(len(rows)), rows] = np.inf
+    return 2.0 * z[rows] - 2.0 * np.sum(np.sign(diff) / diff**2, axis=1)
 
 
-def _gradient_compensated(z):
-    """Potential gradient with exact (fsum) term accumulation."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, np.inf)
+def _gradient_compensated(z, rows):
+    """Potential gradient at the given ions with exact (fsum) term
+    accumulation."""
+    diff = z[rows, None] - z[None, :]
+    diff[np.arange(len(rows)), rows] = np.inf
     terms = -np.copysign(2.0, diff) / diff**2
-    terms[np.diag_indices(len(z))] = 2.0 * z  # the trap term, in place of the diagonal's -0.0
+    terms[np.arange(len(rows)), rows] = 2.0 * z[rows]  # the trap term, in place of the self term's -0.0
     return np.array([math.fsum(row.tolist()) for row in terms])
+
+
+def _hessian_rows(z, rows):
+    """The given rows of the potential Hessian at positions z."""
+    dist = np.abs(z[rows, None] - z[None, :])
+    diagonal = np.arange(len(rows)), rows
+    dist[diagonal] = np.inf
+    coupling = 2.0 / dist**3
+    hess = -coupling
+    hess[diagonal] = 1.0 + np.sum(coupling, axis=1)
+    return hess
+
+
+def _mirror_halves(n):
+    """Indices of the upper floor(n / 2) ions, and of their mirror images
+    (the lower ions, in reverse order)."""
+    upper = np.arange(n - n // 2, n)
+    return upper, n - 1 - upper
 
 
 def solve_equilibrium(n_ions):
     """Dimensionless equilibrium positions of n ions, ascending.
 
-    Newton iteration on the potential gradient from a uniformly spread
-    initial guess.  Converged when the exactly summed gradient
-    infinity-norm reaches 1e-12, or the float64 representation floor for
-    large chains: positions are quantized at one ulp (about 2e-15 here),
-    so the gradient cannot drop below stiffness times ulp, about 2e-12 at
-    n = 150.  In that regime the iterate is accepted once the Newton step
-    falls below a few ulp, meaning no representable point does better.
-    The result is exactly odd-symmetric about the origin and strictly
-    ascending (NumericalError otherwise).
+    The trap and the Coulomb repulsion are mirror-symmetric, so the chain
+    is odd-symmetric about the origin.  Newton runs on the floor(n / 2)
+    upper positions U only: each lower position is the negative of its
+    mirror image, and for odd n the centre ion stays at 0.  The gradient is
+    taken over the rows U, and the step matrix is the reduced Hessian
+    H[U, U] - H[U, J U], where J reverses the ion order.
+
+    Newton starts from a uniform spread and is converged when the exactly
+    summed gradient infinity-norm reaches 1e-12, or the float64
+    representation floor for large chains: positions are quantized at one
+    ulp (about 2e-15 here), so the gradient cannot drop below stiffness
+    times ulp, about 2e-12 at n = 150.  In that regime the iterate is
+    accepted once the Newton step falls below a few ulp, meaning no
+    representable point does better.  The result is exactly odd-symmetric
+    by construction and strictly ascending (NumericalError otherwise).
     """
     n = integer(n_ions, "n_ions")
     if n < 1 or n > MAX_IONS:
         raise ValueError("ion count must be between 1 and %d" % MAX_IONS)
     if n == 1:
         return np.zeros(1)
+    upper, lower = _mirror_halves(n)
     half = 0.5 * n ** (2.0 / 3.0)
-    z = np.linspace(-half, half, n)
+    z = np.zeros(n)
+    z[upper] = np.linspace(-half, half, n)[upper]
+
+    def newton_step(grad):
+        hess = _hessian_rows(z, upper)
+        return np.linalg.solve(2.0 * (hess[:, upper] - hess[:, lower]), grad)
+
     # phase 1: Newton with fast gradients down to 1e-9, where plain
     # summation is still accurate (its round-off floor is a few 1e-12).
     # From this start no chain of 2..MAX_IONS ions needs a damped step; it
     # takes 3-7 full steps.
     for _ in range(100):
-        grad = _gradient(z)
+        z[lower] = -z[upper]
+        grad = _gradient(z, upper)
         if float(np.abs(grad).max()) < 1e-9:
             break
-        z = z - np.linalg.solve(2.0 * build_hessian(z), grad)
+        z[upper] -= newton_step(grad)
     # phase 2: Newton on the exactly summed gradient, so the final
     # tolerance is checked free of accumulation round-off
     for _ in range(10):
-        z = 0.5 * (z - z[::-1])
-        grad = _gradient_compensated(z)
+        z[lower] = -z[upper]
+        grad = _gradient_compensated(z, upper)
         if float(np.abs(grad).max()) <= GRADIENT_TOL:
             break
-        step = np.linalg.solve(2.0 * build_hessian(z), grad)
+        step = newton_step(grad)
         if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
             break  # stalled at the position representation floor
-        z = z - step
+        z[upper] -= step
     else:
         raise NumericalError("equilibrium Newton iteration failed to reach the gradient tolerance")
     if not np.all(np.diff(z) > 0.0):
@@ -116,25 +160,107 @@ def build_hessian(positions):
     (equals twice the dynamical matrix; the mutual Coulomb term is counted
     once per ordered pair)."""
     z = np.asarray(positions, dtype=float)
-    dist = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(dist, np.inf)
-    coupling = 2.0 / dist**3
-    hess = -coupling
-    np.fill_diagonal(hess, 1.0 + np.sum(coupling, axis=1))
-    return hess
+    return _hessian_rows(z, np.arange(len(z)))
+
+
+def _mirror_modes(hessian):
+    """Eigenpairs (values, vectors in columns) of the even and odd blocks
+    of a chain Hessian, H[U, U] + H[U, J U] and H[U, U] - H[U, J U] over
+    the upper ions U, J reversing the ion order; for odd n the even block
+    also holds the centre ion, first, coupled by sqrt 2.
+
+    The Hessian must be centrosymmetric (J H J = H; ValueError otherwise).
+    Each block's vectors get one Newton-Schulz step, X (3 - X^T X) / 2,
+    which makes them orthonormal to round-off rather than to the ~n ulp
+    of eigh: the chain state's purity (Pi = Phi^-1) rests on it.
+    """
+    h = np.asarray(hessian, dtype=float)
+    if h.ndim != 2 or not h.shape[0] == h.shape[1] > 0:
+        raise ValueError("expected a non-empty square matrix, got shape %s" % (h.shape,))
+    tol = SYMMETRY_TOL * max(1.0, float(np.abs(h).max()))
+    if float(np.abs(h - h.T).max()) > tol or float(np.abs(h - h[::-1, ::-1]).max()) > tol:
+        raise ValueError("hessian is not symmetric and mirror-symmetric within tolerance")
+    n = len(h)
+    upper, lower = _mirror_halves(n)
+    rows = h[upper]
+    even = rows[:, upper] + rows[:, lower]
+    if n % 2:
+        coupling = math.sqrt(2.0) * rows[:, n // 2]
+        even = np.block([[h[n // 2, n // 2], coupling], [coupling[:, None], even]])
+    pairs = []
+    for block in (even, rows[:, upper] - rows[:, lower]):
+        vals, vecs = np.linalg.eigh(block)
+        pairs.append((vals, 0.5 * vecs @ (3.0 * np.eye(len(vals)) - vecs.T @ vecs)))
+    return pairs
+
+
+def _mirror_join(even, odd):
+    """The centrosymmetric matrix with the given even and odd blocks, in the
+    layout of _mirror_modes: the inverse of its block split."""
+    m, centred = len(odd), len(even) - len(odd)
+    inner = even[centred:, centred:]
+    same, cross = 0.5 * (inner + odd), 0.5 * (inner - odd)  # [U, U] and [U, J U]
+    top = m + centred  # the first upper ion
+    out = np.empty((top + m, top + m))
+    out[top:, top:], out[:m, :m] = same, same[::-1, ::-1]
+    out[top:, :m], out[:m, top:] = cross[:, ::-1], cross[::-1]
+    if centred:
+        out[m, m] = even[0, 0]
+        out[top:, m] = out[m, top:] = even[1:, 0] / math.sqrt(2.0)
+        out[:m, m] = out[m, :m] = out[top:, m][::-1]
+    return out
+
+
+def _join_modes(even, odd):
+    """(frequencies, modes) of normal_modes from the eigenpairs of the even
+    and odd blocks."""
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = even, odd
+    k, centred = len(even_vals), len(even_vals) - len(odd_vals)
+    n = k + len(odd_vals)
+    upper, lower = _mirror_halves(n)
+    modes = np.zeros((n, n))  # one mode per row, the even ones first
+    modes[:k, upper] = modes[:k, lower] = even_vecs[centred:].T / math.sqrt(2.0)
+    modes[k:, upper] = odd_vecs.T / math.sqrt(2.0)
+    modes[k:, lower] = -modes[k:, upper]
+    if centred:
+        modes[:k, n // 2] = even_vecs[0]
+    vals = np.concatenate((even_vals, odd_vals))
+    order = np.argsort(vals, kind="stable")
+    vals, modes = vals[order], modes[order]
+    if vals[0] <= 0.0:
+        raise NumericalError("hessian is not positive definite")
+    fix_signs(modes.T)
+    return np.sqrt(vals), modes
 
 
 def normal_modes(hessian):
     """Normal-mode frequencies and mode vectors of the chain.
 
     Returns (frequencies, modes) with frequencies ascending in units of the
-    center-of-mass frequency and modes[k] the k-th orthonormal eigenvector
-    (sign fixed by sym_eigen).
+    center-of-mass frequency and modes[k] the k-th orthonormal eigenvector.
+    A chain Hessian is centrosymmetric (J H J = H, J reversing the ion
+    order; ValueError otherwise), so each mode is even or odd under J: the
+    even modes are eigenvectors of H[U, U] + H[U, J U] over the floor(n / 2)
+    upper ions U (for odd n with the centre ion too), the odd ones of
+    H[U, U] - H[U, J U].  Mirror components tie exactly, v[J] = +-v, and
+    each mode's sign follows numerics.fix_signs: its component of largest
+    magnitude, the first of a mirror pair (the lower ion), is positive.
     """
-    vals, vecs = sym_eigen(hessian)
-    if vals[0] <= 0.0:
-        raise NumericalError("hessian is not positive definite")
-    return np.sqrt(vals), vecs.T
+    return _join_modes(*_mirror_modes(hessian))
+
+
+def _ground_state(positions):
+    """(frequencies, modes, Phi, Pi) of the local-mode ground state of the
+    chain at the given equilibrium positions.
+
+    The blocks are assembled from those of the even and odd modes, so that
+    no 1 / sqrt 2 rounds the mirror-pair components of a mode first.
+    """
+    parity = _mirror_modes(build_hessian(positions))
+    frequencies, modes = _join_modes(*parity)
+    (phi_even, pi_even), (phi_odd, pi_odd) = (
+        local_mode_blocks(np.sqrt(vals), vecs.T) for vals, vecs in parity)
+    return frequencies, modes, _mirror_join(phi_even, phi_odd), _mirror_join(pi_even, pi_odd)
 
 
 def local_mode_blocks(frequencies, modes):
@@ -168,15 +294,16 @@ class IonChainModel:
     @classmethod
     def build(cls, n_ions):
         positions = solve_equilibrium(n_ions)
-        frequencies, modes = normal_modes(build_hessian(positions))
+        frequencies, modes, phi, pi = _ground_state(positions)
         if abs(frequencies[0] - 1.0) > COM_FREQUENCY_TOL:
             raise NumericalError(
                 "lowest mode frequency %.12f is not the center-of-mass mode" % frequencies[0])
-        model = cls(len(positions), positions, frequencies, modes,
-                    *local_mode_blocks(frequencies, modes))
+        model = cls(len(positions), positions, frequencies, modes, phi, pi)
         for array in (positions, frequencies, modes, model.phi_block, model.pi_block):
             array.flags.writeable = False
-        residual = float(np.abs(model.phi_block @ model.pi_block - np.eye(model.n_ions)).max())
+        product = model.phi_block @ model.pi_block
+        product[np.diag_indices(model.n_ions)] -= 1.0
+        residual = float(np.abs(product).max())
         if residual > PURITY_TOL:
             raise NumericalError("chain ground state is not pure: max |Phi Pi - 1| = %.3e"
                                  % residual)
@@ -234,14 +361,25 @@ def compute_scales(charge=elementary_charge, mass=None, curvature=None, axial_fr
         raise ValueError("supply exactly one of curvature or axial_frequency")
     charge, mass = positive(charge, "charge"), positive(mass, "mass")
     if curvature is not None:
-        curvature = positive(curvature, "curvature")
-        omega_z = math.sqrt(2.0 * charge * curvature / mass)
+        curvature, omega_z = positive(curvature, "curvature"), None
+        given = "curvature = %r" % curvature
     else:
         omega_z = positive(axial_frequency, "axial_frequency")
-        curvature = mass * omega_z**2 / (2.0 * charge)
-    spacing = (charge / (8.0 * math.pi * epsilon_0 * curvature)) ** (1.0 / 3.0)
-    ground = math.sqrt(hbar / (mass * omega_z))
-    return PhysicalScales(charge, mass, curvature, omega_z, spacing, ground)
+        given = "axial_frequency = %r" % omega_z
+    try:
+        if omega_z is None:
+            omega_z = math.sqrt(2.0 * charge * curvature / mass)
+        else:
+            curvature = mass * omega_z**2 / (2.0 * charge)
+        spacing = (charge / (8.0 * math.pi * epsilon_0 * curvature)) ** (1.0 / 3.0)
+        ground = math.sqrt(hbar / (mass * omega_z))
+        scales = (curvature, omega_z, spacing, ground)
+    except (OverflowError, ZeroDivisionError):
+        scales = (math.inf,)
+    if not all(0.0 < value < math.inf for value in scales):
+        raise ValueError("charge = %r, mass = %r and %s give trap scales outside the float range"
+                         % (charge, mass, given))
+    return PhysicalScales(charge, mass, *scales)
 
 
 def ytterbium_mass(isotope=171):

@@ -39,6 +39,7 @@ __all__ = [
     "positive",
     "blas_threads",
     "sym_eigen",
+    "fix_signs",
     "principal_sqrt",
     "half_zone_nodes",
     "quad_oscillatory",
@@ -159,11 +160,15 @@ def sym_eigen(mat):
     if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh(m)
-    for k in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[lead, k] < 0.0:
-            vecs[:, k] = -vecs[:, k]
-    return vals, vecs
+    return vals, fix_signs(vecs)
+
+
+def fix_signs(vecs):
+    """Flip eigenvector columns, in place, so that each column's component
+    of largest magnitude (the first such on ties) is positive; returns vecs."""
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
+    return vecs
 
 
 def principal_sqrt(mat):

@@ -328,35 +328,84 @@ def transposed_negativity(sigma, region_b):
     return total
 
 
-def loop_gradient_compensated(z):
-    """Potential gradient as ion_chain._gradient_compensated computed it
-    before it built its terms in one array: a double loop over ion pairs,
-    one exactly rounded math.fsum per ion."""
-    n = len(z)
-    out = np.empty(n)
-    for i in range(n):
+def loop_gradient_compensated(z, rows):
+    """Potential gradient at the given ions as ion_chain._gradient_compensated
+    computed it before it built its terms in one array: a loop over ion
+    pairs, one exactly rounded math.fsum per ion."""
+    out = np.empty(len(rows))
+    for k, i in enumerate(rows):
         terms = [2.0 * z[i]]
-        for j in range(n):
+        for j in range(len(z)):
             if j == i:
                 continue
             d = z[i] - z[j]
             terms.append(-math.copysign(2.0, d) / d**2)
-        out[i] = math.fsum(terms)
+        out[k] = math.fsum(terms)
     return out
 
 
+def _full_newton_finish(z):
+    """The exactly summed second phase of the full-matrix equilibrium route:
+    Newton on all n positions with the full Hessian, symmetrizing the
+    iterate before each gradient."""
+    rows = np.arange(len(z))
+    for _ in range(10):
+        z = 0.5 * (z - z[::-1])
+        grad = ion_chain._gradient_compensated(z, rows)
+        if float(np.abs(grad).max()) <= ion_chain.GRADIENT_TOL:
+            return z
+        step = np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+        if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
+            return z
+        z = z - step
+    raise numerics.NumericalError("full equilibrium iteration did not converge")
+
+
+def full_solve_equilibrium(n_ions):
+    """Equilibrium positions as ion_chain.solve_equilibrium found them before
+    it reduced the chain to its upper half: full Newton steps on all n
+    positions, with the full n x n Hessian."""
+    n = int(n_ions)
+    if n == 1:
+        return np.zeros(1)
+    rows = np.arange(n)
+    half = 0.5 * n ** (2.0 / 3.0)
+    z = np.linspace(-half, half, n)
+    for _ in range(100):
+        grad = ion_chain._gradient(z, rows)
+        if float(np.abs(grad).max()) < 1e-9:
+            break
+        z = z - np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+    return _full_newton_finish(z)
+
+
+def full_normal_modes(hessian):
+    """(frequencies, modes) as ion_chain.normal_modes found them before it
+    split the Hessian by mirror parity: one sym_eigen of the full matrix."""
+    vals, vecs = numerics.sym_eigen(hessian)
+    return np.sqrt(vals), vecs.T
+
+
+def full_chain_blocks(n_ions):
+    """(frequencies, Phi, Pi) of the n-ion ground state by the full-matrix
+    route."""
+    freqs, modes = full_normal_modes(ion_chain.build_hessian(full_solve_equilibrium(n_ions)))
+    return (freqs, *ion_chain.local_mode_blocks(freqs, modes))
+
+
 def damped_solve_equilibrium(n_ions):
-    """Equilibrium positions as ion_chain.solve_equilibrium found them when
-    its first phase backtracked: each Newton step halved until the iterate
+    """Equilibrium positions as the full-matrix route found them when its
+    first phase backtracked: each Newton step halved until the iterate
     stayed ascending and its plain gradient fell, stopping at a 1e-8
     scale."""
     n = int(n_ions)
     if n == 1:
         return np.zeros(1)
+    rows = np.arange(n)
     half = 0.5 * n ** (2.0 / 3.0)
     z = np.linspace(-half, half, n)
     for _ in range(100):
-        grad = ion_chain._gradient(z)
+        grad = ion_chain._gradient(z, rows)
         norm = float(np.abs(grad).max())
         if norm < 1e-9:
             break
@@ -365,22 +414,13 @@ def damped_solve_equilibrium(n_ions):
         while scale > 1e-8:
             trial = z - scale * step
             if (np.all(np.diff(trial) > 0.0)
-                    and float(np.abs(ion_chain._gradient(trial)).max()) < norm):
+                    and float(np.abs(ion_chain._gradient(trial, rows)).max()) < norm):
                 break
             scale *= 0.5
         if scale <= 1e-8:
             break
         z = trial
-    for _ in range(10):
-        z = 0.5 * (z - z[::-1])
-        grad = ion_chain._gradient_compensated(z)
-        if float(np.abs(grad).max()) <= ion_chain.GRADIENT_TOL:
-            return z
-        step = np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
-        if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
-            return z
-        z = z - step
-    raise numerics.NumericalError("damped equilibrium iteration did not converge")
+    return _full_newton_finish(z)
 
 
 def panel_loop_quad(f, delta, inner_scale=None, nodes_per_panel=24):

@@ -4,6 +4,7 @@ the global squeeze optimizer."""
 
 import functools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -313,6 +314,15 @@ class TestSymplectics:
         # was applied to into NaN
         with pytest.raises(ValueError, match="^squeeze parameter z must be positive and finite"):
             single_mode_squeeze(2, z)
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-310])
+    def test_squeeze_needs_finite_reciprocal(self, z):
+        # a subnormal z passes the positive-and-finite check, but 1/z
+        # overflowed to an infinite entry
+        with pytest.raises(ValueError, match=r"^squeeze parameter z = %s has no finite reciprocal"
+                           % re.escape(repr(z))):
+            single_mode_squeeze(1, z)
+        assert np.isfinite(single_mode_squeeze(1, 1e-308)).all()
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_rotation_needs_finite_angle(self, angle):
@@ -751,6 +761,35 @@ def test_every_table_cell_gathers_one_blocks_call_per_source(monkeypatch):
         assert calls == ["IonChainModel", "ScalarFieldSpec"], cell
         cells += 1
     assert cells == 510 + 65
+
+
+@pytest.mark.parametrize("system", ["ion", "scalar"])
+def test_negativity_rows_gather_one_blocks_call_per_separation(monkeypatch, system):
+    # the three treatments of a separation share one gather; an ion
+    # separation that does not fit the chain gathers nothing
+    source = {"ion": ion_chain.IonChainModel, "scalar": scalar_field.ScalarFieldSpec}[system]
+    calls = []
+
+    def counted(self, sites, read=source.blocks):
+        calls.append(list(sites))
+        return read(self, sites)
+
+    monkeypatch.setattr(source, "blocks", counted)
+    separations = [0, 3, 1, 26, 3, 40]
+    rows = experiments.negativity_rows(system, 30, 2, separations)
+    fits = [sep for sep in separations if system == "scalar" or sep <= 26]
+    length = {"ion": lambda sep: 30, "scalar": lambda sep: 4 + sep}[system]
+    assert calls == [experiments._region_sites(length(sep), 2, sep) for sep in fits]
+    assert len(rows) == 3 * len(separations)
+    assert sum(row[5] is None for row in rows) == 3 * (len(separations) - len(fits))
+
+
+@pytest.mark.parametrize("system", ["ion", "scalar"])
+def test_negativity_cell_is_its_one_row(system):
+    rows = experiments.negativity_rows(system, 30, 2, [0, 5, 26, 40])
+    for _, _, _, separation, treatment, value in rows:
+        cell = experiments.negativity_cell(system, 30, 2, separation, treatment)
+        assert type(cell) is type(value) and repr(cell) == repr(value), (separation, treatment)
 
 
 def _squeezed(state, z):

@@ -3,6 +3,7 @@ matrix, and physical trap scales."""
 
 import functools
 import math
+import re
 import sys
 import threading
 
@@ -12,7 +13,14 @@ import pytest
 import scipy.constants
 from scipy.constants import elementary_charge, pi
 
-from conftest import damped_solve_equilibrium, fidelity_pair, loop_gradient_compensated
+from conftest import (
+    damped_solve_equilibrium,
+    fidelity_pair,
+    full_chain_blocks,
+    full_normal_modes,
+    full_solve_equilibrium,
+    loop_gradient_compensated,
+)
 from ionmodes import experiments, ion_chain
 from ionmodes.gaussian import from_blocks, restrict, symplectic_spectrum
 from ionmodes.ion_chain import (
@@ -21,6 +29,7 @@ from ionmodes.ion_chain import (
     PURITY_TOL,
     IonChainModel,
     _gradient_compensated,
+    _hessian_rows,
     build_hessian,
     compute_scales,
     local_mode_blocks,
@@ -56,15 +65,16 @@ class TestEquilibrium:
         assert np.abs(solve_equilibrium(4) - want).max() <= 1e-14
 
     def test_gradient_tolerance_met_where_representable(self):
-        for n in (2, 3, 5, 8, 13, 21, 34):
+        # over every ion, not only the upper half the solver iterates
+        for n in range(2, 35):
             z = solve_equilibrium(n)
-            assert np.abs(_gradient_compensated(z)).max() <= GRADIENT_TOL
+            assert np.abs(_gradient_compensated(z, np.arange(n))).max() <= GRADIENT_TOL, n
 
     def test_large_chain_at_float_floor(self):
         # beyond ~100 ions the gradient floor is stiffness times one ulp
         # of the edge position, slightly above the nominal tolerance
         z = solve_equilibrium(150)
-        assert np.abs(_gradient_compensated(z)).max() < 1e-11
+        assert np.abs(_gradient_compensated(z, np.arange(150))).max() < 1e-11
 
     def test_ordering_and_odd_symmetry(self):
         for n in (2, 5, 10, 37):
@@ -81,28 +91,34 @@ class TestEquilibrium:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 150, 200, 300])
     def test_positions_bit_equal_to_loop_gradient(self, n, monkeypatch):
-        # the terms now come from one array; with exact fsum per ion the
-        # converged positions must not move by a single bit
+        # the terms come from one array; with exact fsum per ion over the
+        # same rows the converged positions must not move by a single bit
         want = solve_equilibrium(n)
         monkeypatch.setattr(ion_chain, "_gradient_compensated", loop_gradient_compensated)
         assert np.array_equal(solve_equilibrium(n), want)
 
     def test_positions_bit_equal_to_damped_newton(self):
         # no admissible chain takes a damped step from the uniform start, so
-        # dropping the line search must not move a single bit
+        # on the full-matrix route dropping the line search moves not a
+        # single bit; the mirror-half route rounds differently, by at most
+        # one ulp of the edge position (measured exactly 1.00 ulp)
         for n in (*range(1, 41), *range(50, MAX_IONS + 1, 10), 299):
-            assert np.array_equal(solve_equilibrium(n), damped_solve_equilibrium(n)), n
+            full = full_solve_equilibrium(n)
+            assert np.array_equal(damped_solve_equilibrium(n), full), n
+            ulp = np.spacing(np.abs(full).max())
+            assert np.abs(solve_equilibrium(n) - full).max() <= ulp, n
 
     def test_non_ascending_positions_raise(self, monkeypatch):
-        # a first step that mirrors the chain, then gradients that accept
-        # the mirrored (descending) iterate at once
-        def mirroring(z):
+        # a first step that negates the upper half, so the mirrored chain
+        # descends, then gradients that accept that iterate at once
+        def mirroring(z, rows):
             if z[0] > z[-1]:
-                return np.zeros_like(z)
-            return 2.0 * build_hessian(z) @ (2.0 * z)
+                return np.zeros(len(rows))
+            hess = _hessian_rows(z, rows)
+            return 2.0 * (hess[:, rows] - hess[:, len(z) - 1 - rows]) @ (2.0 * z[rows])
 
         monkeypatch.setattr(ion_chain, "_gradient", mirroring)
-        monkeypatch.setattr(ion_chain, "_gradient_compensated", np.zeros_like)
+        monkeypatch.setattr(ion_chain, "_gradient_compensated", lambda z, rows: np.zeros(len(rows)))
         with pytest.raises(NumericalError, match="not strictly ascending"):
             solve_equilibrium(5)
 
@@ -132,6 +148,43 @@ class TestModes:
     def test_com_mode_is_uniform(self):
         _, modes = normal_modes(build_hessian(solve_equilibrium(6)))
         assert np.allclose(np.abs(modes[0]), 1.0 / np.sqrt(6.0), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 150, 299, 300])
+    def test_modes_of_exact_parity_and_fixed_sign(self, n):
+        # every mode is even or odd under mirror reversal, bit for bit, so
+        # its largest component ties with its mirror image and the first
+        # one (in the lower half, or the centre ion) is positive
+        freqs, modes = normal_modes(build_hessian(solve_equilibrium(n)))
+        assert np.all(np.diff(freqs) > 0.0)
+        assert np.allclose(modes @ modes.T, np.eye(n), atol=1e-13)
+        for k, v in enumerate(modes):
+            assert np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v), k
+            lead = int(np.argmax(np.abs(v)))
+            assert v[lead] > 0.0 and lead <= (n - 1) // 2, k
+
+    def test_matches_full_matrix_route(self):
+        # against one sym_eigen of the full Hessian at the full-route
+        # positions; measured 1.9e-13 (frequencies), 6.3e-15 (Phi),
+        # 5.5e-13 (Pi) and 6.1e-14 (modes, up to sign) at 300 ions
+        n = MAX_IONS
+        freqs, phi, pi_block = full_chain_blocks(n)
+        model = experiments.chain_model(n)
+        assert np.abs(model.frequencies - freqs).max() <= 1e-12
+        assert np.abs(model.phi_block - phi).max() <= 2e-14
+        assert np.abs(model.pi_block - pi_block).max() <= 2e-12
+        hessian = build_hessian(full_solve_equilibrium(n))
+        _, want = full_normal_modes(hessian)
+        _, got = normal_modes(hessian)
+        signs = np.sign(np.sum(want * got, axis=1))
+        assert np.abs(want - signs[:, None] * got).max() <= 1e-12
+
+    def test_rejects_hessian_without_mirror_symmetry(self):
+        hessian = build_hessian(solve_equilibrium(5))
+        hessian[0, 0] += 1e-6
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            normal_modes(hessian)
+        with pytest.raises(ValueError, match="square"):
+            normal_modes(np.ones((2, 3)))
 
 
 class TestLocalModeCM:
@@ -163,6 +216,19 @@ class TestLocalModeCM:
         want_pi = modes.T @ np.diag(freqs) @ modes
         assert np.allclose(phi, want_phi, atol=1e-13)
         assert np.allclose(pi_block, want_pi, atol=1e-13)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 30, 31, 151])
+    def test_blocks_by_parity_match_mode_sum(self, n):
+        # the build assembles Phi and Pi from the even and odd blocks (the
+        # centre ion's row and column too, for odd n); the plain sum over
+        # the assembled modes gives the same matrices to round-off
+        model = IonChainModel.build(n)
+        phi, pi_block = local_mode_blocks(model.frequencies, model.modes)
+        assert np.abs(model.phi_block - phi).max() <= 1e-15
+        assert np.abs(model.pi_block - pi_block).max() <= 1e-14 * model.frequencies[-1]
+        for block in (model.phi_block, model.pi_block):
+            assert np.array_equal(block, block[::-1, ::-1])
 
 
 class TestSharedModel:
@@ -249,7 +315,16 @@ class TestSharedModel:
     def test_ground_state_passes_purity_check(self, n):
         model = experiments.chain_model(n)
         residual = np.abs(model.phi_block @ model.pi_block - np.eye(n)).max()
-        assert residual <= PURITY_TOL / 10  # measured 6e-15 at 300 ions
+        assert residual <= PURITY_TOL / 10  # measured 3.6e-15 at 300 ions
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 31, 50])
+    def test_small_chains_pure_to_round_off(self, n):
+        # one Newton-Schulz step on each parity block's eigenvectors keeps
+        # max |Phi Pi - 1| at 5.6e-16 to 1.1e-15 here; without it the
+        # residual read 1.4e-15 to 3.4e-15, and 2.0e-15 to 4.7e-15 on the
+        # full-matrix route
+        model = experiments.chain_model(n)
+        assert np.abs(model.phi_block @ model.pi_block - np.eye(n)).max() <= 1.5e-15
 
     def test_perturbed_momentum_block_fails_purity_check(self, monkeypatch):
         def perturbed(frequencies, modes):
@@ -297,6 +372,20 @@ class TestPhysicalScales:
             compute_scales(mass=mass, curvature=1.0e8, axial_frequency=1.0e6)
         with pytest.raises(ValueError):
             compute_scales(mass=-1.0, curvature=1.0e8)
+
+    @pytest.mark.parametrize("kwargs,given", [
+        ({"mass": 1e-25, "axial_frequency": 1e200}, "mass = 1e-25 and axial_frequency = 1e+200"),
+        ({"mass": 1e-300, "axial_frequency": 1e-200}, "mass = 1e-300 and axial_frequency = 1e-200"),
+        ({"mass": 1e300, "curvature": 1e-300}, "mass = 1e+300 and curvature = 1e-300"),
+        ({"mass": 1e-300, "curvature": 1e300}, "mass = 1e-300 and curvature = 1e+300"),
+    ])
+    def test_scales_outside_float_range_rejected(self, kwargs, given):
+        # each argument is finite, but their combination overflows or
+        # underflows a scale; omega_z**2 used to raise a bare OverflowError
+        with pytest.raises(ValueError,
+                           match=r"^charge = .*, %s give trap scales outside the float range"
+                           % re.escape(given)):
+            compute_scales(**kwargs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, "1"])
     @pytest.mark.parametrize("name", ["charge", "mass", "curvature", "axial_frequency"])

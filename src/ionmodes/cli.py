@@ -84,24 +84,26 @@ def _format_value(value):
 
 
 def parse_int_range(spec):
-    """Integer list from 'a', 'a:b' (inclusive), 'a:b:step', or 'a,b,c'."""
+    """Integer list from 'a', 'a:b' (inclusive), 'a:b:step', or 'a,b,c'; a
+    list of more than scalar_field.MAX_GAP + 1 values, the longest any
+    command can use, is refused before it is built."""
+    limit = scalar_field.MAX_GAP + 1
     try:
         if "," in spec:
-            return [int(tok) for tok in spec.split(",")]
-        if ":" in spec:
-            parts = [int(tok) for tok in spec.split(":")]
-            if len(parts) == 2:
-                lo, hi, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                lo, hi, step = parts
-            else:
+            values = spec.split(",")
+        elif ":" in spec:
+            lo, hi, *step = [int(tok) for tok in spec.split(":")]
+            if hi < lo or len(step) > 1 or step and step[0] <= 0:
                 raise ValueError
-            if step <= 0 or hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1, step))
-        return [int(spec)]
+            values = range(lo, hi + 1, *step)
+        else:
+            values = [spec]
+        # a range's slice is a range, so counting it builds nothing
+        if len(values[:limit + 1]) <= limit:
+            return [int(value) for value in values]
     except ValueError:
         raise UsageError("cannot parse integer range %r" % spec) from None
+    raise UsageError("integer range %r holds more than %d values" % (spec, limit))
 
 
 def _emit(args, manifest, body):

@@ -9,13 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ionmodes.gaussian import (
-    apply_symplectic,
-    assert_physical,
-    single_mode_rotation,
-    single_mode_squeeze,
-    validate_cm,
-)
+from ionmodes.gaussian import assert_physical, validate_cm
 from ionmodes.numerics import NumericalError, integer, integer_list
 
 __all__ = [
@@ -26,7 +20,6 @@ __all__ = [
     "matrix_element",
     "tmsv_disentangle",
     "qudit_subspace_deficit",
-    "subspace_sweep",
 ]
 
 # default per-mode occupancy bound for externally supplied Fock indices
@@ -252,25 +245,3 @@ def qudit_subspace_deficit(sigma, dim):
                              % (TAIL_OCCUPANCY_CAP, TAIL_RELATIVE_TOL))
     return total
 
-
-def subspace_sweep(sigma, z_values, phi_values, dim):
-    """Deficit P_out over a grid of uniform single-mode operations.
-
-    Applies S = O(phi) Z(z) identically to both modes (the second passive
-    angle of the one-mode decomposition is acceptance-neutral here and held
-    at zero) and evaluates qudit_subspace_deficit at every grid point.
-
-    Returns:
-        array of shape (len(z_values), len(phi_values)).
-    """
-    sigma, n = validate_cm(sigma)
-    if n != 2:
-        raise ValueError("subspace sweep is defined for two-mode states")
-    out = np.empty((len(z_values), len(phi_values)))
-    for i, z in enumerate(z_values):
-        squeeze = single_mode_squeeze(2, float(z))
-        for j, phi in enumerate(phi_values):
-            s = single_mode_rotation(2, float(phi)) @ squeeze
-            transformed = apply_symplectic(sigma, s)
-            out[i, j] = qudit_subspace_deficit(transformed, dim)
-    return out

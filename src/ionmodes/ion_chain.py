@@ -8,6 +8,8 @@ so its Hessian is twice the usual dynamical matrix of the quadratic form.
 The trap and the repulsion are mirror-symmetric, so the chain is solved
 on its upper half and its Hessian diagonalized in its even and odd
 blocks, each about half the size (James, Appl. Phys. B 66, 181 (1998)).
+A built chain keeps its mode frequencies and the (Phi, Pi) blocks of its
+local-mode ground state, not the mode vectors.
 """
 
 import math
@@ -19,7 +21,6 @@ from ionmodes.gaussian import from_blocks
 from ionmodes.numerics import (
     SYMMETRY_TOL,
     NumericalError,
-    fix_signs,
     integer,
     integer_list,
     positive,
@@ -30,7 +31,6 @@ __all__ = [
     "IonChainModel",
     "solve_equilibrium",
     "build_hessian",
-    "normal_modes",
     "local_mode_blocks",
     "compute_scales",
 ]
@@ -211,56 +211,20 @@ def _mirror_join(even, odd):
     return out
 
 
-def _join_modes(even, odd):
-    """(frequencies, modes) of normal_modes from the eigenpairs of the even
-    and odd blocks."""
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = even, odd
-    k, centred = len(even_vals), len(even_vals) - len(odd_vals)
-    n = k + len(odd_vals)
-    upper, lower = _mirror_halves(n)
-    modes = np.zeros((n, n))  # one mode per row, the even ones first
-    modes[:k, upper] = modes[:k, lower] = even_vecs[centred:].T / math.sqrt(2.0)
-    modes[k:, upper] = odd_vecs.T / math.sqrt(2.0)
-    modes[k:, lower] = -modes[k:, upper]
-    if centred:
-        modes[:k, n // 2] = even_vecs[0]
-    vals = np.concatenate((even_vals, odd_vals))
-    order = np.argsort(vals, kind="stable")
-    vals, modes = vals[order], modes[order]
-    if vals[0] <= 0.0:
-        raise NumericalError("hessian is not positive definite")
-    fix_signs(modes.T)
-    return np.sqrt(vals), modes
-
-
-def normal_modes(hessian):
-    """Normal-mode frequencies and mode vectors of the chain.
-
-    Returns (frequencies, modes) with frequencies ascending in units of the
-    center-of-mass frequency and modes[k] the k-th orthonormal eigenvector.
-    A chain Hessian is centrosymmetric (J H J = H, J reversing the ion
-    order; ValueError otherwise), so each mode is even or odd under J: the
-    even modes are eigenvectors of H[U, U] + H[U, J U] over the floor(n / 2)
-    upper ions U (for odd n with the centre ion too), the odd ones of
-    H[U, U] - H[U, J U].  Mirror components tie exactly, v[J] = +-v, and
-    each mode's sign follows numerics.fix_signs: its component of largest
-    magnitude, the first of a mirror pair (the lower ion), is positive.
-    """
-    return _join_modes(*_mirror_modes(hessian))
-
-
 def _ground_state(positions):
-    """(frequencies, modes, Phi, Pi) of the local-mode ground state of the
-    chain at the given equilibrium positions.
+    """(frequencies, Phi, Pi) of the local-mode ground state of the chain
+    at the given equilibrium positions, the frequencies ascending.
 
     The blocks are assembled from those of the even and odd modes, so that
     no 1 / sqrt 2 rounds the mirror-pair components of a mode first.
     """
     parity = _mirror_modes(build_hessian(positions))
-    frequencies, modes = _join_modes(*parity)
+    squares = np.sort(np.concatenate([vals for vals, _ in parity]), kind="stable")
+    if squares[0] <= 0.0:
+        raise NumericalError("hessian is not positive definite")
     (phi_even, pi_even), (phi_odd, pi_odd) = (
         local_mode_blocks(np.sqrt(vals), vecs.T) for vals, vecs in parity)
-    return frequencies, modes, _mirror_join(phi_even, phi_odd), _mirror_join(pi_even, pi_odd)
+    return np.sqrt(squares), _mirror_join(phi_even, phi_odd), _mirror_join(pi_even, pi_odd)
 
 
 def local_mode_blocks(frequencies, modes):
@@ -287,19 +251,18 @@ class IonChainModel:
     n_ions: int
     positions: np.ndarray
     frequencies: np.ndarray
-    modes: np.ndarray
     phi_block: np.ndarray
     pi_block: np.ndarray
 
     @classmethod
     def build(cls, n_ions):
         positions = solve_equilibrium(n_ions)
-        frequencies, modes, phi, pi = _ground_state(positions)
+        frequencies, phi, pi = _ground_state(positions)
         if abs(frequencies[0] - 1.0) > COM_FREQUENCY_TOL:
             raise NumericalError(
                 "lowest mode frequency %.12f is not the center-of-mass mode" % frequencies[0])
-        model = cls(len(positions), positions, frequencies, modes, phi, pi)
-        for array in (positions, frequencies, modes, model.phi_block, model.pi_block):
+        model = cls(len(positions), positions, frequencies, phi, pi)
+        for array in (positions, frequencies, phi, pi):
             array.flags.writeable = False
         product = model.phi_block @ model.pi_block
         product[np.diag_indices(model.n_ions)] -= 1.0

@@ -1,6 +1,6 @@
 """Shared numerical kernels and policy: the package's one reader of counts,
-indices and positive parameters, symmetric eigendecomposition with fixed
-signs, Brillouin-zone quadrature, bracketed 1D maximization, one BLAS thread.
+indices and positive parameters, the principal square root, Brillouin-zone
+quadrature, bracketed 1D maximization, one BLAS thread.
 
 Importing the package sets the OpenBLAS behind numpy.linalg to one thread,
 for the whole process, including any other numpy code it runs.  The
@@ -38,8 +38,6 @@ __all__ = [
     "integer_list",
     "positive",
     "blas_threads",
-    "sym_eigen",
-    "fix_signs",
     "principal_sqrt",
     "half_zone_nodes",
     "quad_oscillatory",
@@ -142,33 +140,6 @@ def blas_threads():
 def _check_square(m):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (m.shape,))
-
-
-def sym_eigen(mat):
-    """Eigendecomposition of a real symmetric matrix, deterministically signed.
-
-    Eigenvalues are returned in ascending order.  Each eigenvector is
-    normalized and its sign is fixed so that the component of largest
-    magnitude (first such component on ties) is positive.
-
-    Returns:
-        (eigenvalues, eigenvectors) with eigenvectors in columns.
-    """
-    m = np.asarray(mat, dtype=float)
-    _check_square(m)
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, fix_signs(vecs)
-
-
-def fix_signs(vecs):
-    """Flip eigenvector columns, in place, so that each column's component
-    of largest magnitude (the first such on ties) is positive; returns vecs."""
-    lead = np.argmax(np.abs(vecs), axis=0)
-    vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0.0, -1.0, 1.0)
-    return vecs
 
 
 def principal_sqrt(mat):
@@ -326,7 +297,7 @@ def _brent_max(f, a, b, tol):
     raise NumericalError("Brent search did not converge in %d iterations" % BRENT_MAX_ITER)
 
 
-def maximize_1d(f, lo, hi, tol=1e-6):
+def maximize_1d(f, lo, hi, tol):
     """Bounded Brent maximization of a unimodal function on [lo, hi].
 
     The returned argmax is within tol of the maximizer.  If it lands within

@@ -379,17 +379,39 @@ def full_solve_equilibrium(n_ions):
     return _full_newton_finish(z)
 
 
-def full_normal_modes(hessian):
-    """(frequencies, modes) as ion_chain.normal_modes found them before it
-    split the Hessian by mirror parity: one sym_eigen of the full matrix."""
-    vals, vecs = numerics.sym_eigen(hessian)
+def full_chain_modes(hessian):
+    """(frequencies, modes) of a chain Hessian by one eigh of the full
+    matrix, without the split by mirror parity; modes[k] is the k-th mode
+    vector, of either sign."""
+    vals, vecs = np.linalg.eigh(hessian)
     return np.sqrt(vals), vecs.T
+
+
+def parity_mode_vectors(hessian):
+    """(frequencies, modes) of a chain Hessian from the even and odd
+    eigenpairs of ion_chain._mirror_modes, the even modes first, in no
+    order of frequency and of either sign: an even vector v puts v / sqrt 2
+    on the upper ions and on their mirror images, an odd one v / sqrt 2 and
+    -v / sqrt 2, and for odd n an even vector's first entry is the centre
+    ion's."""
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = ion_chain._mirror_modes(hessian)
+    n, k = len(hessian), len(even_vals)
+    centred = k - len(odd_vals)
+    upper = np.arange(n - n // 2, n)
+    lower = n - 1 - upper
+    modes = np.zeros((n, n))
+    modes[:k, upper] = modes[:k, lower] = even_vecs[centred:].T / math.sqrt(2.0)
+    modes[k:, upper] = odd_vecs.T / math.sqrt(2.0)
+    modes[k:, lower] = -modes[k:, upper]
+    if centred:
+        modes[:k, n // 2] = even_vecs[0]
+    return np.sqrt(np.concatenate((even_vals, odd_vals))), modes
 
 
 def full_chain_blocks(n_ions):
     """(frequencies, Phi, Pi) of the n-ion ground state by the full-matrix
     route."""
-    freqs, modes = full_normal_modes(ion_chain.build_hessian(full_solve_equilibrium(n_ions)))
+    freqs, modes = full_chain_modes(ion_chain.build_hessian(full_solve_equilibrium(n_ions)))
     return (freqs, *ion_chain.local_mode_blocks(freqs, modes))
 
 

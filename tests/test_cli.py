@@ -57,6 +57,24 @@ class TestParseIntRange:
         with pytest.raises(UsageError):
             parse_int_range(bad)
 
+    def test_longest_list_is_one_value_per_gap(self):
+        longest = scalar_field.MAX_GAP + 1
+        assert len(parse_int_range("0:%d" % (longest - 1))) == longest
+        assert len(parse_int_range(",".join(["7"] * longest))) == longest
+        for spec in ("0:%d" % longest, ",".join(["7"] * (longest + 1))):
+            with pytest.raises(UsageError, match="more than %d values" % longest):
+                parse_int_range(spec)
+
+    def test_refuses_a_huge_range_before_building_it(self, capsys):
+        # a range of 1e12 values would take terabytes if it were expanded
+        with pytest.raises(UsageError, match="more than"):
+            parse_int_range("0:1000000000000")
+        code, out, err = run_cli(capsys, [
+            "negativity", "--system", "ion", "--chain-size", "3", "--region-size", "1",
+            "--separations", "0:1000000000000"])
+        assert code == 1 and out == ""
+        assert "more than %d values" % (scalar_field.MAX_GAP + 1) in err and "warning" not in err
+
 
 class TestChain:
     def test_text_report(self, capsys):

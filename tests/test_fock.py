@@ -25,7 +25,6 @@ from ionmodes.fock import (
     husimi_data,
     matrix_element,
     qudit_subspace_deficit,
-    subspace_sweep,
     tmsv_disentangle,
     _haf_recurse,
     _pure_amplitudes,
@@ -354,33 +353,3 @@ class TestDeficitAgainstMpmath:
         with mpmath.workdps(30):
             want = mp_deficit(raw, 6)
             assert abs(hafnian_deficit(raw, 6) - want) > 1e-12 * want
-
-
-class TestSubspaceSweep:
-    def test_minimum_at_variance_balancing_squeeze(self, two_ion_cm):
-        z_star = 3.0 ** 0.125
-        z_values = [0.9 * z_star, z_star, 1.1 * z_star]
-        phi_values = [-0.25, 0.0, 0.25]
-        grid = subspace_sweep(two_ion_cm, z_values, phi_values, 2)
-        assert grid.shape == (3, 3)
-        assert np.all(grid > 0.0)
-        # the balancing squeeze minimizes the deficit along every rotation
-        # column, and the post-squeeze rotation is a phase shifter, so the
-        # deficit is exactly flat along the rotation axis
-        for j in range(3):
-            assert grid[1, j] < grid[0, j]
-            assert grid[1, j] < grid[2, j]
-        assert float(np.ptp(grid, axis=1).max()) < 1e-14 * float(grid.max())
-
-    def test_balanced_point_is_tmsv_tail(self, two_ion_cm):
-        # balancing squeezes turn the two-ion state into an exact two-mode
-        # squeezed vacuum with cosh 2r = sqrt((3 + 2 sqrt(3)) / 6)
-        c2r = np.sqrt((3.0 + 2.0 * np.sqrt(3.0)) / 6.0)
-        lam = np.sqrt(c2r * c2r - 1.0) / (1.0 + c2r)
-        grid = subspace_sweep(two_ion_cm, [3.0 ** 0.125], [0.0], 2)
-        want = lam ** 4
-        assert abs(grid[0, 0] - want) < 1e-10 * want
-
-    def test_requires_two_modes(self):
-        with pytest.raises(ValueError):
-            subspace_sweep(np.eye(2), [1.0], [0.0], 2)

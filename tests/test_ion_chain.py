@@ -1,6 +1,7 @@
 """Ion chain: equilibrium solver, mode structure, local-mode covariance
 matrix, and physical trap scales."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -17,9 +18,10 @@ from conftest import (
     damped_solve_equilibrium,
     fidelity_pair,
     full_chain_blocks,
-    full_normal_modes,
+    full_chain_modes,
     full_solve_equilibrium,
     loop_gradient_compensated,
+    parity_mode_vectors,
 )
 from ionmodes import experiments, ion_chain
 from ionmodes.gaussian import from_blocks, restrict, symplectic_spectrum
@@ -33,7 +35,6 @@ from ionmodes.ion_chain import (
     build_hessian,
     compute_scales,
     local_mode_blocks,
-    normal_modes,
     solve_equilibrium,
     ytterbium_mass,
 )
@@ -131,60 +132,31 @@ class TestEquilibrium:
 
 class TestModes:
     def test_two_ion_mode_frequencies(self):
-        hess = build_hessian(solve_equilibrium(2))
-        freqs, _ = normal_modes(hess)
+        freqs = IonChainModel.build(2).frequencies
         assert np.allclose(freqs**2, [1.0, 3.0], atol=1e-12)
 
     def test_three_ion_mode_frequencies(self):
-        hess = build_hessian(solve_equilibrium(3))
-        freqs, _ = normal_modes(hess)
+        freqs = IonChainModel.build(3).frequencies
         assert np.allclose(freqs**2, [1.0, 3.0, 29.0 / 5.0], atol=1e-12)
 
-    def test_mode_rows_orthonormal(self):
-        freqs, modes = normal_modes(build_hessian(solve_equilibrium(7)))
-        assert np.allclose(modes @ modes.T, np.eye(7), atol=1e-12)
-        assert np.all(np.diff(freqs) > 0.0)
-
-    def test_com_mode_is_uniform(self):
-        _, modes = normal_modes(build_hessian(solve_equilibrium(6)))
-        assert np.allclose(np.abs(modes[0]), 1.0 / np.sqrt(6.0), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [*range(1, 41), 150, 299, 300])
-    def test_modes_of_exact_parity_and_fixed_sign(self, n):
-        # every mode is even or odd under mirror reversal, bit for bit, so
-        # its largest component ties with its mirror image and the first
-        # one (in the lower half, or the centre ion) is positive
-        freqs, modes = normal_modes(build_hessian(solve_equilibrium(n)))
-        assert np.all(np.diff(freqs) > 0.0)
-        assert np.allclose(modes @ modes.T, np.eye(n), atol=1e-13)
-        for k, v in enumerate(modes):
-            assert np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v), k
-            lead = int(np.argmax(np.abs(v)))
-            assert v[lead] > 0.0 and lead <= (n - 1) // 2, k
-
     def test_matches_full_matrix_route(self):
-        # against one sym_eigen of the full Hessian at the full-route
-        # positions; measured 1.9e-13 (frequencies), 6.3e-15 (Phi),
-        # 5.5e-13 (Pi) and 6.1e-14 (modes, up to sign) at 300 ions
+        # against one eigh of the full Hessian at the full-route positions;
+        # measured 1.9e-13 (frequencies), 6.3e-15 (Phi) and 5.5e-13 (Pi) at
+        # 300 ions
         n = MAX_IONS
         freqs, phi, pi_block = full_chain_blocks(n)
         model = experiments.chain_model(n)
         assert np.abs(model.frequencies - freqs).max() <= 1e-12
         assert np.abs(model.phi_block - phi).max() <= 2e-14
         assert np.abs(model.pi_block - pi_block).max() <= 2e-12
-        hessian = build_hessian(full_solve_equilibrium(n))
-        _, want = full_normal_modes(hessian)
-        _, got = normal_modes(hessian)
-        signs = np.sign(np.sum(want * got, axis=1))
-        assert np.abs(want - signs[:, None] * got).max() <= 1e-12
 
     def test_rejects_hessian_without_mirror_symmetry(self):
         hessian = build_hessian(solve_equilibrium(5))
         hessian[0, 0] += 1e-6
         with pytest.raises(ValueError, match="mirror-symmetric"):
-            normal_modes(hessian)
+            ion_chain._mirror_modes(hessian)
         with pytest.raises(ValueError, match="square"):
-            normal_modes(np.ones((2, 3)))
+            ion_chain._mirror_modes(np.ones((2, 3)))
 
 
 class TestLocalModeCM:
@@ -209,7 +181,7 @@ class TestLocalModeCM:
         assert sign > 0 and abs(logdet) < 1e-9
 
     def test_cm_blocks_from_modes(self):
-        freqs, modes = normal_modes(build_hessian(solve_equilibrium(5)))
+        freqs, modes = full_chain_modes(build_hessian(solve_equilibrium(5)))
         phi, pi_block = local_mode_blocks(freqs, modes)
         # phi-phi block carries inverse frequency weights, pi-pi direct
         want_phi = modes.T @ np.diag(1.0 / freqs) @ modes
@@ -224,7 +196,8 @@ class TestLocalModeCM:
         # centre ion's row and column too, for odd n); the plain sum over
         # the assembled modes gives the same matrices to round-off
         model = IonChainModel.build(n)
-        phi, pi_block = local_mode_blocks(model.frequencies, model.modes)
+        assert np.all(np.diff(model.frequencies) > 0.0)
+        phi, pi_block = local_mode_blocks(*parity_mode_vectors(build_hessian(model.positions)))
         assert np.abs(model.phi_block - phi).max() <= 1e-15
         assert np.abs(model.pi_block - pi_block).max() <= 1e-14 * model.frequencies[-1]
         for block in (model.phi_block, model.pi_block):
@@ -241,13 +214,16 @@ class TestSharedModel:
             assert model.cm.tobytes() == want.tobytes()
             for block in (model.phi_block, model.pi_block):
                 assert block.shape == (n, n) and block.flags.c_contiguous
-            # the model keeps the two n x n blocks and no 2n x 2n array
+            # the model keeps the frequencies and the two n x n blocks, no
+            # mode vectors and no 2n x 2n array
+            assert [f.name for f in dataclasses.fields(model)] == [
+                "n_ions", "positions", "frequencies", "phi_block", "pi_block"]
             assert not any(np.shape(value) == (2 * n, 2 * n) for value in vars(model).values())
 
     def test_arrays_are_read_only(self, three_ion_model):
         model = experiments.chain_model(3)
         assert model is three_ion_model  # the cached model every caller shares
-        for array in (model.positions, model.frequencies, model.modes, model.cm,
+        for array in (model.positions, model.frequencies, model.cm,
                       model.phi_block, model.pi_block):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -280,7 +256,7 @@ class TestSharedModel:
         want = IonChainModel.build(n)
         assert len(models) == count
         for model in models:
-            for name in ("positions", "frequencies", "modes", "cm"):
+            for name in ("positions", "frequencies", "cm"):
                 assert np.array_equal(getattr(model, name), getattr(want, name)), name
         assert experiments.chain_model(n) is experiments.chain_model(n)
 

@@ -5,7 +5,7 @@ qudit-subspace occupation deficits."""
 import functools
 
 from ionmodes import fock, gaussian, scalar_field
-from ionmodes.ion_chain import IonChainModel
+from ionmodes.ion_chain import MAX_IONS, IonChainModel
 from ionmodes.numerics import integer, integer_list
 
 __all__ = [
@@ -65,11 +65,17 @@ def negativity_rows(system, chain_size, region_size, separations, treatments=TRE
     read but unused); measurements cover the whole infinite exterior.  Both
     states are pure with no phi-pi cross block, so one step builds either
     from the (Phi, Pi) blocks its source reads over the regions' sites, one
-    `blocks` call per separation for all treatments.
+    `blocks` call per separation for all treatments.  A region_size above
+    MAX_IONS // 2 raises ValueError for either system.
     """
     if any(treatment not in TREATMENTS for treatment in treatments):
         raise ValueError("treatment must be one of %s" % (TREATMENTS,))
     n, d = integer(chain_size, "chain_size"), integer(region_size, "region_size")
+    # no chain holds two larger regions, and a larger lattice region would
+    # build its (2d)^2 gap matrix before any other check
+    if d > MAX_IONS // 2:
+        raise ValueError("region size must be at most %d, half the longest chain, got %d"
+                         % (MAX_IONS // 2, d))
     seps = integer_list(separations, "separations")
     if system == "ion":
         source = chain_model(n)  # validated even when nothing fits
@@ -137,15 +143,17 @@ def two_ion_states():
 
 
 def fock_cell(dim):
-    """(P_out raw, P_out squeezed) for the two-ion state at qudit dim."""
-    return tuple(fock.qudit_subspace_deficit(cm, dim) for cm in two_ion_states())
+    """(P_out raw, P_out squeezed) for the two-ion state at qudit dim: the
+    values of the one row fock_rows gives for it."""
+    return fock_rows([integer(dim, "dim")])[0][1:]
 
 
 def fock_rows(dims):
-    """Rows (dim, p_out_raw, p_out_squeezed), sorted by dim."""
-    rows = [(d,) + fock_cell(d) for d in integer_list(dims, "dims")]
-    rows.sort(key=lambda r: r[0])
-    return rows
+    """Rows (dim, p_out_raw, p_out_squeezed), sorted by dim; each of the two
+    states fills one amplitude grid for every dim."""
+    dims = integer_list(dims, "dims")
+    raw, squeezed = (fock.qudit_subspace_deficit(cm, dims) for cm in two_ion_states())
+    return sorted(zip(dims, raw, squeezed), key=lambda r: r[0])
 
 
 def chain_report(n_ions):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ionmodes.gaussian import assert_physical, validate_cm
-from ionmodes.numerics import NumericalError, integer, integer_list
+from ionmodes.numerics import NumericalError, integer_list, integers
 
 __all__ = [
     "DEFAULT_OCCUPANCY_CAP",
@@ -35,6 +35,12 @@ TAIL_RELATIVE_TOL = 1e-13
 TAIL_OCCUPANCY_CAP = 144
 
 MAX_QUDIT_DIM = 8
+
+# the occupancy shell max(m1, m2) of each grid entry, in the order of the
+# flattened amplitude grid
+_SHELL_INDEX = np.maximum.outer(np.arange(TAIL_OCCUPANCY_CAP + 1),
+                                np.arange(TAIL_OCCUPANCY_CAP + 1)).ravel()
+_SHELL_INDEX.flags.writeable = False
 
 
 def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
@@ -210,7 +216,9 @@ def _pure_amplitudes(h):
 
 def qudit_subspace_deficit(sigma, dim):
     """Probability that a pure two-mode Gaussian state lies outside the
-    D x D lowest-Fock subspace, P_out = sum_{max(m1, m2) >= D} |psi(m1, m2)|^2.
+    D x D lowest-Fock subspace, P_out = sum_{max(m1, m2) >= D} |psi(m1, m2)|^2:
+    a float for one D, a list in the given order for a sequence of them,
+    all from one amplitude grid.
 
     A mixed state raises ValueError (matrix_element covers it).  The sum
     runs over every occupancy shell of the grid from D on; it has no
@@ -218,19 +226,20 @@ def qudit_subspace_deficit(sigma, dim):
     shells beyond the grid are estimated by extrapolation: a geometric
     series with the ratio of its last two pairs of shells, which assumes
     that ratio holds for every later pair.  NumericalError is raised unless
-    the estimate is within TAIL_RELATIVE_TOL of the total.  The ratio of a
-    squeezed state's pairs still rises slowly towards its limit at the cap,
-    so the estimate is low: on the two-ion state rotated and squeezed by
-    z <= 2.5, the tail beyond the cap (from a 301-shell grid) exceeds it by
-    at most 0.06%.
+    the estimate is within TAIL_RELATIVE_TOL of the smallest requested
+    deficit.  The ratio of a squeezed state's pairs still rises slowly
+    towards its limit at the cap, so the estimate is low: on the two-ion
+    state rotated and squeezed by z <= 2.5, the tail beyond the cap (from a
+    301-shell grid) exceeds it by at most 0.06%.
     """
-    dim = integer(dim, "dim")
-    if dim < 1 or dim > MAX_QUDIT_DIM:
+    dims = integers(dim, "dim")
+    if dims.ndim > 1:
+        raise ValueError("dim must be one integer or a sequence of them, got %r" % (dim,))
+    if np.any((dims < 1) | (dims > MAX_QUDIT_DIM)):
         raise ValueError("qudit dimension must lie in [1, %d]" % MAX_QUDIT_DIM)
     prob = np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2
-    occupancy = np.arange(TAIL_OCCUPANCY_CAP + 1)
-    shells = np.bincount(np.maximum.outer(occupancy, occupancy).ravel(), prob.ravel())
-    total = float(shells[dim:].sum())
+    shells = np.bincount(_SHELL_INDEX, prob.ravel())
+    totals = [float(shells[d:].sum()) for d in dims.ravel().tolist()]
     # shells taken in pairs, since states of definite parity fill every
     # other shell
     last, before_last = float(shells[-2:].sum()), float(shells[-4:-2].sum())
@@ -240,8 +249,7 @@ def qudit_subspace_deficit(sigma, dim):
         beyond = last * last / (before_last - last)
     else:
         beyond = np.inf
-    if beyond > TAIL_RELATIVE_TOL * total:
+    if totals and beyond > TAIL_RELATIVE_TOL * min(totals):
         raise NumericalError("occupancy tail beyond shell %d exceeds %.0e of the deficit"
                              % (TAIL_OCCUPANCY_CAP, TAIL_RELATIVE_TOL))
-    return total
-
+    return totals if dims.ndim else totals[0]

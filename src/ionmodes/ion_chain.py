@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import (
-    SYMMETRY_TOL,
-    NumericalError,
-    integer,
-    integer_list,
-    positive,
-)
+from ionmodes.numerics import NumericalError, integer, integer_list, positive
 
 __all__ = [
     "PhysicalScales",
@@ -163,30 +157,36 @@ def build_hessian(positions):
     return _hessian_rows(z, np.arange(len(z)))
 
 
-def _mirror_modes(hessian):
+def _mirror_modes(positions):
     """Eigenpairs (values, vectors in columns) of the even and odd blocks
-    of a chain Hessian, H[U, U] + H[U, J U] and H[U, U] - H[U, J U] over
-    the upper ions U, J reversing the ion order; for odd n the even block
-    also holds the centre ion, first, coupled by sqrt 2.
+    of the chain Hessian at the given positions, H[U, U] + H[U, J U] and
+    H[U, U] - H[U, J U] over the upper ions U, J reversing the ion order;
+    for odd n the even block also holds the centre ion, first, coupled by
+    sqrt 2.
 
-    The Hessian must be centrosymmetric (J H J = H; ValueError otherwise).
+    The blocks are taken from the upper rows of the Hessian and, for odd
+    n, the centre row; the full matrix is never formed.  The positions must
+    be exactly odd-symmetric (z = -J z; ValueError otherwise): then every
+    distance, and so every coupling, equals that of the mirror-image pair
+    exactly, which makes the Hessian symmetric and centrosymmetric, each
+    diagonal entry up to the rounding of its row sum.
+
     Each block's vectors get one Newton-Schulz step, X (3 - X^T X) / 2,
     which makes them orthonormal to round-off rather than to the ~n ulp
     of eigh: the chain state's purity (Pi = Phi^-1) rests on it.
     """
-    h = np.asarray(hessian, dtype=float)
-    if h.ndim != 2 or not h.shape[0] == h.shape[1] > 0:
-        raise ValueError("expected a non-empty square matrix, got shape %s" % (h.shape,))
-    tol = SYMMETRY_TOL * max(1.0, float(np.abs(h).max()))
-    if float(np.abs(h - h.T).max()) > tol or float(np.abs(h - h[::-1, ::-1]).max()) > tol:
-        raise ValueError("hessian is not symmetric and mirror-symmetric within tolerance")
-    n = len(h)
+    z = np.asarray(positions, dtype=float)
+    if z.ndim != 1 or not z.size or not np.array_equal(z, -z[::-1]):
+        raise ValueError("positions must be a non-empty, exactly odd-symmetric chain")
+    n = len(z)
     upper, lower = _mirror_halves(n)
-    rows = h[upper]
+    rows = _hessian_rows(z, upper)
     even = rows[:, upper] + rows[:, lower]
     if n % 2:
-        coupling = math.sqrt(2.0) * rows[:, n // 2]
-        even = np.block([[h[n // 2, n // 2], coupling], [coupling[:, None], even]])
+        centre = n // 2
+        coupling = math.sqrt(2.0) * rows[:, centre]
+        diagonal = _hessian_rows(z, np.array([centre]))[0, centre]
+        even = np.block([[diagonal, coupling], [coupling[:, None], even]])
     pairs = []
     for block in (even, rows[:, upper] - rows[:, lower]):
         vals, vecs = np.linalg.eigh(block)
@@ -218,12 +218,13 @@ def _ground_state(positions):
     The blocks are assembled from those of the even and odd modes, so that
     no 1 / sqrt 2 rounds the mirror-pair components of a mode first.
     """
-    parity = _mirror_modes(build_hessian(positions))
+    parity = _mirror_modes(positions)
     squares = np.sort(np.concatenate([vals for vals, _ in parity]), kind="stable")
     if squares[0] <= 0.0:
         raise NumericalError("hessian is not positive definite")
     (phi_even, pi_even), (phi_odd, pi_odd) = (
         local_mode_blocks(np.sqrt(vals), vecs.T) for vals, vecs in parity)
+    del parity  # free the mode vectors before the two n x n joins
     return np.sqrt(squares), _mirror_join(phi_even, phi_odd), _mirror_join(pi_even, pi_odd)
 
 
@@ -266,7 +267,7 @@ class IonChainModel:
             array.flags.writeable = False
         product = model.phi_block @ model.pi_block
         product[np.diag_indices(model.n_ions)] -= 1.0
-        residual = float(np.abs(product).max())
+        residual = float(np.abs(product, out=product).max())
         if residual > PURITY_TOL:
             raise NumericalError("chain ground state is not pure: max |Phi Pi - 1| = %.3e"
                                  % residual)

@@ -27,7 +27,6 @@ import functools
 import numbers
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 # principal_sqrt, half_zone_nodes and quad_oscillatory: for the benchmark
 # tracer and the tests' oracles only (see the module docstring)
@@ -169,7 +168,12 @@ def principal_sqrt(mat):
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre():
-    """The 24-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    """The 24-node Gauss-Legendre rule on [-1, 1], built on first use; its
+    module is imported here too, since importing numpy.polynomial loads all
+    six of its polynomial families and only the tests' oracles use the
+    rule."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(24)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -387,15 +387,36 @@ def full_chain_modes(hessian):
     return np.sqrt(vals), vecs.T
 
 
-def parity_mode_vectors(hessian):
-    """(frequencies, modes) of a chain Hessian from the even and odd
-    eigenpairs of ion_chain._mirror_modes, the even modes first, in no
-    order of frequency and of either sign: an even vector v puts v / sqrt 2
-    on the upper ions and on their mirror images, an odd one v / sqrt 2 and
-    -v / sqrt 2, and for odd n an even vector's first entry is the centre
-    ion's."""
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = ion_chain._mirror_modes(hessian)
-    n, k = len(hessian), len(even_vals)
+def full_hessian_split(positions):
+    """Eigenpairs of the even and odd blocks of the chain Hessian as
+    ion_chain._mirror_modes found them before it read only the upper and
+    centre rows: split from the full n x n matrix of build_hessian, with
+    the same eigh and Newton-Schulz step, in the same layout."""
+    h = ion_chain.build_hessian(positions)
+    n = len(h)
+    upper = np.arange(n - n // 2, n)
+    lower = n - 1 - upper
+    rows = h[upper]
+    even = rows[:, upper] + rows[:, lower]
+    if n % 2:
+        coupling = math.sqrt(2.0) * rows[:, n // 2]
+        even = np.block([[h[n // 2, n // 2], coupling], [coupling[:, None], even]])
+    pairs = []
+    for block in (even, rows[:, upper] - rows[:, lower]):
+        vals, vecs = np.linalg.eigh(block)
+        pairs.append((vals, 0.5 * vecs @ (3.0 * np.eye(len(vals)) - vecs.T @ vecs)))
+    return pairs
+
+
+def parity_mode_vectors(positions):
+    """(frequencies, modes) of the chain at the given positions from the
+    even and odd eigenpairs of ion_chain._mirror_modes, the even modes
+    first, in no order of frequency and of either sign: an even vector v
+    puts v / sqrt 2 on the upper ions and on their mirror images, an odd
+    one v / sqrt 2 and -v / sqrt 2, and for odd n an even vector's first
+    entry is the centre ion's."""
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = ion_chain._mirror_modes(positions)
+    n, k = len(positions), len(even_vals)
     centred = k - len(odd_vals)
     upper = np.arange(n - n // 2, n)
     lower = n - 1 - upper

@@ -94,3 +94,15 @@ def test_worker_package_calls(monkeypatch, tmp_path):
     deficits = [fock.qudit_subspace_deficit(state, d) for d in inputs.QUDIT_DIMS]
     assert all(0.0 <= p < 1.0 for p in deficits)
     assert deficits == sorted(deficits, reverse=True)
+
+
+def test_worker_deficit_call_returns_a_float(monkeypatch):
+    """perfbench/worker.py asks qudit_subspace_deficit for one dimension per
+    call and stores the result as a number; a sequence of dimensions gives a
+    list, one int a float."""
+    inputs = _load_perfbench(monkeypatch, "inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    worker = _load_perfbench(monkeypatch, "worker")
+    state = next(worker._rotated_states(1))
+    for d in inputs.QUDIT_DIMS:
+        assert type(fock.qudit_subspace_deficit(state, d)) is float, d

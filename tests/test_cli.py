@@ -333,6 +333,16 @@ class TestExitCodes:
         assert "error: region size must be >= 1" in err
         assert "does not fit" not in err
 
+    def test_oversized_scalar_region_is_usage_error(self, capsys):
+        # the region's gap matrix used to be built first: a 29.1 TiB request
+        # and a numpy memory-error traceback
+        code, out, err = run_cli(capsys, [
+            "negativity", "--system", "scalar", "--region-size", "1000000",
+            "--separations", "0"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: region size must be at most 150, half the longest chain, got 1000000\n"
+
     @pytest.mark.parametrize("separation", ["65535", "100000000"])
     def test_scalar_gap_beyond_bound_is_usage_error(self, capsys, monkeypatch, separation):
         # one site of each region is separation + 1 sites from the other: the

@@ -2,7 +2,10 @@
 matrix elements, su(1,1) disentanglement, and qudit subspace deficits."""
 
 import gc
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -258,6 +261,62 @@ class TestQuditDeficit:
         for dim, p_raw, p_squeezed in rows:
             assert p_raw == qudit_subspace_deficit(raw, dim)
             assert p_squeezed == qudit_subspace_deficit(squeezed, dim)
+
+    def test_dims_equal_per_dim_calls_on_table_states(self):
+        dims = list(range(1, MAX_QUDIT_DIM + 1))
+        for sigma in experiments.two_ion_states():
+            got = qudit_subspace_deficit(sigma, dims)
+            assert type(got) is list
+            assert got == [qudit_subspace_deficit(sigma, dim) for dim in dims]
+            assert qudit_subspace_deficit(sigma, dims[::-1]) == got[::-1]
+
+    def test_dims_equal_per_dim_calls_on_rotated_states(self, monkeypatch):
+        # the states of the benchmark's fock-rotated workload at seed 1
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing cached in perfbench/
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        base = experiments.chain_model(2).cm
+        dims = list(inputs.QUDIT_DIMS)
+        points, _ = inputs.fock_grid(1)
+        for z, theta in points:
+            sigma = apply_symplectic(
+                base, single_mode_squeeze(2, z) @ single_mode_rotation(2, theta))
+            want = [qudit_subspace_deficit(sigma, dim) for dim in dims]
+            assert qudit_subspace_deficit(sigma, dims) == want, (z, theta)
+
+    def test_rows_fill_one_grid_per_state(self, monkeypatch):
+        fills = []
+
+        def counted(h, fill=_pure_amplitudes):
+            fills.append(h)
+            return fill(h)
+
+        monkeypatch.setattr(fock, "_pure_amplitudes", counted)
+        rows = experiments.fock_rows(range(1, 9))
+        assert len(fills) == 2 and len(rows) == 8
+        fills.clear()
+        assert experiments.fock_cell(3) == rows[2][1:]
+        assert len(fills) == 2
+
+    def test_one_dim_gives_a_float(self, two_ion_cm):
+        for dim in (3, 3.0, np.int64(3)):
+            assert type(qudit_subspace_deficit(two_ion_cm, dim)) is float
+        assert qudit_subspace_deficit(two_ion_cm, [3]) == [qudit_subspace_deficit(two_ion_cm, 3)]
+        assert qudit_subspace_deficit(two_ion_cm, []) == []
+
+    def test_dims_refused_before_the_fill(self, two_ion_cm, monkeypatch):
+        def no_fill(h):
+            raise AssertionError("an amplitude grid was filled")
+
+        monkeypatch.setattr(fock, "_pure_amplitudes", no_fill)
+        with pytest.raises(ValueError, match="qudit dimension must lie in"):
+            qudit_subspace_deficit(two_ion_cm, [2, MAX_QUDIT_DIM + 1])
+        with pytest.raises(ValueError, match="dim must be one integer or a sequence"):
+            qudit_subspace_deficit(two_ion_cm, [[2, 3]])
+        with pytest.raises(ValueError, match="dim must be integer-valued"):
+            qudit_subspace_deficit(two_ion_cm, [2, 2.5])
 
     def test_dimension_bounds(self, two_ion_cm):
         with pytest.raises(ValueError):

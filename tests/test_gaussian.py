@@ -784,6 +784,23 @@ def test_negativity_rows_gather_one_blocks_call_per_separation(monkeypatch, syst
     assert sum(row[5] is None for row in rows) == 3 * (len(separations) - len(fits))
 
 
+@pytest.mark.parametrize("region_size", [ion_chain.MAX_IONS // 2 + 1, 10**9])
+@pytest.mark.parametrize("system", ["ion", "scalar"])
+def test_negativity_rows_refuse_oversized_region_before_any_gather(monkeypatch, system,
+                                                                    region_size):
+    # a scalar region of d sites built a (2d)^2 gap matrix before any check
+    # (29.1 TiB at d = 10^6); no chain holds two regions above MAX_IONS / 2
+    def no_gather(*args):
+        raise AssertionError("a region was gathered")
+
+    monkeypatch.setattr(experiments, "_region_sites", no_gather)
+    monkeypatch.setattr(scalar_field.ScalarFieldSpec, "blocks", no_gather)
+    monkeypatch.setattr(ion_chain.IonChainModel, "blocks", no_gather)
+    with pytest.raises(ValueError, match="^region size must be at most 150, half the longest"):
+        experiments.negativity_rows(system, ion_chain.MAX_IONS, region_size, [0, 1])
+    assert len(experiments.negativity_rows(system, ion_chain.MAX_IONS, 150, [])) == 0
+
+
 @pytest.mark.parametrize("system", ["ion", "scalar"])
 def test_negativity_cell_is_its_one_row(system):
     rows = experiments.negativity_rows(system, 30, 2, [0, 5, 26, 40])

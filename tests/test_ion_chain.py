@@ -19,6 +19,7 @@ from conftest import (
     fidelity_pair,
     full_chain_blocks,
     full_chain_modes,
+    full_hessian_split,
     full_solve_equilibrium,
     loop_gradient_compensated,
     parity_mode_vectors,
@@ -150,13 +151,30 @@ class TestModes:
         assert np.abs(model.phi_block - phi).max() <= 2e-14
         assert np.abs(model.pi_block - pi_block).max() <= 2e-12
 
-    def test_rejects_hessian_without_mirror_symmetry(self):
-        hessian = build_hessian(solve_equilibrium(5))
-        hessian[0, 0] += 1e-6
-        with pytest.raises(ValueError, match="mirror-symmetric"):
-            ion_chain._mirror_modes(hessian)
-        with pytest.raises(ValueError, match="square"):
-            ion_chain._mirror_modes(np.ones((2, 3)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 30, 31, 150, 151, 299, 300])
+    def test_bytes_equal_full_hessian_split(self, n, monkeypatch):
+        # the parity blocks come from the upper and centre Hessian rows; the
+        # split of the full matrix gives the same frequencies, Phi and Pi
+        # down to the last bit
+        model = IonChainModel.build(n)
+        assert model.positions.tobytes() == solve_equilibrium(n).tobytes()
+        monkeypatch.setattr(ion_chain, "_mirror_modes", full_hessian_split)
+        want = ion_chain._ground_state(model.positions)
+        got = (model.frequencies, model.phi_block, model.pi_block)
+        for name, a, b in zip(("frequencies", "phi", "pi"), got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_rejects_positions_without_odd_symmetry(self):
+        # exact odd symmetry is what makes the split of the upper rows exact
+        z = solve_equilibrium(5)
+        for k in (0, 2):
+            bad = z.copy()
+            bad[k] = np.nextafter(bad[k], np.inf)
+            with pytest.raises(ValueError, match="odd-symmetric"):
+                ion_chain._mirror_modes(bad)
+        for bad in (np.zeros(0), np.zeros((2, 2)), z[:4]):
+            with pytest.raises(ValueError, match="odd-symmetric"):
+                ion_chain._mirror_modes(bad)
 
 
 class TestLocalModeCM:
@@ -197,7 +215,7 @@ class TestLocalModeCM:
         # the assembled modes gives the same matrices to round-off
         model = IonChainModel.build(n)
         assert np.all(np.diff(model.frequencies) > 0.0)
-        phi, pi_block = local_mode_blocks(*parity_mode_vectors(build_hessian(model.positions)))
+        phi, pi_block = local_mode_blocks(*parity_mode_vectors(model.positions))
         assert np.abs(model.phi_block - phi).max() <= 1e-15
         assert np.abs(model.pi_block - pi_block).max() <= 1e-14 * model.frequencies[-1]
         for block in (model.phi_block, model.pi_block):

@@ -219,6 +219,26 @@ def test_outputs_independent_of_openblas_threads():
     assert two == unset
 
 
+def _loads_numpy_polynomial(statement):
+    """Whether a fresh interpreter has numpy.polynomial loaded after the
+    statement, with the package sources first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys; %s; print('numpy.polynomial' in sys.modules)" % statement
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    return out.strip() == "True"
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # only the tests' quadrature oracles build the Gauss-Legendre rule, and
+    # importing numpy.polynomial loads all six of its polynomial families
+    if _loads_numpy_polynomial("import numpy"):
+        pytest.skip("importing numpy alone loads numpy.polynomial (numpy 1.x)")
+    assert not _loads_numpy_polynomial("import ionmodes.cli")
+    assert _loads_numpy_polynomial("import ionmodes.numerics as m; m._gauss_legendre()")
+
+
 class TestPrincipalSqrt:
     def test_diagonal(self):
         root = principal_sqrt(np.diag([4.0, 9.0]))

@@ -1,9 +1,12 @@
 """Fock-space structure of zero-mean Gaussian states: Husimi-function data,
 density-matrix elements through repeated-row hafnians, the su(1,1)
-disentanglement behind two-mode squeezed vacua, and, from a pure-state
-amplitude recurrence, the probability weight outside finite qudit
-subspaces."""
+disentanglement behind two-mode squeezed vacua, and the probability weight
+outside finite qudit subspaces of a pure two-mode state, from an amplitude
+recurrence started from the state's (Phi, Pi) blocks in real arithmetic
+when its phi-pi cross block vanishes, and grown one occupancy shell at a
+time until the shells beyond it no longer matter."""
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,19 +31,29 @@ DEFAULT_OCCUPANCY_CAP = 12
 # the shells beyond the occupancy cap may hold at most this share of a deficit
 TAIL_RELATIVE_TOL = 1e-13
 
-# per-mode occupancy bound of the amplitude grid: on the two-ion state
+# the amplitude grid stops growing once the shells beyond it are estimated
+# at no more than this share of the deficit at MAX_QUDIT_DIM, the smallest
+# a caller can ask for; the estimate runs low, but a grid stopped here is
+# within 1e-13 of the same sums to shell 300 on the test states
+TAIL_STOP_TOL = 1e-14
+
+# last occupancy shell the amplitude grid may reach: on the two-ion state
 # rotated by any equal angle and squeezed by z <= 2.5, the geometric
 # estimate of the shells beyond it stays below 1e-14 of a deficit (at 128
-# it exceeded TAIL_RELATIVE_TOL near a quarter turn)
+# it exceeded TAIL_RELATIVE_TOL near a quarter turn); the table-7 states
+# stop by shell 24
 TAIL_OCCUPANCY_CAP = 144
 
 MAX_QUDIT_DIM = 8
 
-# the occupancy shell max(m1, m2) of each grid entry, in the order of the
-# flattened amplitude grid
-_SHELL_INDEX = np.maximum.outer(np.arange(TAIL_OCCUPANCY_CAP + 1),
-                                np.arange(TAIL_OCCUPANCY_CAP + 1)).ravel()
-_SHELL_INDEX.flags.writeable = False
+# a state is taken as pure when Pi - C^T Phi^-1 C - Phi^-1 and the
+# asymmetry of Phi^-1 C stay within this share of max|Pi|: on the test
+# states, pure ones read below 1e-15, and those the earlier Husimi pair test
+# (an off-diagonal block below 1e-12) accepted below 3e-11
+PURE_STATE_TOL = 1e-10
+
+# shells the amplitude grid holds before it first grows; doubled after
+_FIRST_SHELLS = 32
 
 
 def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
@@ -183,35 +196,126 @@ def tmsv_disentangle(v0, v_plus, v_minus):
     return 1.0 / denom**2, v_plus * sinhc_f / denom, v_minus * sinhc_f / denom
 
 
-def _pure_amplitudes(h):
-    """Fock amplitudes psi[m1, m2], up to a global phase, of a pure two-mode
-    state on the (TAIL_OCCUPANCY_CAP + 1)^2 grid.
+def _ket_block(sigma):
+    """Ket block B and psi(0) > 0 of a pure two-mode state, from its Phi, Pi
+    and phi-pi cross block C by 2 x 2 closed forms (no LAPACK call).
 
-    A pure state has a_mat = B (+) conj(B), so its hafnians are loop-free in
-    the ket block B: psi(0) = det(sigma_q)^(-1/4) and psi(m + e_i) =
-    sum_j B_ij sqrt(m_j) psi(m - e_j) / sqrt(m_i + 1) (Quesada et al.,
-    J. Chem. Phys. 150, 164113 (2019)), filled one m2 column at a time.
+    The wave function is psi(x) ~ exp(-x^T Gamma x / 2) with
+    Gamma = Phi^-1 (1 - iC), so B = conj((1 - Gamma)(1 + Gamma)^-1) and
+    |psi(0)|^2 = det(Re Gamma)^(1/2) / |det((1 + Gamma) / 2)|.  With
+    M = Phi + 1 - iC = Phi (1 + Gamma), that is B = conj(M^-1 (Phi - 1 + iC))
+    and |psi(0)|^2 = 4 det(Phi)^(1/2) / |det M|, which needs no Phi^-1 and
+    keeps B within 3e-16 of a 40-digit value on the 256 seed-1 fock-rotated
+    states (the Husimi route: 1e-15).  When C = 0 everything stays real.
+
+    The state must be pure: Pi - C^T Phi^-1 C = Phi^-1 with Phi^-1 C
+    symmetric, which with Phi > 0 also makes it physical.
     """
-    if h.n_modes != 2:
-        raise ValueError("qudit subspace deficit is defined for two-mode states")
-    if float(np.abs(h.a_mat[:2, 2:]).max()) > 1e-12:
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (4, 4):
+        raise ValueError("qudit subspace deficit is defined for two-mode states "
+                         "(a 4 x 4 CM), got shape %s" % (sigma.shape,))
+    sigma, _ = validate_cm(sigma)
+    phi, pi, cross = sigma[::2, ::2], sigma[1::2, 1::2], sigma[::2, 1::2]
+    (p00, p01), (_, p11) = phi.tolist()
+    det_phi = p00 * p11 - p01 * p01
+    if p00 <= 0.0 or det_phi <= 0.0:
+        raise NumericalError("state is unphysical: its phi block is not positive definite")
+    inv_phi = np.array([[p11, -p01], [-p01, p00]]) / det_phi
+    inv_phi_cross = inv_phi @ cross
+    resid = max(float(np.abs(pi - inv_phi - cross.T @ inv_phi_cross).max()),
+                float(np.abs(inv_phi_cross - inv_phi_cross.T).max()))
+    if resid > PURE_STATE_TOL * float(np.abs(pi).max()):
         raise ValueError("qudit subspace deficit is defined for pure states")
-    b = h.a_mat[:2, :2]
-    size = TAIL_OCCUPANCY_CAP + 1
-    root = np.sqrt(np.arange(size))
-    # psi_t[m2] is the m2 column of psi, stored as a contiguous row
-    psi_t = np.zeros((size, size), dtype=complex)
-    psi_t[0, 0] = h.sqrt_det_sigma_q ** -0.5
-    for m1 in range(1, size - 1):
-        psi_t[0, m1 + 1] = b[0, 0] * root[m1] * psi_t[0, m1 - 1] / root[m1 + 1]
-    raise_m1 = b[1, 0] * root[1:]
-    for m2 in range(size - 1):
-        column = psi_t[m2 + 1]
-        column[1:] = raise_m1 * psi_t[m2, :-1]
-        if m2:
-            column += b[1, 1] * root[m2] * psi_t[m2 - 1]
-        column /= root[m2 + 1]
-    return psi_t.T
+    i_cross = 1j * cross if cross.any() else cross
+    (m00, m01), (m10, m11) = (phi + np.eye(2) - i_cross).tolist()
+    (n00, n01), (n10, n11) = (phi - np.eye(2) + i_cross).tolist()
+    det_m = m00 * m11 - m01 * m10
+    b00 = (m11 * n00 - m01 * n10) / det_m
+    b11 = (m00 * n11 - m10 * n01) / det_m
+    b01 = (m11 * n01 - m01 * n11 + m00 * n10 - m10 * n00) / (2.0 * det_m)
+    b = np.array([[b00, b01], [b01, b11]]).conj()
+    return b, 2.0 * det_phi ** 0.25 / math.sqrt(abs(det_m))
+
+
+@functools.lru_cache(maxsize=None)
+def _cross_weights(n_shells):
+    """sqrt(min(k, 2s - k) / s) at flat position s^2 + k of an amplitude grid
+    of n_shells shells: the weight of the cross term of each entry of shell
+    s (0 at the vacuum, which has none)."""
+    position = np.arange(n_shells * n_shells)
+    shell = np.sqrt(position).astype(np.intp)  # exact for these small squares
+    k = position - shell * shell
+    weights = np.sqrt(np.minimum(k, 2 * shell - k) / np.maximum(shell, 1))
+    weights.flags.writeable = False
+    return weights
+
+
+def _tail_estimate(shells):
+    """Geometric estimate of the shells beyond the last one, from the ratio
+    of its last two pairs (pairs, since states of definite parity fill every
+    other shell)."""
+    last, before_last = shells[-1] + shells[-2], shells[-3] + shells[-4]
+    if last == 0.0:
+        return 0.0
+    if last < before_last:
+        return last * last / (before_last - last)
+    return math.inf
+
+
+def _pure_amplitudes(b, psi0):
+    """Fock amplitudes psi(m1, m2), up to a global phase, of the pure
+    two-mode state with ket block B and vacuum amplitude psi0, and the
+    probability of each occupancy shell max(m1, m2) they fill.
+
+    A pure state has a Husimi pair matrix B (+) conj(B), so its hafnians are
+    loop-free in B: psi(m + e_i) = sum_j B_ij sqrt(m_j) psi(m - e_j) /
+    sqrt(m_i + 1) (Quesada et al., J. Chem. Phys. 150, 164113 (2019)).
+    Shell s is stored at flat positions s^2 .. s^2 + 2s, walking its L from
+    (s, 0) through the corner (s, s) to (0, s), and filled from shells s - 1
+    and s - 2: its row (s, k) raises mode 1, its column (j, s) mode 2, and
+    every entry's cross term B_01 comes from position k - 1 of shell s - 1,
+    one vectorized update; the B_00 row update and B_11 column update each
+    take one slice of shell s - 2, and the three entries by the corner are
+    set one by one.  The grid grows until the shells beyond it are estimated
+    at TAIL_STOP_TOL of the deficit at MAX_QUDIT_DIM, or to shell
+    TAIL_OCCUPANCY_CAP; it is float64 when B is.
+
+    Returns:
+        (amplitudes in that flat shell order, shell probabilities)
+    """
+    (b00, b01), (_, b11) = b.tolist()
+    n_shells = _FIRST_SHELLS
+    psi = np.zeros(n_shells * n_shells, dtype=b.dtype)
+    cross = b01 * _cross_weights(n_shells)
+    psi[0] = psi0
+    shells = [psi0 * psi0]
+    deficit = 0.0  # of the shells from MAX_QUDIT_DIM on
+    prev = psi[:1]
+    for s in range(1, TAIL_OCCUPANCY_CAP + 1):
+        if s == n_shells:
+            n_shells = min(2 * n_shells, TAIL_OCCUPANCY_CAP + 1)
+            psi = np.concatenate((psi, np.zeros(n_shells * n_shells - psi.size, psi.dtype)))
+            cross = b01 * _cross_weights(n_shells)
+            before, prev = psi[(s - 2) ** 2:(s - 1) ** 2], psi[(s - 1) ** 2:s * s]
+        lo, hi = s * s, (s + 1) * (s + 1)
+        shell = psi[lo:hi]
+        np.multiply(cross[lo + 1:hi - 1], prev, out=shell[1:-1])
+        if s > 1:
+            step = math.sqrt((s - 1) / s)
+            row, column = b00 * step, b11 * step
+            shell[:s - 1] += row * before[:s - 1]  # (s, k) from (s - 2, k), k <= s - 2
+            shell[s + 2:] += column * before[s - 2:]  # (j, s) from (j, s - 2), j <= s - 2
+            shell[s - 1] += row * prev[s]  # (s, s - 1) from (s - 2, s - 1)
+            shell[s + 1] += column * prev[s - 2]  # (s - 1, s) from (s - 1, s - 2)
+            shell[s] += row * shell[s + 2]  # (s, s) from (s - 2, s)
+        shells.append(float(np.vdot(shell, shell).real))
+        if s >= MAX_QUDIT_DIM:
+            deficit += shells[-1]
+        if s >= MAX_QUDIT_DIM + 3 and _tail_estimate(shells) <= TAIL_STOP_TOL * deficit:
+            break
+        before, prev = prev, shell
+    return psi[:hi], shells
 
 
 def qudit_subspace_deficit(sigma, dim):
@@ -220,36 +324,34 @@ def qudit_subspace_deficit(sigma, dim):
     a float for one D, a list in the given order for a sequence of them,
     all from one amplitude grid.
 
-    A mixed state raises ValueError (matrix_element covers it).  The sum
-    runs over every occupancy shell of the grid from D on; it has no
-    cancellation, so small deficits keep their relative accuracy.  The
-    shells beyond the grid are estimated by extrapolation: a geometric
-    series with the ratio of its last two pairs of shells, which assumes
-    that ratio holds for every later pair.  NumericalError is raised unless
-    the estimate is within TAIL_RELATIVE_TOL of the smallest requested
-    deficit.  The ratio of a squeezed state's pairs still rises slowly
-    towards its limit at the cap, so the estimate is low: on the two-ion
-    state rotated and squeezed by z <= 2.5, the tail beyond the cap (from a
-    301-shell grid) exceeds it by at most 0.06%.
+    The dimensions and the state are checked before any grid is filled:
+    a state that is not two-mode, or is mixed, raises ValueError
+    (matrix_element covers mixed states), and an empty sequence of D then
+    gives [].  The sum runs over every occupancy shell of the grid from D
+    on; it has no cancellation, so small deficits keep their relative
+    accuracy.  The grid grows shell by shell until the shells beyond it are
+    estimated at TAIL_STOP_TOL of the deficit at MAX_QUDIT_DIM, so every D
+    reads the same grid however it is asked for.  The estimate is an
+    extrapolation: a geometric series with the ratio of the last two pairs
+    of shells, which assumes that ratio holds for every later pair.  A
+    state that reaches shell TAIL_OCCUPANCY_CAP first raises NumericalError
+    unless the estimate is within TAIL_RELATIVE_TOL of the smallest
+    requested deficit.  The ratio of a squeezed state's pairs still rises
+    slowly towards its limit at the cap, so the estimate is low: on the
+    two-ion state rotated and squeezed by z <= 2.5, the tail beyond the cap
+    (from a 301-shell grid) exceeds it by at most 0.06%.
     """
     dims = integers(dim, "dim")
     if dims.ndim > 1:
         raise ValueError("dim must be one integer or a sequence of them, got %r" % (dim,))
     if np.any((dims < 1) | (dims > MAX_QUDIT_DIM)):
         raise ValueError("qudit dimension must lie in [1, %d]" % MAX_QUDIT_DIM)
-    prob = np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2
-    shells = np.bincount(_SHELL_INDEX, prob.ravel())
-    totals = [float(shells[d:].sum()) for d in dims.ravel().tolist()]
-    # shells taken in pairs, since states of definite parity fill every
-    # other shell
-    last, before_last = float(shells[-2:].sum()), float(shells[-4:-2].sum())
-    if last == 0.0:
-        beyond = 0.0
-    elif last < before_last:
-        beyond = last * last / (before_last - last)
-    else:
-        beyond = np.inf
-    if totals and beyond > TAIL_RELATIVE_TOL * min(totals):
+    b, psi0 = _ket_block(sigma)
+    if not dims.size:
+        return []
+    _, shells = _pure_amplitudes(b, psi0)
+    totals = [math.fsum(shells[d:]) for d in dims.ravel().tolist()]
+    if _tail_estimate(shells) > TAIL_RELATIVE_TOL * min(totals):
         raise NumericalError("occupancy tail beyond shell %d exceeds %.0e of the deficit"
                              % (TAIL_OCCUPANCY_CAP, TAIL_RELATIVE_TOL))
     return totals if dims.ndim else totals[0]

@@ -24,7 +24,6 @@ __all__ = [
     "PhysicalScales",
     "IonChainModel",
     "solve_equilibrium",
-    "build_hessian",
     "local_mode_blocks",
     "compute_scales",
 ]
@@ -147,14 +146,6 @@ def solve_equilibrium(n_ions):
     if not np.all(np.diff(z) > 0.0):
         raise NumericalError("equilibrium positions are not strictly ascending")
     return z
-
-
-def build_hessian(positions):
-    """Hessian of the dimensionless potential at the given positions
-    (equals twice the dynamical matrix; the mutual Coulomb term is counted
-    once per ordered pair)."""
-    z = np.asarray(positions, dtype=float)
-    return _hessian_rows(z, np.arange(len(z)))
 
 
 def _mirror_modes(positions):

@@ -328,6 +328,15 @@ def transposed_negativity(sigma, region_b):
     return total
 
 
+def build_hessian(positions):
+    """Full n x n Hessian of the dimensionless potential at the given
+    positions (twice the dynamical matrix; the mutual Coulomb term counted
+    once per ordered pair): every row of ion_chain._hessian_rows, for the
+    full-matrix oracles."""
+    z = np.asarray(positions, dtype=float)
+    return ion_chain._hessian_rows(z, np.arange(len(z)))
+
+
 def loop_gradient_compensated(z, rows):
     """Potential gradient at the given ions as ion_chain._gradient_compensated
     computed it before it built its terms in one array: a loop over ion
@@ -354,7 +363,7 @@ def _full_newton_finish(z):
         grad = ion_chain._gradient_compensated(z, rows)
         if float(np.abs(grad).max()) <= ion_chain.GRADIENT_TOL:
             return z
-        step = np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+        step = np.linalg.solve(2.0 * build_hessian(z), grad)
         if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
             return z
         z = z - step
@@ -375,7 +384,7 @@ def full_solve_equilibrium(n_ions):
         grad = ion_chain._gradient(z, rows)
         if float(np.abs(grad).max()) < 1e-9:
             break
-        z = z - np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+        z = z - np.linalg.solve(2.0 * build_hessian(z), grad)
     return _full_newton_finish(z)
 
 
@@ -392,7 +401,7 @@ def full_hessian_split(positions):
     ion_chain._mirror_modes found them before it read only the upper and
     centre rows: split from the full n x n matrix of build_hessian, with
     the same eigh and Newton-Schulz step, in the same layout."""
-    h = ion_chain.build_hessian(positions)
+    h = build_hessian(positions)
     n = len(h)
     upper = np.arange(n - n // 2, n)
     lower = n - 1 - upper
@@ -432,7 +441,7 @@ def parity_mode_vectors(positions):
 def full_chain_blocks(n_ions):
     """(frequencies, Phi, Pi) of the n-ion ground state by the full-matrix
     route."""
-    freqs, modes = full_chain_modes(ion_chain.build_hessian(full_solve_equilibrium(n_ions)))
+    freqs, modes = full_chain_modes(build_hessian(full_solve_equilibrium(n_ions)))
     return (freqs, *ion_chain.local_mode_blocks(freqs, modes))
 
 
@@ -452,7 +461,7 @@ def damped_solve_equilibrium(n_ions):
         norm = float(np.abs(grad).max())
         if norm < 1e-9:
             break
-        step = np.linalg.solve(2.0 * ion_chain.build_hessian(z), grad)
+        step = np.linalg.solve(2.0 * build_hessian(z), grad)
         scale = 1.0
         while scale > 1e-8:
             trial = z - scale * step

@@ -30,6 +30,7 @@ from ionmodes.fock import (
     qudit_subspace_deficit,
     tmsv_disentangle,
     _haf_recurse,
+    _ket_block,
     _pure_amplitudes,
 )
 from ionmodes.gaussian import apply_symplectic, single_mode_rotation, single_mode_squeeze
@@ -40,6 +41,50 @@ def expand_matrix(a, reps):
     """Explicitly repeat row/column j of a symmetric matrix reps[j] times."""
     idx = [j for j, r in enumerate(reps) for _ in range(r)]
     return a[np.ix_(idx, idx)]
+
+
+def husimi_grid(sigma, size):
+    """|psi(m1, m2)|^2 on the size x size grid, from the ket block and
+    det(sigma_q) of husimi_data, one m2 column at a time (the route the
+    deficit took before it read the (Phi, Pi) blocks)."""
+    h = husimi_data(sigma)
+    b = h.a_mat[:2, :2]
+    root = np.sqrt(np.arange(size))
+    psi_t = np.zeros((size, size), dtype=complex)  # psi_t[m2] is the m2 column
+    psi_t[0, 0] = h.sqrt_det_sigma_q ** -0.5
+    for m1 in range(1, size - 1):
+        psi_t[0, m1 + 1] = b[0, 0] * root[m1] * psi_t[0, m1 - 1] / root[m1 + 1]
+    for m2 in range(size - 1):
+        column = psi_t[m2 + 1]
+        column[1:] = b[1, 0] * root[1:] * psi_t[m2, :-1]
+        if m2:
+            column += b[1, 1] * root[m2] * psi_t[m2 - 1]
+        column /= root[m2 + 1]
+    return np.abs(psi_t.T) ** 2
+
+
+def husimi_route_accepts(sigma):
+    """Whether the deficit's Husimi route took sigma as a pure state: a
+    physical CM whose pair matrix has an off-diagonal block below 1e-12."""
+    try:
+        h = husimi_data(sigma)
+    except NumericalError:
+        return False
+    return float(np.abs(h.a_mat[:2, 2:]).max()) <= 1e-12
+
+
+def rotated_states(monkeypatch, seed=1):
+    """The states of the benchmark's fock-rotated workload at a seed."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing cached in perfbench/
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    base = experiments.chain_model(2).cm
+    points, _ = inputs.fock_grid(seed)
+    states = [apply_symplectic(base, single_mode_squeeze(2, z) @ single_mode_rotation(2, theta))
+              for z, theta in points]
+    return states, list(inputs.QUDIT_DIMS)
 
 
 def disentangle_oracle(v0, v_plus, v_minus):
@@ -271,27 +316,17 @@ class TestQuditDeficit:
             assert qudit_subspace_deficit(sigma, dims[::-1]) == got[::-1]
 
     def test_dims_equal_per_dim_calls_on_rotated_states(self, monkeypatch):
-        # the states of the benchmark's fock-rotated workload at seed 1
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing cached in perfbench/
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
-        base = experiments.chain_model(2).cm
-        dims = list(inputs.QUDIT_DIMS)
-        points, _ = inputs.fock_grid(1)
-        for z, theta in points:
-            sigma = apply_symplectic(
-                base, single_mode_squeeze(2, z) @ single_mode_rotation(2, theta))
+        states, dims = rotated_states(monkeypatch)
+        for k, sigma in enumerate(states):
             want = [qudit_subspace_deficit(sigma, dim) for dim in dims]
-            assert qudit_subspace_deficit(sigma, dims) == want, (z, theta)
+            assert qudit_subspace_deficit(sigma, dims) == want, k
 
     def test_rows_fill_one_grid_per_state(self, monkeypatch):
         fills = []
 
-        def counted(h, fill=_pure_amplitudes):
-            fills.append(h)
-            return fill(h)
+        def counted(b, psi0, fill=_pure_amplitudes):
+            fills.append(b)
+            return fill(b, psi0)
 
         monkeypatch.setattr(fock, "_pure_amplitudes", counted)
         rows = experiments.fock_rows(range(1, 9))
@@ -307,7 +342,7 @@ class TestQuditDeficit:
         assert qudit_subspace_deficit(two_ion_cm, []) == []
 
     def test_dims_refused_before_the_fill(self, two_ion_cm, monkeypatch):
-        def no_fill(h):
+        def no_fill(b, psi0):
             raise AssertionError("an amplitude grid was filled")
 
         monkeypatch.setattr(fock, "_pure_amplitudes", no_fill)
@@ -328,6 +363,97 @@ class TestQuditDeficit:
         with pytest.raises(ValueError, match="pure states"):
             qudit_subspace_deficit(1.5 * np.eye(4), 2)
 
+    def test_slightly_mixed_rotated_state_rejected(self, two_ion_cm):
+        s = single_mode_squeeze(2, 2.0) @ single_mode_rotation(2, 0.7)
+        sigma = apply_symplectic(two_ion_cm, s)
+        assert qudit_subspace_deficit(sigma, 2) > 0.0
+        for noisy in (sigma * (1.0 + 1e-8), sigma + 1e-8 * np.diag([1.0, 1.0, 0.0, 0.0])):
+            assert not husimi_route_accepts(noisy)
+            with pytest.raises(ValueError, match="pure states"):
+                qudit_subspace_deficit(noisy, 2)
+
+    def test_antisymmetric_cross_block_rejected(self):
+        # Pi = Phi^-1 + C^T Phi^-1 C holds, but Phi^-1 C is antisymmetric:
+        # det sigma = 1 and yet a symplectic eigenvalue is below 1
+        c = 0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        sigma = np.block([[np.eye(2), c], [c.T, (1.0 + 0.09) * np.eye(2)]])
+        sigma = sigma[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]  # to (phi1, pi1, phi2, pi2)
+        assert not husimi_route_accepts(sigma)
+        with pytest.raises(ValueError, match="pure states"):
+            qudit_subspace_deficit(sigma, 2)
+
+    def test_states_the_husimi_route_accepted_still_accepted(self, two_ion_cm, monkeypatch):
+        # pure states, and each mixed by just less than that route let pass
+        states, dims = rotated_states(monkeypatch)
+        pure = (states[::16] + list(experiments.two_ion_states())
+                + [np.eye(4), tmsv_cm(0.35), two_ion_cm])
+        noises = (np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0]),
+                  np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]))
+        checked = 0
+        for sigma in pure:
+            for noise in noises:
+                off = float(np.abs(husimi_data(sigma + 1e-9 * noise).a_mat[:2, 2:]).max())
+                noisy = sigma + 0.95e-12 * (1e-9 / off) * noise
+                assert husimi_route_accepts(sigma) and husimi_route_accepts(noisy)
+                for accepted in (sigma, noisy):
+                    values = qudit_subspace_deficit(accepted, dims)
+                    assert all(0.0 <= p < 1.0 for p in values)
+                    checked += 1
+        assert checked == 2 * len(pure) * len(noises)
+
+    def test_shape_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the state was read past its shape")
+
+        monkeypatch.setattr(fock, "validate_cm", no_work)
+        monkeypatch.setattr(fock, "_pure_amplitudes", no_work)
+        for sigma, dims in ((np.eye(6), 2), (np.eye(3), 2), (np.eye(2), []), (np.ones(16), 2)):
+            with pytest.raises(ValueError, match="two-mode states"):
+                qudit_subspace_deficit(sigma, dims)
+
+    def test_empty_dims_validate_the_state_without_a_fill(self, two_ion_cm, monkeypatch):
+        def no_fill(b, psi0):
+            raise AssertionError("an amplitude grid was filled")
+
+        monkeypatch.setattr(fock, "_pure_amplitudes", no_fill)
+        assert qudit_subspace_deficit(two_ion_cm, []) == []
+        with pytest.raises(ValueError, match="pure states"):
+            qudit_subspace_deficit(1.5 * np.eye(4), [])
+        with pytest.raises(NumericalError, match="unphysical"):
+            qudit_subspace_deficit(-np.eye(4), [])
+
+    def test_real_states_fill_float_grids_without_husimi(self, monkeypatch):
+        # the table-7 states, the vacuum and a two-mode squeezed vacuum have
+        # no phi-pi correlation, so B and the grid stay real
+        def no_husimi(sigma):
+            raise AssertionError("husimi_data was called")
+
+        grids = []
+
+        def kept(b, psi0, fill=_pure_amplitudes):
+            grids.append(fill(b, psi0))
+            return grids[-1]
+
+        monkeypatch.setattr(fock, "husimi_data", no_husimi)
+        monkeypatch.setattr(fock, "_pure_amplitudes", kept)
+        raw, squeezed = experiments.two_ion_states()
+        for sigma in (raw, squeezed, np.eye(4), tmsv_cm(0.35)):
+            qudit_subspace_deficit(sigma, list(range(1, MAX_QUDIT_DIM + 1)))
+        assert [amplitudes.dtype for amplitudes, _ in grids] == [np.float64] * 4
+        # the table-7 grids stop by shell 32
+        assert all(len(shells) <= 33 for _, shells in grids[:2])
+        assert np.array_equal(experiments.fock_rows(range(1, 9)),
+                              [(d,) + tuple(qudit_subspace_deficit(s, d) for s in (raw, squeezed))
+                               for d in range(1, 9)])
+
+    def test_ket_block_matches_husimi_data(self, monkeypatch):
+        states, _ = rotated_states(monkeypatch)
+        for sigma in list(experiments.two_ion_states()) + states:
+            h = husimi_data(sigma)
+            b, psi0 = _ket_block(sigma)
+            assert np.abs(b - h.a_mat[:2, :2]).max() <= 2e-15
+            assert abs(psi0 - h.sqrt_det_sigma_q ** -0.5) <= 1e-15 * psi0
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), base=st.sampled_from(["two_ion", "tmsv"]),
            dim=st.integers(1, MAX_QUDIT_DIM))
@@ -335,8 +461,8 @@ class TestQuditDeficit:
         rng = np.random.default_rng(seed)
         sigma = two_ion_cm if base == "two_ion" else tmsv_cm(rng.uniform(0.0, 0.5))
         sigma = apply_symplectic(sigma, random_local_symplectic(rng, 2))
-        norm = math.fsum((np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2).ravel())
-        assert abs(norm - 1.0) <= 1e-13
+        _, shells = _pure_amplitudes(*_ket_block(sigma))
+        assert abs(math.fsum(shells) - 1.0) <= 1e-13
         got = qudit_subspace_deficit(sigma, dim)
         want = hafnian_deficit(sigma, dim)
         assert abs(got - want) <= 1e-9 * want
@@ -350,16 +476,24 @@ class TestQuditDeficit:
             want = hafnian_deficit(sigma, dim)
             assert abs(qudit_subspace_deficit(sigma, dim) - want) <= 1e-9 * want
 
-    @pytest.mark.parametrize("z,theta", [(2.49, 1.18), (2.5, 0.5 * math.pi), (2.4, 0.6)])
-    def test_every_shell_against_wider_grid(self, two_ion_cm, monkeypatch, z, theta):
+    @pytest.mark.parametrize("state", [
+        pytest.param((2.49, 1.18), id="2.49-1.18"),
+        pytest.param((2.5, 0.5 * math.pi), id="2.5-1.5707963267948966"),
+        pytest.param((2.4, 0.6), id="2.4-0.6"),
+        "raw", "squeezed"])
+    def test_every_shell_against_wider_grid(self, two_ion_cm, state):
         # stopping after two shells below 1e-13 of the total missed the
-        # first state by 2.8e-13 against the same sum to shell 300
-        s = single_mode_squeeze(2, z) @ single_mode_rotation(2, theta)
-        sigma = apply_symplectic(two_ion_cm, s)
+        # first state by 2.8e-13 against the same sum to shell 300; the
+        # table-7 states stop far below the cap
+        if state in ("raw", "squeezed"):
+            sigma = experiments.two_ion_states()[state == "squeezed"]
+        else:
+            z, theta = state
+            s = single_mode_squeeze(2, z) @ single_mode_rotation(2, theta)
+            sigma = apply_symplectic(two_ion_cm, s)
         dims = range(1, MAX_QUDIT_DIM + 1)
         got = [qudit_subspace_deficit(sigma, dim) for dim in dims]
-        monkeypatch.setattr(fock, "TAIL_OCCUPANCY_CAP", 300)
-        prob = np.abs(_pure_amplitudes(husimi_data(sigma))) ** 2
+        prob = husimi_grid(sigma, 301)
         occupancy = np.arange(301)
         shell = np.maximum.outer(occupancy, occupancy)
         for dim, value in zip(dims, got):

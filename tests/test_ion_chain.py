@@ -15,6 +15,7 @@ import scipy.constants
 from scipy.constants import elementary_charge, pi
 
 from conftest import (
+    build_hessian,
     damped_solve_equilibrium,
     fidelity_pair,
     full_chain_blocks,
@@ -33,7 +34,6 @@ from ionmodes.ion_chain import (
     IonChainModel,
     _gradient_compensated,
     _hessian_rows,
-    build_hessian,
     compute_scales,
     local_mode_blocks,
     solve_equilibrium,

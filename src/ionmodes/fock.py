@@ -3,10 +3,9 @@ density-matrix elements through repeated-row hafnians, the su(1,1)
 disentanglement behind two-mode squeezed vacua, and the probability weight
 outside finite qudit subspaces of a pure two-mode state, from an amplitude
 recurrence started from the state's (Phi, Pi) blocks in real arithmetic
-when its phi-pi cross block vanishes, and grown one occupancy shell at a
-time until the shells beyond it no longer matter."""
+when its phi-pi cross block vanishes, and filled one row at a time until
+the occupancy shells beyond it no longer matter."""
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ DEFAULT_OCCUPANCY_CAP = 12
 # the shells beyond the occupancy cap may hold at most this share of a deficit
 TAIL_RELATIVE_TOL = 1e-13
 
-# the amplitude grid stops growing once the shells beyond it are estimated
+# the amplitude grid stops filling rows once the shells beyond are estimated
 # at no more than this share of the deficit at MAX_QUDIT_DIM, the smallest
 # a caller can ask for; the estimate runs low, but a grid stopped here is
 # within 1e-13 of the same sums to shell 300 on the test states
@@ -51,9 +50,6 @@ MAX_QUDIT_DIM = 8
 # states, pure ones read below 1e-15, and those the earlier Husimi pair test
 # (an off-diagonal block below 1e-12) accepted below 3e-11
 PURE_STATE_TOL = 1e-10
-
-# shells the amplitude grid holds before it first grows; doubled after
-_FIRST_SHELLS = 32
 
 
 def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
@@ -238,19 +234,6 @@ def _ket_block(sigma):
     return b, 2.0 * det_phi ** 0.25 / math.sqrt(abs(det_m))
 
 
-@functools.lru_cache(maxsize=None)
-def _cross_weights(n_shells):
-    """sqrt(min(k, 2s - k) / s) at flat position s^2 + k of an amplitude grid
-    of n_shells shells: the weight of the cross term of each entry of shell
-    s (0 at the vacuum, which has none)."""
-    position = np.arange(n_shells * n_shells)
-    shell = np.sqrt(position).astype(np.intp)  # exact for these small squares
-    k = position - shell * shell
-    weights = np.sqrt(np.minimum(k, 2 * shell - k) / np.maximum(shell, 1))
-    weights.flags.writeable = False
-    return weights
-
-
 def _tail_estimate(shells):
     """Geometric estimate of the shells beyond the last one, from the ratio
     of its last two pairs (pairs, since states of definite parity fill every
@@ -271,51 +254,41 @@ def _pure_amplitudes(b, psi0):
     A pure state has a Husimi pair matrix B (+) conj(B), so its hafnians are
     loop-free in B: psi(m + e_i) = sum_j B_ij sqrt(m_j) psi(m - e_j) /
     sqrt(m_i + 1) (Quesada et al., J. Chem. Phys. 150, 164113 (2019)).
-    Shell s is stored at flat positions s^2 .. s^2 + 2s, walking its L from
-    (s, 0) through the corner (s, s) to (0, s), and filled from shells s - 1
-    and s - 2: its row (s, k) raises mode 1, its column (j, s) mode 2, and
-    every entry's cross term B_01 comes from position k - 1 of shell s - 1,
-    one vectorized update; the B_00 row update and B_11 column update each
-    take one slice of shell s - 2, and the three entries by the corner are
-    set one by one.  The grid grows until the shells beyond it are estimated
-    at TAIL_STOP_TOL of the deficit at MAX_QUDIT_DIM, or to shell
-    TAIL_OCCUPANCY_CAP; it is float64 when B is.
+    Row 0 raises mode 2 alone, so it holds the powers of B_11, one cumprod.
+    Row s raises mode 1 from rows s - 1 and s - 2 over the grid's full width:
+    the cross term B_01 sqrt(m2) psi(s - 1, m2 - 1), then
+    B_00 sqrt(s - 1) psi(s - 2, m2), then a division by sqrt(s).  Shell s is
+    row s up to the corner and column s above it, all filled by then.  Rows
+    are filled until the shells beyond are estimated at TAIL_STOP_TOL of the
+    deficit at MAX_QUDIT_DIM, or to shell TAIL_OCCUPANCY_CAP; no later row
+    is read.  The grid is float64 when B is.
 
     Returns:
-        (amplitudes in that flat shell order, shell probabilities)
+        (the filled square psi[m1, m2] up to the last shell, shell probabilities)
     """
     (b00, b01), (_, b11) = b.tolist()
-    n_shells = _FIRST_SHELLS
-    psi = np.zeros(n_shells * n_shells, dtype=b.dtype)
-    cross = b01 * _cross_weights(n_shells)
-    psi[0] = psi0
+    size = TAIL_OCCUPANCY_CAP + 1
+    root = np.sqrt(np.arange(size))
+    cross = b01 * root[1:]
+    psi = np.empty((size, size), dtype=b.dtype)
+    psi[0] = 0.0
+    psi[0, ::2] = np.cumprod(np.concatenate(([psi0], b11 * root[1:-1:2] / root[2::2])))
     shells = [psi0 * psi0]
     deficit = 0.0  # of the shells from MAX_QUDIT_DIM on
-    prev = psi[:1]
-    for s in range(1, TAIL_OCCUPANCY_CAP + 1):
-        if s == n_shells:
-            n_shells = min(2 * n_shells, TAIL_OCCUPANCY_CAP + 1)
-            psi = np.concatenate((psi, np.zeros(n_shells * n_shells - psi.size, psi.dtype)))
-            cross = b01 * _cross_weights(n_shells)
-            before, prev = psi[(s - 2) ** 2:(s - 1) ** 2], psi[(s - 1) ** 2:s * s]
-        lo, hi = s * s, (s + 1) * (s + 1)
-        shell = psi[lo:hi]
-        np.multiply(cross[lo + 1:hi - 1], prev, out=shell[1:-1])
+    for s in range(1, size):
+        row = psi[s]
+        row[0] = 0.0
+        np.multiply(cross, psi[s - 1, :-1], out=row[1:])
         if s > 1:
-            step = math.sqrt((s - 1) / s)
-            row, column = b00 * step, b11 * step
-            shell[:s - 1] += row * before[:s - 1]  # (s, k) from (s - 2, k), k <= s - 2
-            shell[s + 2:] += column * before[s - 2:]  # (j, s) from (j, s - 2), j <= s - 2
-            shell[s - 1] += row * prev[s]  # (s, s - 1) from (s - 2, s - 1)
-            shell[s + 1] += column * prev[s - 2]  # (s - 1, s) from (s - 1, s - 2)
-            shell[s] += row * shell[s + 2]  # (s, s) from (s - 2, s)
-        shells.append(float(np.vdot(shell, shell).real))
+            row += (b00 * root[s - 1]) * psi[s - 2]
+        row /= root[s]
+        to_corner, above = row[:s + 1], psi[:s, s]
+        shells.append(float(np.vdot(to_corner, to_corner).real + np.vdot(above, above).real))
         if s >= MAX_QUDIT_DIM:
             deficit += shells[-1]
         if s >= MAX_QUDIT_DIM + 3 and _tail_estimate(shells) <= TAIL_STOP_TOL * deficit:
             break
-        before, prev = prev, shell
-    return psi[:hi], shells
+    return psi[:s + 1, :s + 1], shells
 
 
 def qudit_subspace_deficit(sigma, dim):
@@ -329,17 +302,18 @@ def qudit_subspace_deficit(sigma, dim):
     (matrix_element covers mixed states), and an empty sequence of D then
     gives [].  The sum runs over every occupancy shell of the grid from D
     on; it has no cancellation, so small deficits keep their relative
-    accuracy.  The grid grows shell by shell until the shells beyond it are
-    estimated at TAIL_STOP_TOL of the deficit at MAX_QUDIT_DIM, so every D
-    reads the same grid however it is asked for.  The estimate is an
-    extrapolation: a geometric series with the ratio of the last two pairs
-    of shells, which assumes that ratio holds for every later pair.  A
-    state that reaches shell TAIL_OCCUPANCY_CAP first raises NumericalError
-    unless the estimate is within TAIL_RELATIVE_TOL of the smallest
-    requested deficit.  The ratio of a squeezed state's pairs still rises
-    slowly towards its limit at the cap, so the estimate is low: on the
-    two-ion state rotated and squeezed by z <= 2.5, the tail beyond the cap
-    (from a 301-shell grid) exceeds it by at most 0.06%.
+    accuracy.  The grid is filled row by row, each row completing a shell,
+    until the shells beyond are estimated at TAIL_STOP_TOL of the deficit
+    at MAX_QUDIT_DIM, so every D reads the same grid however it is asked
+    for.  The estimate is an extrapolation: a geometric series with the
+    ratio of the last two pairs of shells, which assumes that ratio holds
+    for every later pair.  A state that reaches shell TAIL_OCCUPANCY_CAP
+    first raises NumericalError unless the estimate is within
+    TAIL_RELATIVE_TOL of the smallest requested deficit.  The ratio of a
+    squeezed state's pairs still rises slowly towards its limit at the cap,
+    so the estimate is low: on the two-ion state rotated and squeezed by
+    z <= 2.5, the tail beyond the cap (from a 301-shell grid) exceeds it by
+    at most 0.06%.
     """
     dims = integers(dim, "dim")
     if dims.ndim > 1:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ionmodes.numerics import NumericalError, integer_list, maximize_1d, positive
+from ionmodes.numerics import SYMMETRY_TOL, NumericalError, integer_list, maximize_1d, positive
 
 __all__ = [
     "symplectic_form",
@@ -76,11 +76,11 @@ def from_blocks(phi_block, pi_block):
 
 
 def _check_finite_symmetric(mat, what):
-    """Require finite entries and symmetry to 1e-12 max(1, the largest entry)."""
+    """Require finite entries and symmetry to SYMMETRY_TOL max(1, largest entry)."""
     largest = float(np.abs(mat).max())
     if not math.isfinite(largest):
         raise NumericalError("%s has non-finite entries" % what)
-    if float(np.abs(mat - mat.T).max()) > 1e-12 * max(1.0, largest):
+    if float(np.abs(mat - mat.T).max()) > SYMMETRY_TOL * max(1.0, largest):
         raise ValueError("%s is not symmetric" % what)
 
 

@@ -20,7 +20,7 @@ principal_sqrt, half_zone_nodes and quad_oscillatory have no package caller
 (the lattice correlators are closed forms in scalar_field).  They stay only
 because the benchmark's span tracer (perfbench/spans.py) names
 principal_sqrt and quad_oscillatory, and the tests' oracles use all three;
-the benchmark refresh (ROADMAP item 2) moves them into tests/conftest.py."""
+the benchmark refresh (ROADMAP item 1) moves them into tests/conftest.py."""
 
 import ctypes
 import functools

@@ -440,11 +440,27 @@ class TestQuditDeficit:
         for sigma in (raw, squeezed, np.eye(4), tmsv_cm(0.35)):
             qudit_subspace_deficit(sigma, list(range(1, MAX_QUDIT_DIM + 1)))
         assert [amplitudes.dtype for amplitudes, _ in grids] == [np.float64] * 4
-        # the table-7 grids stop by shell 32
-        assert all(len(shells) <= 33 for _, shells in grids[:2])
+        # the table-7 grids stop at shells 24 and 16
+        assert [len(shells) - 1 for _, shells in grids[:2]] == [24, 16]
         assert np.array_equal(experiments.fock_rows(range(1, 9)),
                               [(d,) + tuple(qudit_subspace_deficit(s, d) for s in (raw, squeezed))
                                for d in range(1, 9)])
+
+    def test_unfilled_rows_never_read(self, two_ion_cm, monkeypatch):
+        # NaN in every entry the fill has not written reaches a deficit if
+        # any of them is read
+        s = single_mode_squeeze(2, 2.5) @ single_mode_rotation(2, 0.5 * math.pi)
+        states = list(experiments.two_ion_states()) + [apply_symplectic(two_ion_cm, s)]
+        dims = list(range(1, MAX_QUDIT_DIM + 1))
+        want = [qudit_subspace_deficit(sigma, dims) for sigma in states]
+
+        def poisoned(shape, dtype=float, empty=np.empty, **kwargs):
+            buffer = empty(shape, dtype, **kwargs)
+            buffer.fill(np.nan)
+            return buffer
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        assert [qudit_subspace_deficit(sigma, dims) for sigma in states] == want
 
     def test_ket_block_matches_husimi_data(self, monkeypatch):
         states, _ = rotated_states(monkeypatch)
@@ -480,16 +496,18 @@ class TestQuditDeficit:
         pytest.param((2.49, 1.18), id="2.49-1.18"),
         pytest.param((2.5, 0.5 * math.pi), id="2.5-1.5707963267948966"),
         pytest.param((2.4, 0.6), id="2.4-0.6"),
+        pytest.param((2.0, 0.7, [0]), id="2.0-0.7-first-mode"),
         "raw", "squeezed"])
     def test_every_shell_against_wider_grid(self, two_ion_cm, state):
         # stopping after two shells below 1e-13 of the total missed the
         # first state by 2.8e-13 against the same sum to shell 300; the
-        # table-7 states stop far below the cap
+        # table-7 states stop far below the cap; a state acted on in its
+        # first mode alone has no mode-swap symmetry
         if state in ("raw", "squeezed"):
             sigma = experiments.two_ion_states()[state == "squeezed"]
         else:
-            z, theta = state
-            s = single_mode_squeeze(2, z) @ single_mode_rotation(2, theta)
+            z, theta, *targets = state
+            s = single_mode_squeeze(2, z, *targets) @ single_mode_rotation(2, theta, *targets)
             sigma = apply_symplectic(two_ion_cm, s)
         dims = range(1, MAX_QUDIT_DIM + 1)
         got = [qudit_subspace_deficit(sigma, dim) for dim in dims]
@@ -499,6 +517,11 @@ class TestQuditDeficit:
         for dim, value in zip(dims, got):
             want = math.fsum(prob[shell >= dim])
             assert abs(value - want) <= 1e-13 * want
+        # entry by entry, so that a row/column mix-up cannot hide in a shell
+        # sum; absolute, since some entries vanish in exact arithmetic
+        amplitudes, _ = _pure_amplitudes(*_ket_block(sigma))
+        size = len(amplitudes)
+        assert np.abs(np.abs(amplitudes) ** 2 - prob[:size, :size]).max() <= 1e-15
 
     def test_tail_beyond_cap_raises(self, two_ion_cm):
         s = single_mode_squeeze(2, 4.0) @ single_mode_rotation(2, 0.5 * math.pi)

@@ -16,9 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 import ionmodes
-from ionmodes import experiments, gaussian, golden, scalar_field
-from ionmodes.fock import TAIL_RELATIVE_TOL
-from ionmodes.ion_chain import GRADIENT_TOL
+from ionmodes import experiments, fock, gaussian, golden, ion_chain, numerics, scalar_field
 from ionmodes.numerics import NumericalError, blas_threads
 
 __all__ = ["main", "RunManifest"]
@@ -31,13 +29,22 @@ EXIT_GOLDEN = 3
 # scalar rows report chain_size 0: the lattice is infinite
 SCALAR_CHAIN_SIZE = 0
 
+# every module-level *_TOL that can refuse or clip in a command's run
 TOLERANCES = {
-    "newton_gradient_inf_norm": GRADIENT_TOL,
+    "newton_gradient_inf_norm": ion_chain.GRADIENT_TOL,
+    "com_frequency_window": ion_chain.COM_FREQUENCY_TOL,
+    "chain_purity_residual": ion_chain.PURITY_TOL,
     "correlator_abs_error": scalar_field.CORRELATOR_ABS_ERROR,
+    "symmetry_relative": numerics.SYMMETRY_TOL,
     "symplectic_residual": gaussian.SYMPLECTIC_TOL,
+    "physicality_margin": gaussian.PHYSICALITY_TOL,
     "nu_unit_window": gaussian.NU_UNIT_TOL,
+    "fidelity_defect_floor": gaussian.AUX_UNIT_TOL,
     "squeeze_search_ln_z": gaussian.LN_Z_TOL,
-    "fock_tail_relative": TAIL_RELATIVE_TOL,
+    "fock_pure_state_relative": fock.PURE_STATE_TOL,
+    "fock_tail_relative": fock.TAIL_RELATIVE_TOL,
+    "fock_tail_stop_relative": fock.TAIL_STOP_TOL,
+    "golden_z_star_abs": golden.Z_STAR_TOL,
     "golden_slack_default": golden.POLICY_SLACK["default"],
     "golden_slack_strict": golden.POLICY_SLACK["strict"],
 }

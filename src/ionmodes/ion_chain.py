@@ -18,21 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import NumericalError, integer, integer_list, positive
+from ionmodes.numerics import NumericalError, integer, integer_list
 
-__all__ = [
-    "PhysicalScales",
-    "IonChainModel",
-    "solve_equilibrium",
-    "local_mode_blocks",
-    "compute_scales",
-]
+__all__ = ["IonChainModel", "solve_equilibrium", "local_mode_blocks"]
 
 MAX_IONS = 300
 
 # infinity-norm of the potential gradient at convergence, measured with
 # compensated summation (plain accumulation bottoms out near 1e-11 for
-# N = 300, far above the true gradient at the converged point)
+# N = 300, far above the true gradient at the converged point).  For n
+# terms p_i with exact sum S, _compensated_row_sums returns S within
+# u |S| + gamma(2 L)^2 sum |p_i|, with u = 2^-53, L = ceil(log2 n) and
+# gamma(k) = k u / (1 - k u): at N = 300 (L = 9, sum |p_i| <= 1.1e3 at the
+# equilibrium) the second term is below 5e-27, far under this tolerance
 GRADIENT_TOL = 1e-12
 
 COM_FREQUENCY_TOL = 1e-10
@@ -43,41 +41,64 @@ COM_FREQUENCY_TOL = 1e-10
 # gaussian.measure_pure_complement relies on
 PURITY_TOL = 1e-12
 
-# SI constants, CODATA 2022 as in scipy.constants 1.17.1 (kept as literals
-# so importing the package does not load scipy)
-atomic_mass = 1.66053906892e-27  # kg
-elementary_charge = 1.602176634e-19  # C
-epsilon_0 = 8.8541878188e-12  # F / m
-hbar = 1.0545718176461565e-34  # J s
+
+def _derivatives(z, rows):
+    """Potential gradient and Hessian rows at the given ions, both from one
+    array of differences d = z_i - z_j: the force terms sign(d) / d^2 and
+    the couplings 2 / |d|^3, each rounded as sign(d) / d**2 and 2 / |d|**3
+    round.  The converged positions rest on these roundings to the bit:
+    taken from r = 1 / d instead (r |r|, 2 |r|^3) the terms are cheaper
+    but round differently, and move the positions by ulps."""
+    d = z[rows, None] - z[None, :]
+    diagonal = np.arange(len(rows)), rows
+    d[diagonal] = np.inf
+    size = np.abs(d)
+    force = np.multiply(d, size)  # sign(d) d^2
+    np.reciprocal(force, out=force)  # 0 on the self pair
+    grad = 2.0 * z[rows] - 2.0 * force.sum(axis=1)
+    np.power(size, 3.0, out=size)
+    hess = np.divide(-2.0, size, out=size)
+    hess[diagonal] = 1.0 - hess.sum(axis=1)
+    return grad, hess
 
 
-def _gradient(z, rows):
-    """Potential gradient at the given ions, vectorized (round-off floor
-    ~1e-11 for large N)."""
-    diff = z[rows, None] - z[None, :]
-    diff[np.arange(len(rows)), rows] = np.inf
-    return 2.0 * z[rows] - 2.0 * np.sum(np.sign(diff) / diff**2, axis=1)
+def _compensated_row_sums(terms):
+    """Sum of each row of a 2-D array by a pairwise TwoSum cascade: every
+    level adds the two halves of the row and keeps the exact rounding error
+    of each addition (Knuth's TwoSum), the errors summed alongside and added
+    at the end (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005),
+    with pairwise in place of sequential order).  Its error bound is given
+    beside GRADIENT_TOL."""
+    s = np.array(terms, dtype=float)
+    c = np.zeros_like(s)
+    while s.shape[1] > 1:
+        width = s.shape[1]
+        half, odd = width // 2, width % 2
+        a, b = s[:, :half], s[:, half:2 * half]
+        total = a + b
+        back = total - a
+        error = (a - (total - back)) + (b - back)
+        error += c[:, :half]
+        error += c[:, half:2 * half]
+        s[:, :half], c[:, :half] = total, error
+        if odd:  # the unpaired last column moves up a level
+            s[:, half], c[:, half] = s[:, -1], c[:, -1]
+        s, c = s[:, :half + odd], c[:, :half + odd]
+    return s[:, 0] + c[:, 0]
 
 
 def _gradient_compensated(z, rows):
-    """Potential gradient at the given ions with exact (fsum) term
-    accumulation."""
+    """Potential gradient at the given ions, each row of terms summed by
+    _compensated_row_sums (equal to the exactly rounded sum at every
+    equilibrium of 2..MAX_IONS ions)."""
     diff = z[rows, None] - z[None, :]
-    diff[np.arange(len(rows)), rows] = np.inf
-    terms = -np.copysign(2.0, diff) / diff**2
-    terms[np.arange(len(rows)), rows] = 2.0 * z[rows]  # the trap term, in place of the self term's -0.0
-    return np.array([math.fsum(row.tolist()) for row in terms])
-
-
-def _hessian_rows(z, rows):
-    """The given rows of the potential Hessian at positions z."""
-    dist = np.abs(z[rows, None] - z[None, :])
     diagonal = np.arange(len(rows)), rows
-    dist[diagonal] = np.inf
-    coupling = 2.0 / dist**3
-    hess = -coupling
-    hess[diagonal] = 1.0 + np.sum(coupling, axis=1)
-    return hess
+    diff[diagonal] = np.inf
+    terms = np.abs(diff)
+    terms *= diff
+    np.divide(-2.0, terms, out=terms)  # -2 sign(d) / d^2, to the bit
+    terms[diagonal] = 2.0 * z[rows]  # the trap term, in place of the self term's -0.0
+    return _compensated_row_sums(terms)
 
 
 def _mirror_halves(n):
@@ -97,8 +118,8 @@ def solve_equilibrium(n_ions):
     taken over the rows U, and the step matrix is the reduced Hessian
     H[U, U] - H[U, J U], where J reverses the ion order.
 
-    Newton starts from a uniform spread and is converged when the exactly
-    summed gradient infinity-norm reaches 1e-12, or the float64
+    Newton starts from a uniform spread and is converged when the
+    compensated gradient infinity-norm reaches 1e-12, or the float64
     representation floor for large chains: positions are quantized at one
     ulp (about 2e-15 here), so the gradient cannot drop below stiffness
     times ulp, about 2e-12 at n = 150.  In that regime the iterate is
@@ -116,31 +137,35 @@ def solve_equilibrium(n_ions):
     z = np.zeros(n)
     z[upper] = np.linspace(-half, half, n)[upper]
 
-    def newton_step(grad):
-        hess = _hessian_rows(z, upper)
+    def mirrored_derivatives():
+        z[lower] = -z[upper]
+        return _derivatives(z, upper)
+
+    def newton_step(grad, hess):
         return np.linalg.solve(2.0 * (hess[:, upper] - hess[:, lower]), grad)
 
     # phase 1: Newton with fast gradients down to 1e-9, where plain
     # summation is still accurate (its round-off floor is a few 1e-12).
     # From this start no chain of 2..MAX_IONS ions needs a damped step; it
     # takes 3-7 full steps.
+    grad, hess = mirrored_derivatives()
     for _ in range(100):
-        z[lower] = -z[upper]
-        grad = _gradient(z, upper)
         if float(np.abs(grad).max()) < 1e-9:
             break
-        z[upper] -= newton_step(grad)
-    # phase 2: Newton on the exactly summed gradient, so the final
-    # tolerance is checked free of accumulation round-off
+        z[upper] -= newton_step(grad, hess)
+        grad, hess = mirrored_derivatives()
+    # phase 2: Newton on the compensated gradient, so the final tolerance
+    # is checked free of accumulation round-off; the step matrix is the
+    # Hessian at the current iterate, the first one phase 1's last
     for _ in range(10):
-        z[lower] = -z[upper]
         grad = _gradient_compensated(z, upper)
         if float(np.abs(grad).max()) <= GRADIENT_TOL:
             break
-        step = newton_step(grad)
+        step = newton_step(grad, hess)
         if float(np.abs(step).max()) <= 4.0 * np.spacing(np.abs(z).max()):
             break  # stalled at the position representation floor
         z[upper] -= step
+        _, hess = mirrored_derivatives()
     else:
         raise NumericalError("equilibrium Newton iteration failed to reach the gradient tolerance")
     if not np.all(np.diff(z) > 0.0):
@@ -171,15 +196,15 @@ def _mirror_modes(positions):
         raise ValueError("positions must be a non-empty, exactly odd-symmetric chain")
     n = len(z)
     upper, lower = _mirror_halves(n)
-    rows = _hessian_rows(z, upper)
-    even = rows[:, upper] + rows[:, lower]
+    centre = n // 2
+    _, rows = _derivatives(z, np.arange(centre, n))  # for odd n the centre row first
+    upper_rows = rows[n % 2:]
+    even = upper_rows[:, upper] + upper_rows[:, lower]
     if n % 2:
-        centre = n // 2
-        coupling = math.sqrt(2.0) * rows[:, centre]
-        diagonal = _hessian_rows(z, np.array([centre]))[0, centre]
-        even = np.block([[diagonal, coupling], [coupling[:, None], even]])
+        coupling = math.sqrt(2.0) * upper_rows[:, centre]
+        even = np.block([[rows[0, centre], coupling], [coupling[:, None], even]])
     pairs = []
-    for block in (even, rows[:, upper] - rows[:, lower]):
+    for block in (even, upper_rows[:, upper] - upper_rows[:, lower]):
         vals, vecs = np.linalg.eigh(block)
         pairs.append((vals, 0.5 * vecs @ (3.0 * np.eye(len(vals)) - vecs.T @ vecs)))
     return pairs
@@ -279,64 +304,3 @@ class IonChainModel:
         cm = from_blocks(self.phi_block, self.pi_block)
         cm.flags.writeable = False
         return cm
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Physical trap scales for a given ion species and axial confinement.
-
-    spacing_scale is the Coulomb equilibrium length (the unit of the
-    dimensionless positions); ground_state_scale is the zero-point spread
-    of the center-of-mass mode (the unit of the local phase-space
-    coordinates).  Both in meters.
-    """
-
-    charge: float
-    mass: float
-    curvature: float
-    axial_frequency: float
-    spacing_scale: float
-    ground_state_scale: float
-
-    @property
-    def scale_ratio(self):
-        return self.ground_state_scale / self.spacing_scale
-
-
-def compute_scales(charge=elementary_charge, mass=None, curvature=None, axial_frequency=None):
-    """Physical length scales of the axial trap.
-
-    Exactly one of curvature (electric potential curvature, V/m^2) or
-    axial_frequency (omega_z, rad/s) must be given, along with the ion mass
-    in kg.  The two are related by omega_z^2 = 2 q kappa_2 / m; the spacing
-    scale obeys l^3 = q / (8 pi epsilon_0 kappa_2) and the ground-state
-    scale is sqrt(hbar / (m omega_z)).
-    """
-    if (curvature is None) == (axial_frequency is None):
-        raise ValueError("supply exactly one of curvature or axial_frequency")
-    charge, mass = positive(charge, "charge"), positive(mass, "mass")
-    if curvature is not None:
-        curvature, omega_z = positive(curvature, "curvature"), None
-        given = "curvature = %r" % curvature
-    else:
-        omega_z = positive(axial_frequency, "axial_frequency")
-        given = "axial_frequency = %r" % omega_z
-    try:
-        if omega_z is None:
-            omega_z = math.sqrt(2.0 * charge * curvature / mass)
-        else:
-            curvature = mass * omega_z**2 / (2.0 * charge)
-        spacing = (charge / (8.0 * math.pi * epsilon_0 * curvature)) ** (1.0 / 3.0)
-        ground = math.sqrt(hbar / (mass * omega_z))
-        scales = (curvature, omega_z, spacing, ground)
-    except (OverflowError, ZeroDivisionError):
-        scales = (math.inf,)
-    if not all(0.0 < value < math.inf for value in scales):
-        raise ValueError("charge = %r, mass = %r and %s give trap scales outside the float range"
-                         % (charge, mass, given))
-    return PhysicalScales(charge, mass, *scales)
-
-
-def ytterbium_mass(isotope=171):
-    """Convenience: ion mass in kg from the mass number (2 s.f. accuracy)."""
-    return isotope * atomic_mass

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through cli.main."""
 
+import ast
 import csv
 import importlib
 import io
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import ionmodes
-from ionmodes import experiments, numerics, scalar_field
+from ionmodes import cli, experiments, numerics, scalar_field
 from ionmodes.cli import UsageError, main, parse_int_range
 from ionmodes.numerics import NumericalError
 
@@ -426,6 +427,30 @@ class TestManifestFile:
         assert manifest["params"] == dict(
             {key: str(tmp_path) if value == "GOLDEN" else value for key, value in params.items()},
             out=out_path)
+
+
+# module-level tolerances no command runs into: numerics.principal_sqrt's,
+# which only the benchmark's tracer and a test oracle call
+UNLISTED_TOLERANCES = {("numerics", "SQRT_RESIDUAL_TOL")}
+
+
+def test_manifest_lists_every_module_tolerance():
+    package = os.path.dirname(ionmodes.__file__)
+    defined = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                body = ast.parse(fh.read()).body
+            defined.update((name[:-3], target.id) for node in body if isinstance(node, ast.Assign)
+                           for target in node.targets
+                           if isinstance(target, ast.Name) and target.id.endswith("_TOL"))
+    with open(cli.__file__, encoding="utf-8") as fh:
+        (table,) = [node.value for node in ast.parse(fh.read()).body if isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "TOLERANCES" for target in node.targets)]
+    listed = {(node.value.id, node.attr) for node in ast.walk(table)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert UNLISTED_TOLERANCES <= defined
+    assert sorted(defined - UNLISTED_TOLERANCES - listed) == []
 
 
 def test_every_exported_name_resolves():

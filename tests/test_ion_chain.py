@@ -1,29 +1,30 @@
-"""Ion chain: equilibrium solver, mode structure, local-mode covariance
-matrix, and physical trap scales."""
+"""Ion chain: equilibrium solver, its derivative kernel and compensated
+gradient, mode structure and local-mode covariance matrix."""
 
 import dataclasses
 import functools
 import math
-import re
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.constants
-from scipy.constants import elementary_charge, pi
 
 from conftest import (
     build_hessian,
     damped_solve_equilibrium,
     fidelity_pair,
+    fsum_gradient_compensated,
     full_chain_blocks,
     full_chain_modes,
     full_hessian_split,
     full_solve_equilibrium,
+    hessian_rows,
     loop_gradient_compensated,
     parity_mode_vectors,
+    plain_gradient,
 )
 from ionmodes import experiments, ion_chain
 from ionmodes.gaussian import from_blocks, restrict, symplectic_spectrum
@@ -33,11 +34,8 @@ from ionmodes.ion_chain import (
     PURITY_TOL,
     IonChainModel,
     _gradient_compensated,
-    _hessian_rows,
-    compute_scales,
     local_mode_blocks,
     solve_equilibrium,
-    ytterbium_mass,
 )
 from ionmodes.numerics import NumericalError
 
@@ -112,14 +110,17 @@ class TestEquilibrium:
 
     def test_non_ascending_positions_raise(self, monkeypatch):
         # a first step that negates the upper half, so the mirrored chain
-        # descends, then gradients that accept that iterate at once
-        def mirroring(z, rows):
-            if z[0] > z[-1]:
-                return np.zeros(len(rows))
-            hess = _hessian_rows(z, rows)
-            return 2.0 * (hess[:, rows] - hess[:, len(z) - 1 - rows]) @ (2.0 * z[rows])
+        # descends, then gradients that accept that iterate at once; the
+        # kernel's Hessian rows pass through
+        derivatives = ion_chain._derivatives
 
-        monkeypatch.setattr(ion_chain, "_gradient", mirroring)
+        def mirroring(z, rows):
+            _, hess = derivatives(z, rows)
+            if z[0] > z[-1]:
+                return np.zeros(len(rows)), hess
+            return 2.0 * (hess[:, rows] - hess[:, len(z) - 1 - rows]) @ (2.0 * z[rows]), hess
+
+        monkeypatch.setattr(ion_chain, "_derivatives", mirroring)
         monkeypatch.setattr(ion_chain, "_gradient_compensated", lambda z, rows: np.zeros(len(rows)))
         with pytest.raises(NumericalError, match="not strictly ascending"):
             solve_equilibrium(5)
@@ -129,6 +130,69 @@ class TestEquilibrium:
             solve_equilibrium(0)
         with pytest.raises(ValueError):
             solve_equilibrium(MAX_IONS + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _equilibria():
+    """Equilibrium positions of every chain of 2..MAX_IONS ions."""
+    return tuple(solve_equilibrium(n) for n in range(2, MAX_IONS + 1))
+
+
+class TestDerivatives:
+    def test_bit_equal_to_separate_gradient_and_hessian(self):
+        # one difference array gives both, each term rounded as the two
+        # separate oracles round it: at every equilibrium, at the uniform
+        # start and off the equilibrium by an odd-symmetric shift
+        rng = np.random.default_rng(31)
+        for z in _equilibria():
+            n = len(z)
+            half = 0.5 * n ** (2.0 / 3.0)
+            shift = rng.uniform(-0.2, 0.2, n) * np.diff(z).min()
+            rows = np.arange(n)
+            for point in (z, np.linspace(-half, half, n), z + 0.5 * (shift - shift[::-1])):
+                grad, hess = ion_chain._derivatives(point, rows)
+                assert grad.tobytes() == plain_gradient(point, rows).tobytes(), n
+                assert hess.tobytes() == hessian_rows(point, rows).tobytes(), n
+
+
+def _cascade_bound(row):
+    """u |S| + gamma(2 L)^2 sum |p_i|, exactly, for the row's exact sum S,
+    u = 2^-53 and L = ceil(log2 n): the bound stated beside GRADIENT_TOL."""
+    u = Fraction(2) ** -53
+    k = 2 * (len(row) - 1).bit_length()
+    gamma = k * u / (1 - k * u)
+    exact = sum(map(Fraction, row))
+    return exact, u * abs(exact) + gamma**2 * sum(abs(Fraction(p)) for p in row)
+
+
+class TestCompensatedSum:
+    def test_exactly_rounded_at_every_equilibrium(self):
+        # over every ion, not only the upper half the solver sums
+        for z in _equilibria():
+            rows = np.arange(len(z))
+            want = fsum_gradient_compensated(z, rows)
+            assert ion_chain._gradient_compensated(z, rows).tobytes() == want.tobytes(), len(z)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 64, 300, 1001])
+    def test_within_bound_under_cancellation(self, width):
+        # a third of each row is pairs +-p with |p| from 2^-60 to 2^60, which
+        # cancel exactly, the rest terms of 2^-40 to 2^-20 that carry the
+        # sum, shuffled: sum |p_i| / |S| up to 2.4e25
+        rng = np.random.default_rng(width)
+        pairs = width // 3
+        rows = []
+        for _ in range(16):
+            big = rng.standard_normal(pairs) * 2.0 ** rng.integers(-60, 61, pairs)
+            small = rng.standard_normal(width - 2 * pairs) * 2.0 ** rng.integers(-40, -19, width - 2 * pairs)
+            rows.append(rng.permutation(np.concatenate((big, -big, small))))
+        got = ion_chain._compensated_row_sums(np.array(rows))
+        plain_misses = 0
+        for row, value in zip(rows, got):
+            exact, bound = _cascade_bound(row)
+            assert abs(Fraction(value) - exact) <= bound, (width, value, float(exact))
+            plain_misses += abs(Fraction(float(np.sum(row))) - exact) > bound
+        if width >= 64:
+            assert plain_misses  # rows a plain pairwise sum gets wrong
 
 
 class TestModes:
@@ -328,65 +392,3 @@ class TestSharedModel:
         monkeypatch.setattr(ion_chain, "local_mode_blocks", perturbed)
         with pytest.raises(NumericalError, match="not pure"):
             IonChainModel.build(10)
-
-
-class TestPhysicalScales:
-    def test_ytterbium_at_one_megahertz(self):
-        scales = compute_scales(mass=ytterbium_mass(171),
-                                axial_frequency=2.0 * pi * 1.0e6)
-        assert abs(scales.spacing_scale - 2.74e-6) < 0.01e-6
-        assert abs(scales.ground_state_scale - 7.69e-9) < 0.01e-9
-        assert abs(scales.scale_ratio - 2.8e-3) < 0.05e-3
-
-    def test_curvature_and_frequency_routes_agree(self):
-        mass = ytterbium_mass(171)
-        by_freq = compute_scales(mass=mass, axial_frequency=2.0 * pi * 1.0e6)
-        by_curv = compute_scales(mass=mass, curvature=by_freq.curvature)
-        assert np.isclose(by_curv.axial_frequency, by_freq.axial_frequency, rtol=1e-12)
-        assert np.isclose(by_curv.spacing_scale, by_freq.spacing_scale, rtol=1e-12)
-
-    def test_charge_scaling_at_fixed_curvature(self):
-        mass = ytterbium_mass(171)
-        base = compute_scales(mass=mass, curvature=1.0e8)
-        quad = compute_scales(charge=4.0 * elementary_charge, mass=mass, curvature=1.0e8)
-        assert np.isclose(quad.spacing_scale / base.spacing_scale,
-                          4.0 ** (1.0 / 3.0), rtol=1e-12)
-
-    @pytest.mark.parametrize("name", ["atomic_mass", "elementary_charge", "epsilon_0", "hbar"])
-    def test_constants_match_scipy(self, name):
-        # literals copied from scipy.constants (CODATA 2022); a later CODATA
-        # release that moves one shows up here
-        assert getattr(ion_chain, name) == pytest.approx(getattr(scipy.constants, name), rel=1e-12)
-
-    def test_requires_exactly_one_confinement_parameter(self):
-        mass = ytterbium_mass(171)
-        with pytest.raises(ValueError):
-            compute_scales(mass=mass)
-        with pytest.raises(ValueError):
-            compute_scales(mass=mass, curvature=1.0e8, axial_frequency=1.0e6)
-        with pytest.raises(ValueError):
-            compute_scales(mass=-1.0, curvature=1.0e8)
-
-    @pytest.mark.parametrize("kwargs,given", [
-        ({"mass": 1e-25, "axial_frequency": 1e200}, "mass = 1e-25 and axial_frequency = 1e+200"),
-        ({"mass": 1e-300, "axial_frequency": 1e-200}, "mass = 1e-300 and axial_frequency = 1e-200"),
-        ({"mass": 1e300, "curvature": 1e-300}, "mass = 1e+300 and curvature = 1e-300"),
-        ({"mass": 1e-300, "curvature": 1e300}, "mass = 1e-300 and curvature = 1e+300"),
-    ])
-    def test_scales_outside_float_range_rejected(self, kwargs, given):
-        # each argument is finite, but their combination overflows or
-        # underflows a scale; omega_z**2 used to raise a bare OverflowError
-        with pytest.raises(ValueError,
-                           match=r"^charge = .*, %s give trap scales outside the float range"
-                           % re.escape(given)):
-            compute_scales(**kwargs)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, "1"])
-    @pytest.mark.parametrize("name", ["charge", "mass", "curvature", "axial_frequency"])
-    def test_non_finite_or_non_numeric_argument_rejected(self, name, bad):
-        # a NaN mass or curvature, or an infinite one, used to give NaN scales
-        good = {"charge": elementary_charge, "mass": ytterbium_mass(171), "curvature": 1.0e8}
-        if name == "axial_frequency":
-            del good["curvature"]
-        with pytest.raises(ValueError, match="^%s must be positive and finite" % name):
-            compute_scales(**dict(good, **{name: bad}))

@@ -18,9 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ionmodes.gaussian import from_blocks
-from ionmodes.numerics import NumericalError, integer, integer_list
+from ionmodes.numerics import NumericalError, integer, integer_list, positive
 
-__all__ = ["IonChainModel", "solve_equilibrium", "local_mode_blocks"]
+__all__ = [
+    "PhysicalScales",
+    "IonChainModel",
+    "solve_equilibrium",
+    "local_mode_blocks",
+    "compute_scales",
+]
 
 MAX_IONS = 300
 
@@ -40,6 +46,13 @@ COM_FREQUENCY_TOL = 1e-10
 # 3.6e-15 at N = 300), which homodyne conditioning by
 # gaussian.measure_pure_complement relies on
 PURITY_TOL = 1e-12
+
+# SI constants, CODATA 2022 as in scipy.constants 1.17.1 (kept as literals
+# so importing the package does not load scipy)
+atomic_mass = 1.66053906892e-27  # kg
+elementary_charge = 1.602176634e-19  # C
+epsilon_0 = 8.8541878188e-12  # F / m
+hbar = 1.0545718176461565e-34  # J s
 
 
 def _derivatives(z, rows):
@@ -304,3 +317,64 @@ class IonChainModel:
         cm = from_blocks(self.phi_block, self.pi_block)
         cm.flags.writeable = False
         return cm
+
+
+@dataclass(frozen=True)
+class PhysicalScales:
+    """Physical trap scales for a given ion species and axial confinement.
+
+    spacing_scale is the Coulomb equilibrium length (the unit of the
+    dimensionless positions); ground_state_scale is the zero-point spread
+    of the center-of-mass mode (the unit of the local phase-space
+    coordinates).  Both in meters.
+    """
+
+    charge: float
+    mass: float
+    curvature: float
+    axial_frequency: float
+    spacing_scale: float
+    ground_state_scale: float
+
+    @property
+    def scale_ratio(self):
+        return self.ground_state_scale / self.spacing_scale
+
+
+def compute_scales(charge=elementary_charge, mass=None, curvature=None, axial_frequency=None):
+    """Physical length scales of the axial trap.
+
+    Exactly one of curvature (electric potential curvature, V/m^2) or
+    axial_frequency (omega_z, rad/s) must be given, along with the ion mass
+    in kg.  The two are related by omega_z^2 = 2 q kappa_2 / m; the spacing
+    scale obeys l^3 = q / (8 pi epsilon_0 kappa_2) and the ground-state
+    scale is sqrt(hbar / (m omega_z)).
+    """
+    if (curvature is None) == (axial_frequency is None):
+        raise ValueError("supply exactly one of curvature or axial_frequency")
+    charge, mass = positive(charge, "charge"), positive(mass, "mass")
+    if curvature is not None:
+        curvature, omega_z = positive(curvature, "curvature"), None
+        given = "curvature = %r" % curvature
+    else:
+        omega_z = positive(axial_frequency, "axial_frequency")
+        given = "axial_frequency = %r" % omega_z
+    try:
+        if omega_z is None:
+            omega_z = math.sqrt(2.0 * charge * curvature / mass)
+        else:
+            curvature = mass * omega_z**2 / (2.0 * charge)
+        spacing = (charge / (8.0 * math.pi * epsilon_0 * curvature)) ** (1.0 / 3.0)
+        ground = math.sqrt(hbar / (mass * omega_z))
+        scales = (curvature, omega_z, spacing, ground)
+    except (OverflowError, ZeroDivisionError):
+        scales = (math.inf,)
+    if not all(0.0 < value < math.inf for value in scales):
+        raise ValueError("charge = %r, mass = %r and %s give trap scales outside the float range"
+                         % (charge, mass, given))
+    return PhysicalScales(charge, mass, *scales)
+
+
+def ytterbium_mass(isotope=171):
+    """Convenience: ion mass in kg from the mass number (2 s.f. accuracy)."""
+    return isotope * atomic_mass

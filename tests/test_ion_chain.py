@@ -1,9 +1,11 @@
 """Ion chain: equilibrium solver, its derivative kernel and compensated
-gradient, mode structure and local-mode covariance matrix."""
+gradient, mode structure, local-mode covariance matrix, and physical trap
+scales."""
 
 import dataclasses
 import functools
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -11,6 +13,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.constants
+from scipy.constants import elementary_charge, pi
 
 from conftest import (
     build_hessian,
@@ -34,8 +38,10 @@ from ionmodes.ion_chain import (
     PURITY_TOL,
     IonChainModel,
     _gradient_compensated,
+    compute_scales,
     local_mode_blocks,
     solve_equilibrium,
+    ytterbium_mass,
 )
 from ionmodes.numerics import NumericalError
 
@@ -392,3 +398,65 @@ class TestSharedModel:
         monkeypatch.setattr(ion_chain, "local_mode_blocks", perturbed)
         with pytest.raises(NumericalError, match="not pure"):
             IonChainModel.build(10)
+
+
+class TestPhysicalScales:
+    def test_ytterbium_at_one_megahertz(self):
+        scales = compute_scales(mass=ytterbium_mass(171),
+                                axial_frequency=2.0 * pi * 1.0e6)
+        assert abs(scales.spacing_scale - 2.74e-6) < 0.01e-6
+        assert abs(scales.ground_state_scale - 7.69e-9) < 0.01e-9
+        assert abs(scales.scale_ratio - 2.8e-3) < 0.05e-3
+
+    def test_curvature_and_frequency_routes_agree(self):
+        mass = ytterbium_mass(171)
+        by_freq = compute_scales(mass=mass, axial_frequency=2.0 * pi * 1.0e6)
+        by_curv = compute_scales(mass=mass, curvature=by_freq.curvature)
+        assert np.isclose(by_curv.axial_frequency, by_freq.axial_frequency, rtol=1e-12)
+        assert np.isclose(by_curv.spacing_scale, by_freq.spacing_scale, rtol=1e-12)
+
+    def test_charge_scaling_at_fixed_curvature(self):
+        mass = ytterbium_mass(171)
+        base = compute_scales(mass=mass, curvature=1.0e8)
+        quad = compute_scales(charge=4.0 * elementary_charge, mass=mass, curvature=1.0e8)
+        assert np.isclose(quad.spacing_scale / base.spacing_scale,
+                          4.0 ** (1.0 / 3.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["atomic_mass", "elementary_charge", "epsilon_0", "hbar"])
+    def test_constants_match_scipy(self, name):
+        # literals copied from scipy.constants (CODATA 2022); a later CODATA
+        # release that moves one shows up here
+        assert getattr(ion_chain, name) == pytest.approx(getattr(scipy.constants, name), rel=1e-12)
+
+    def test_requires_exactly_one_confinement_parameter(self):
+        mass = ytterbium_mass(171)
+        with pytest.raises(ValueError):
+            compute_scales(mass=mass)
+        with pytest.raises(ValueError):
+            compute_scales(mass=mass, curvature=1.0e8, axial_frequency=1.0e6)
+        with pytest.raises(ValueError):
+            compute_scales(mass=-1.0, curvature=1.0e8)
+
+    @pytest.mark.parametrize("kwargs,given", [
+        ({"mass": 1e-25, "axial_frequency": 1e200}, "mass = 1e-25 and axial_frequency = 1e+200"),
+        ({"mass": 1e-300, "axial_frequency": 1e-200}, "mass = 1e-300 and axial_frequency = 1e-200"),
+        ({"mass": 1e300, "curvature": 1e-300}, "mass = 1e+300 and curvature = 1e-300"),
+        ({"mass": 1e-300, "curvature": 1e300}, "mass = 1e-300 and curvature = 1e+300"),
+    ])
+    def test_scales_outside_float_range_rejected(self, kwargs, given):
+        # each argument is finite, but their combination overflows or
+        # underflows a scale; omega_z**2 used to raise a bare OverflowError
+        with pytest.raises(ValueError,
+                           match=r"^charge = .*, %s give trap scales outside the float range"
+                           % re.escape(given)):
+            compute_scales(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, "1"])
+    @pytest.mark.parametrize("name", ["charge", "mass", "curvature", "axial_frequency"])
+    def test_non_finite_or_non_numeric_argument_rejected(self, name, bad):
+        # a NaN mass or curvature, or an infinite one, used to give NaN scales
+        good = {"charge": elementary_charge, "mass": ytterbium_mass(171), "curvature": 1.0e8}
+        if name == "axial_frequency":
+            del good["curvature"]
+        with pytest.raises(ValueError, match="^%s must be positive and finite" % name):
+            compute_scales(**dict(good, **{name: bad}))

@@ -1,10 +1,10 @@
 """Fock-space structure of zero-mean Gaussian states: Husimi-function data,
-density-matrix elements through repeated-row hafnians, the su(1,1)
-disentanglement behind two-mode squeezed vacua, and the probability weight
-outside finite qudit subspaces of a pure two-mode state, from an amplitude
-recurrence started from the state's (Phi, Pi) blocks in real arithmetic
-when its phi-pi cross block vanishes, and filled one row at a time until
-the occupancy shells beyond it no longer matter."""
+density-matrix elements from a hafnian grid filled one axis at a time, the
+su(1,1) disentanglement behind two-mode squeezed vacua, and the probability
+weight outside finite qudit subspaces of a pure two-mode state, from an
+amplitude recurrence started from the state's (Phi, Pi) blocks in real
+arithmetic when its phi-pi cross block vanishes, and filled one row at a
+time until the occupancy shells beyond it no longer matter."""
 
 import math
 from dataclasses import dataclass, field
@@ -67,13 +67,17 @@ def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
 @dataclass
 class HusimiData:
     """Husimi covariance sigma_q and pair-correlation matrix a_mat of a
-    Gaussian state, with a shared cache for repeated-row hafnians."""
+    Gaussian state, with the grid of normalized repeated-row hafnians of
+    a_mat that matrix_element reads (only G(0) = 1 until it grows)."""
 
     n_modes: int
     sigma_q: np.ndarray
     a_mat: np.ndarray
     sqrt_det_sigma_q: float
-    _haf_cache: dict = field(default_factory=dict, repr=False)
+    _grid: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._grid = np.ones((1,) * (2 * self.n_modes), dtype=complex)
 
 
 def husimi_data(sigma):
@@ -110,54 +114,49 @@ def husimi_data(sigma):
     return HusimiData(n, sigma_q, a_mat, math.sqrt(det.real))
 
 
-def _haf_recurse(a, cache, r):
-    """Hafnian of a with row/column j repeated r[j] times, for a tuple of
-    ints r.
+def _hafnian_grid(a, top):
+    """G(k) = haf(a with row and column j repeated k_j times) / sqrt(prod k_j!)
+    for every multiplicity vector k <= top, as an array indexed by k.
 
-    Pair-expansion recursion on the multiplicity vector, memoized on
-    cache: expanding the first occupied index i over its partners, the
-    same-index branch carries weight (r_i - 1) a_ii and each cross branch
-    weight r_j a_ij.  Identical to the hafnian of the explicitly expanded
-    matrix, at polynomial cost in max(r).
+    G(k + e_i) = [sum_j a_ij sqrt(k_j) G(k - e_j)] / sqrt(k_i + 1) (Quesada
+    et al. 2019).  The axes fill from the last: with every earlier index 0, slab
+    s of axis i adds the same-index term from slab s - 2, then each later
+    axis j's term from slab s - 1 shifted one step along j, vectorized over
+    all later axes.  An entry's terms depend on k alone, so it is the same
+    float whatever top is.
     """
-    # a module-level function, not a closure: a closure that calls itself
-    # is a reference cycle, which would keep the memo alive until the
-    # cyclic garbage collector runs
-    if not any(r):
-        return 1.0 + 0.0j
-    hit = cache.get(r)
-    if hit is not None:
-        return hit
-    i = next(k for k, c in enumerate(r) if c > 0)
-    total = 0.0 + 0.0j
-    if r[i] >= 2:
-        reduced = list(r)
-        reduced[i] -= 2
-        total += (r[i] - 1) * a[i, i] * _haf_recurse(a, cache, tuple(reduced))
-    for j in range(len(r)):
-        if j != i and r[j] > 0:
-            reduced = list(r)
-            reduced[i] -= 1
-            reduced[j] -= 1
-            total += r[j] * a[i, j] * _haf_recurse(a, cache, tuple(reduced))
-    cache[r] = total
-    return total
+    grid = np.zeros(tuple(t + 1 for t in top), dtype=complex)
+    grid[(0,) * len(top)] = 1.0
+    root = np.sqrt(np.arange(max(top) + 1))
+    for i in reversed(range(len(top))):
+        sub = grid[(0,) * i]
+        for s in range(1, top[i] + 1):
+            if s >= 2:
+                sub[s] += a[i, i] * root[s - 1] * sub[s - 2]
+            for j in range(i + 1, len(top)):
+                dst = np.moveaxis(sub[s], j - i - 1, -1)
+                src = np.moveaxis(sub[s - 1], j - i - 1, -1)
+                dst[..., 1:] += a[i, j] * (root[1:top[j] + 1] * src[..., :-1])
+            sub[s] /= root[s]
+    return grid
 
 
 def matrix_element(h, bra, ket, cap=DEFAULT_OCCUPANCY_CAP):
     """Fock-basis density matrix element <bra| rho |ket> of the state
-    behind a HusimiData.
+    behind a HusimiData: G(ket + bra) / sqrt(det sigma_q), the ket indexing
+    the first mode block of a_mat and the bra the second.
 
-    The repetition vector stacks the ket occupations on the first mode
-    block and the bra occupations on the second.  The result is complex in
-    general and real for states whose a_mat is real.
+    Both occupation tuples are checked first; a request outside h's grid
+    refills it to the elementwise maximum of its extent and the request.
+    The result is complex in general and real for states whose a_mat is real.
     """
     bra = check_fock_index(bra, h.n_modes, cap)
     ket = check_fock_index(ket, h.n_modes, cap)
-    haf = _haf_recurse(h.a_mat, h._haf_cache, ket + bra)
-    norm = h.sqrt_det_sigma_q * math.sqrt(
-        math.prod(math.factorial(k) for k in bra) * math.prod(math.factorial(k) for k in ket))
-    return haf / norm
+    index = ket + bra
+    if any(k >= size for k, size in zip(index, h._grid.shape)):
+        h._grid = _hafnian_grid(
+            h.a_mat, tuple(max(k, size - 1) for k, size in zip(index, h._grid.shape)))
+    return complex(h._grid[index] / h.sqrt_det_sigma_q)
 
 
 def tmsv_disentangle(v0, v_plus, v_minus):

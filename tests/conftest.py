@@ -50,11 +50,54 @@ def recursive_hafnian(b):
     return total
 
 
+def haf_recurse(a, r, memo=None):
+    """Hafnian of a with row/column j repeated r[j] times, for a tuple of
+    ints r, by the memoized recursion fock.matrix_element ran before its
+    hafnian grid.
+
+    Pair-expansion recursion on the multiplicity vector, memoized on memo
+    (a new dict per call unless one is passed): expanding the first
+    occupied index i over its partners, the same-index branch carries
+    weight (r_i - 1) a_ii and each cross branch weight r_j a_ij.  Identical
+    to the hafnian of the explicitly expanded matrix, at polynomial cost in
+    max(r).
+    """
+    if memo is None:
+        memo = {}
+    if not any(r):
+        return 1.0 + 0.0j
+    hit = memo.get(r)
+    if hit is not None:
+        return hit
+    i = next(k for k, c in enumerate(r) if c > 0)
+    total = 0.0 + 0.0j
+    if r[i] >= 2:
+        reduced = list(r)
+        reduced[i] -= 2
+        total += (r[i] - 1) * a[i, i] * haf_recurse(a, tuple(reduced), memo)
+    for j in range(len(r)):
+        if j != i and r[j] > 0:
+            reduced = list(r)
+            reduced[i] -= 1
+            reduced[j] -= 1
+            total += r[j] * a[i, j] * haf_recurse(a, tuple(reduced), memo)
+    memo[r] = total
+    return total
+
+
+def haf_element(h, bra, ket, memo=None):
+    """<bra| rho |ket> of the state behind a fock.HusimiData by haf_recurse,
+    as fock.matrix_element computed it before its hafnian grid."""
+    norm = h.sqrt_det_sigma_q * math.sqrt(
+        math.prod(math.factorial(k) for k in bra) * math.prod(math.factorial(k) for k in ket))
+    return haf_recurse(h.a_mat, tuple(ket) + tuple(bra), memo) / norm
+
+
 def hafnian_deficit(sigma, dim):
     """Qudit subspace deficit by the route fock.qudit_subspace_deficit took
     before its pure-state amplitude recurrence, for mixed states too: the
     direct complement 1 - (sum of the D^2 diagonal elements from
-    fock.matrix_element), and, once that falls below 1e-6, a sum of
+    haf_element, one memo for all), and, once that falls below 1e-6, a sum of
     diagonal elements over occupancy shells max(m1, m2) >= D up to shell 32
     that stops after two shells below fock.TAIL_RELATIVE_TOL of the total.
 
@@ -62,9 +105,10 @@ def hafnian_deficit(sigma, dim):
     relative on the raw two-ion state at D = 6.
     """
     h = fock.husimi_data(sigma)
+    memo = {}
 
     def probability(occ):
-        value = fock.matrix_element(h, occ, occ, cap=None)
+        value = haf_element(h, occ, occ, memo)
         assert abs(value.imag) <= 1e-10 * max(1.0, abs(value.real))
         return value.real
 

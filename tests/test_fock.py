@@ -3,6 +3,7 @@ matrix elements, su(1,1) disentanglement, and qudit subspace deficits."""
 
 import gc
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (
+    haf_element,
+    haf_recurse,
     hafnian_deficit,
     random_local_symplectic,
     random_physical_cm,
@@ -29,7 +32,6 @@ from ionmodes.fock import (
     matrix_element,
     qudit_subspace_deficit,
     tmsv_disentangle,
-    _haf_recurse,
     _ket_block,
     _pure_amplitudes,
 )
@@ -115,10 +117,10 @@ class TestHusimiData:
 
 
 def plain_hafnian(b):
-    """Hafnian of a symmetric matrix through the repeated-row recursion,
-    every row taken once."""
+    """Hafnian of a symmetric matrix through the repeated-row recursion
+    (conftest.haf_recurse), every row taken once."""
     b = np.asarray(b)
-    return _haf_recurse(b, {}, (1,) * len(b))
+    return haf_recurse(b, (1,) * len(b))
 
 
 class TestRepeatedHafnian:
@@ -178,9 +180,49 @@ class TestMatrixElements:
             reps = tuple(int(k) for k in rng.integers(0, 3, size=4))
             if sum(reps) > 8:
                 continue
-            got = _haf_recurse(h.a_mat, h._haf_cache, reps)
+            got = haf_recurse(h.a_mat, reps)
             want = recursive_hafnian(expand_matrix(h.a_mat, reps))
             assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("n_modes, quanta, seed", [(2, 3, 61), (2, 3, 62), (3, 2, 63)])
+    def test_grid_matches_recursion_on_mixed_states(self, n_modes, quanta, seed):
+        rng = np.random.default_rng(seed)
+        sigma, _, _ = random_physical_cm(rng, n_modes)
+        assert np.abs(sigma[0::2, 1::2]).max() > 0.1  # phi-pi cross correlations
+        h = husimi_data(sigma)
+        memo = {}
+        occupations = list(itertools.product(range(quanta + 1), repeat=n_modes))
+        for bra in occupations:
+            for ket in occupations:
+                want = haf_element(h, bra, ket, memo)
+                assert abs(matrix_element(h, bra, ket) - want) <= 1e-15, (bra, ket)
+
+    @pytest.mark.parametrize("n_modes, small, large", [
+        (2, ((2, 0), (0, 1)), ((1, 4), (3, 2))),
+        (3, ((0, 1, 0), (2, 0, 1)), ((1, 0, 2), (0, 3, 1))),
+    ])
+    def test_grown_grid_keeps_every_element(self, n_modes, small, large):
+        sigma, _, _ = random_physical_cm(np.random.default_rng(67), n_modes)
+        grown, fresh = husimi_data(sigma), husimi_data(sigma)
+        first = matrix_element(grown, *small)
+        matrix_element(grown, *large)
+        again = matrix_element(grown, *small)
+        top_bra, top_ket = tuple(map(max, small[0], large[0])), tuple(map(max, small[1], large[1]))
+        matrix_element(fresh, top_bra, top_ket)
+        assert first == again == matrix_element(fresh, *small)
+        for bra in itertools.product(*(range(k + 1) for k in top_bra)):
+            for ket in itertools.product(*(range(k + 1) for k in top_ket)):
+                assert matrix_element(grown, bra, ket) == matrix_element(fresh, bra, ket)
+        assert grown._grid.shape == fresh._grid.shape
+
+    def test_refused_request_leaves_grid(self, two_ion_cm):
+        h = husimi_data(two_ion_cm)
+        matrix_element(h, (1, 2), (2, 1))
+        grid = h._grid
+        for bra, ket in (((13, 0), (0, 0)), ((0, 0), (13, 0)), ((0, 0, 0), (5, 5))):
+            with pytest.raises(ValueError):
+                matrix_element(h, bra, ket)
+            assert h._grid is grid and grid.shape == (3, 2, 2, 3)
 
     def test_memo_freed_without_cycle_collector(self, two_ion_cm):
         gc.collect()

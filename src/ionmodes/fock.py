@@ -67,17 +67,14 @@ def check_fock_index(occupations, n_modes, cap=DEFAULT_OCCUPANCY_CAP):
 @dataclass
 class HusimiData:
     """Husimi covariance sigma_q and pair-correlation matrix a_mat of a
-    Gaussian state, with the grid of normalized repeated-row hafnians of
-    a_mat that matrix_element reads (only G(0) = 1 until it grows)."""
+    Gaussian state, and matrix_element's hafnian grid of a_mat over _axes."""
 
     n_modes: int
     sigma_q: np.ndarray
     a_mat: np.ndarray
     sqrt_det_sigma_q: float
-    _grid: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._grid = np.ones((1,) * (2 * self.n_modes), dtype=complex)
+    _axes: tuple = field(default=(), init=False, repr=False)
+    _grid: np.ndarray = field(default_factory=lambda: np.ones((), complex), init=False, repr=False)
 
 
 def husimi_data(sigma):
@@ -116,27 +113,22 @@ def husimi_data(sigma):
 
 def _hafnian_grid(a, top):
     """G(k) = haf(a with row and column j repeated k_j times) / sqrt(prod k_j!)
-    for every multiplicity vector k <= top, as an array indexed by k.
-
-    G(k + e_i) = [sum_j a_ij sqrt(k_j) G(k - e_j)] / sqrt(k_i + 1) (Quesada
-    et al. 2019).  The axes fill from the last: with every earlier index 0, slab
-    s of axis i adds the same-index term from slab s - 2, then each later
-    axis j's term from slab s - 1 shifted one step along j, vectorized over
-    all later axes.  An entry's terms depend on k alone, so it is the same
-    float whatever top is.
-    """
+    for every k <= top, indexed by k: G(k + e_i) = [sum_j a_ij sqrt(k_j)
+    G(k - e_j)] / sqrt(k_i + 1) (Quesada et al. 2019), one axis at a time from
+    the last, vectorized over the later ones.  An entry's terms depend on k
+    alone (an index at 0 adds none): it is one float in any grid holding it."""
     grid = np.zeros(tuple(t + 1 for t in top), dtype=complex)
     grid[(0,) * len(top)] = 1.0
     root = np.sqrt(np.arange(max(top) + 1))
     for i in reversed(range(len(top))):
         sub = grid[(0,) * i]
+        cross = [(a[i, j] * root[1:top[j] + 1], np.moveaxis(sub, j - i, -1))
+                 for j in range(i + 1, len(top)) if top[j]]
         for s in range(1, top[i] + 1):
             if s >= 2:
                 sub[s] += a[i, i] * root[s - 1] * sub[s - 2]
-            for j in range(i + 1, len(top)):
-                dst = np.moveaxis(sub[s], j - i - 1, -1)
-                src = np.moveaxis(sub[s - 1], j - i - 1, -1)
-                dst[..., 1:] += a[i, j] * (root[1:top[j] + 1] * src[..., :-1])
+            for weight, view in cross:
+                view[s, ..., 1:] += weight * view[s - 1, ..., :-1]
             sub[s] /= root[s]
     return grid
 
@@ -144,19 +136,27 @@ def _hafnian_grid(a, top):
 def matrix_element(h, bra, ket, cap=DEFAULT_OCCUPANCY_CAP):
     """Fock-basis density matrix element <bra| rho |ket> of the state
     behind a HusimiData: G(ket + bra) / sqrt(det sigma_q), the ket indexing
-    the first mode block of a_mat and the bra the second.
+    the first mode block of a_mat and the bra the second; complex in
+    general, real for states whose a_mat is real.
 
-    Both occupation tuples are checked first; a request outside h's grid
-    refills it to the elementwise maximum of its extent and the request.
-    The result is complex in general and real for states whose a_mat is real.
-    """
+    Both tuples are checked first.  A request outside h's grid refills it
+    over the ket and bra indices of the grid's modes if they hold all the
+    request occupies, else of the request's, both indices of each mode to the
+    larger of their old extent and the request's ket or bra occupation of it:
+    at most (cap + 1)^(2m) entries, for m the most modes one request occupied."""
     bra = check_fock_index(bra, h.n_modes, cap)
     ket = check_fock_index(ket, h.n_modes, cap)
-    index = ket + bra
-    if any(k >= size for k, size in zip(index, h._grid.shape)):
-        h._grid = _hafnian_grid(
-            h.a_mat, tuple(max(k, size - 1) for k, size in zip(index, h._grid.shape)))
-    return complex(h._grid[index] / h.sqrt_det_sigma_q)
+    index, n = ket + bra, h.n_modes
+    key = tuple(map(index.__getitem__, h._axes))
+    if sum(key) < sum(index) or not all(map(int.__lt__, key, h._grid.shape)):
+        held = dict(zip(h._axes, h._grid.shape))
+        occupied = sorted({j % n for j, k in enumerate(index) if k})
+        axes = (h._axes if set(occupied) <= set(h._axes)
+                else tuple(occupied + [n + m for m in occupied]))
+        top = [max(index[j % n], index[j % n + n], held.get(j, 1) - 1) for j in axes]
+        h._grid, h._axes = _hafnian_grid(h.a_mat[np.ix_(axes, axes)], top), axes
+        key = tuple(map(index.__getitem__, axes))
+    return complex(h._grid[key] / h.sqrt_det_sigma_q)
 
 
 def tmsv_disentangle(v0, v_plus, v_minus):

@@ -222,7 +222,56 @@ class TestMatrixElements:
         for bra, ket in (((13, 0), (0, 0)), ((0, 0), (13, 0)), ((0, 0, 0), (5, 5))):
             with pytest.raises(ValueError):
                 matrix_element(h, bra, ket)
-            assert h._grid is grid and grid.shape == (3, 2, 2, 3)
+            assert h._grid is grid and grid.shape == (3, 3, 3, 3)
+
+    def test_failed_fill_leaves_grid(self, two_ion_cm, monkeypatch):
+        h = husimi_data(two_ion_cm)
+        want = matrix_element(h, (1, 0), (1, 0))
+        axes, grid = h._axes, h._grid
+
+        def no_memory(a, top):
+            raise MemoryError
+
+        monkeypatch.setattr(fock, "_hafnian_grid", no_memory)
+        with pytest.raises(MemoryError):
+            matrix_element(h, (0, 1), (2, 1))
+        assert h._axes == axes and h._grid is grid
+        assert matrix_element(h, (1, 0), (1, 0)) == want
+
+    def test_requests_within_the_grid_modes_reuse_it(self, two_ion_cm):
+        h = husimi_data(two_ion_cm)
+        matrix_element(h, (2, 1), (1, 2))
+        grid = h._grid
+        for bra, ket in (((0, 1), (0, 1)), ((2, 0), (0, 0)), ((1, 2), (2, 1))):
+            matrix_element(h, bra, ket)
+            assert h._grid is grid
+
+    def test_sparse_requests_keep_the_grid_small(self):
+        # one-mode and neighbouring-pair elements of a 12-mode state: the grid
+        # spans the modes of one request, never all 24 indices at once
+        n = 12
+        sigma, _, _ = random_physical_cm(np.random.default_rng(73), n)
+        h = husimi_data(sigma)
+        memo = {}
+        for i in range(n - 1):
+            for occupied in ({i: 1}, {i: 1, i + 1: 1}):
+                occ = tuple(occupied.get(j, 0) for j in range(n))
+                want = haf_element(h, occ, occ, memo)
+                assert abs(matrix_element(h, occ, occ) - want) <= 1e-15, occ
+                assert h._grid.size <= 2 ** 4
+
+    def test_many_mode_states(self):
+        # no array over all 2n indices: 40 modes have 80, beyond numpy's 32
+        # (1.x) and 64 (2.x) array dimensions
+        assert husimi_data(np.eye(80)).n_modes == 40
+        sigma, _, _ = random_physical_cm(np.random.default_rng(71), 40, strength=0.1)
+        h = husimi_data(sigma)
+        memo = {}
+        for bra, ket in (({0: 1}, {0: 1}), ({17: 2}, {17: 1, 39: 1}), ({0: 1, 39: 2}, {17: 1, 39: 2})):
+            bra, ket = (tuple(occ.get(j, 0) for j in range(40)) for occ in (bra, ket))
+            want = haf_element(h, bra, ket, memo)
+            assert abs(matrix_element(h, bra, ket) - want) <= 1e-15, (bra, ket)
+            assert h._grid.ndim <= 6
 
     def test_memo_freed_without_cycle_collector(self, two_ion_cm):
         gc.collect()

@@ -17,7 +17,7 @@ import numpy as np
 
 import ionmodes
 from ionmodes import experiments, fock, gaussian, golden, ion_chain, numerics, scalar_field
-from ionmodes.numerics import NumericalError, blas_threads
+from ionmodes.numerics import NumericalError, blas_corename, blas_threads
 
 __all__ = ["main", "RunManifest"]
 
@@ -114,15 +114,17 @@ def parse_int_range(spec):
 
 
 def _emit(args, manifest, body):
-    """Stamp wall_ms and blas_threads (None for a BLAS other than numpy's
-    OpenBLAS) and write one command's output to --out or stdout.
+    """Stamp wall_ms and the provenance (blas_threads and blas_corename,
+    None for a BLAS other than numpy's OpenBLAS, and the numpy version) and
+    write one command's output to --out or stdout.
 
     A dict body is a JSON payload and carries the manifest inside it.  A
     text body gets its manifest next to the file (PATH.manifest.json), or
     on stderr when printing to stdout.
     """
     manifest.wall_ms = (time.monotonic() - args._start) * 1000.0
-    manifest.metadata["blas_threads"] = blas_threads()
+    manifest.metadata.update(blas_threads=blas_threads(), blas_corename=blas_corename(),
+                             numpy=np.__version__)
     embedded = isinstance(body, dict)
     if embedded:
         body = json.dumps(dict(body, manifest=asdict(manifest)), indent=2, sort_keys=True) + "\n"

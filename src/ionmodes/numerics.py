@@ -14,7 +14,20 @@ and under other kernels (OPENBLAS_CORETYPE) the bits of 572-582 of the
 719 golden-check cells changed, all 719 still passing and the printed 9
 digits moving in at most 18.  The OpenBLAS is found through numpy's own
 LAPACK extension (numpy >= 2 and 1.x wheels); any other BLAS is left
-as it is, and blas_threads() then reads None.
+as it is, and blas_threads() and blas_corename() then read None.
+
+The pin alone leaves OpenBLAS's idle server thread running: started when
+numpy loads, it busy-waits for ~2^28 TSC cycles before it sleeps, and a
+run that starts inside that window is billed for it.  Read per thread
+(/proc/<pid>/task/<tid>/schedstat) on a 2-vCPU Xeon VM, in processes
+that import numpy, scipy and ionmodes.cli and then run a negativity
+scan: where it ran beside the main thread, the import ended after
+~0.085 s and 46-51 ms of its CPU fell inside the run; where the two took
+turns, the import took 0.15-0.18 s and the spin ended within it.  So the
+pin also joins the idle server threads, and once the package is imported
+the process runs one thread.  numpy's own import runs beside that thread
+before any package code does (median 0.16 s there, against 0.09 s with
+OPENBLAS_NUM_THREADS=1); that cost the release cannot recover.
 
 principal_sqrt, half_zone_nodes and quad_oscillatory have no package caller
 (the lattice correlators are closed forms in scalar_field).  They stay only
@@ -37,6 +50,7 @@ __all__ = [
     "integer_list",
     "positive",
     "blas_threads",
+    "blas_corename",
     "principal_sqrt",
     "half_zone_nodes",
     "quad_oscillatory",
@@ -56,12 +70,13 @@ BRENT_MAX_ITER = 200
 # first point, and the share of the larger side a fallback step covers
 _GOLDEN_SECTION = 0.5 * (3.0 - np.sqrt(5.0))
 
-# (setter, getter) of the OpenBLAS thread count: numpy >= 2 wheels, numpy
-# 1.x wheels, then a plain OpenBLAS build
+# (thread-count setter, thread-count getter, core-name getter) of OpenBLAS:
+# numpy >= 2 wheels, numpy 1.x wheels, then a plain OpenBLAS build
 _OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
+     "scipy_openblas_get_corename64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_", "openblas_get_corename64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads", "openblas_get_corename"),
 )
 
 
@@ -112,28 +127,45 @@ def positive(value, what):
 
 
 def _pin_blas_threads():
-    """Set numpy's OpenBLAS to one thread, process-wide (see the module
-    docstring); returns its thread-count getter, None for any other BLAS."""
+    """Set numpy's OpenBLAS to one thread, process-wide, and join its idle
+    server threads (see the module docstring).
+
+    Returns the thread-count getter and the core name, (None, None) for
+    any other BLAS.  Setting one thread leaves the server thread that
+    numpy's import started busy-waiting until its ~2^28-cycle timeout;
+    blas_thread_shutdown_, the call OpenBLAS's own fork handler makes,
+    joins it at once, so nothing spins after the import.  OpenBLAS restarts
+    its pool by itself if a caller later raises the thread count.
+    """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
-        return None
-    for setter, getter in _OPENBLAS_THREAD_CALLS:
-        if hasattr(lib, setter) and hasattr(lib, getter):
-            set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+        return None, None
+    for calls in _OPENBLAS_THREAD_CALLS:
+        if all(hasattr(lib, name) for name in calls):
+            set_threads, get_threads, get_corename = (getattr(lib, name) for name in calls)
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            get_corename.argtypes, get_corename.restype = [], ctypes.c_char_p
             set_threads(1)
-            return get_threads
-    return None
+            if hasattr(lib, "blas_thread_shutdown_"):
+                lib.blas_thread_shutdown_()
+            return get_threads, get_corename().decode()
+    return None, None
 
 
-_OPENBLAS_THREADS = _pin_blas_threads()
+_OPENBLAS_THREADS, _OPENBLAS_CORENAME = _pin_blas_threads()
 
 
 def blas_threads():
     """The thread count of numpy's OpenBLAS, or None for any other BLAS."""
     return None if _OPENBLAS_THREADS is None else _OPENBLAS_THREADS()
+
+
+def blas_corename():
+    """The kernel set numpy's OpenBLAS chose for this CPU (e.g. 'SkylakeX'),
+    or None for any other BLAS."""
+    return _OPENBLAS_CORENAME
 
 
 def _check_square(m):

@@ -428,6 +428,47 @@ class TestManifestFile:
             {key: str(tmp_path) if value == "GOLDEN" else value for key, value in params.items()},
             out=out_path)
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "3"],
+        ["negativity", "--system", "ion", "--chain-size", "6", "--region-size", "1",
+         "--separations", "0:1", "--treatment", "phi"],
+        ["fidelity", "--chain-size", "4", "--region-sizes", "2", "--self-test"],
+        ["fock", "--dims", "2"],
+        ["golden-check", "--table", "7"],
+    ], ids=["chain", "negativity", "fidelity", "fock", "golden-check"])
+    def test_metadata_records_provenance(self, capsys, monkeypatch, tmp_path, argv):
+        def run(tag):
+            """(body, metadata) of the command in CSV and in JSON, the JSON
+            body without its manifest."""
+            runs = {}
+            for fmt in ("csv", "json"):
+                path = str(tmp_path / (tag + "." + fmt))
+                code, _, _ = run_cli(capsys, argv + ["--format", fmt, "--out", path])
+                assert code == 0
+                body = open(path).read()
+                if fmt == "json":
+                    body = json.loads(body)
+                    manifest = body.pop("manifest")
+                else:
+                    manifest = json.loads(open(path + ".manifest.json").read())
+                runs[fmt] = body, manifest["metadata"]
+            return runs
+
+        stamped = run("stamped")
+        for _, metadata in stamped.values():
+            assert metadata["blas_threads"] == numerics.blas_threads()
+            assert metadata["blas_corename"] == numerics.blas_corename()
+            assert (metadata["blas_corename"] is None) == (numerics._OPENBLAS_THREADS is None)
+            assert metadata["numpy"] == np.__version__
+        # the provenance goes to the manifest only: other values leave the
+        # CSV and JSON row bodies as they were
+        monkeypatch.setattr(cli, "blas_threads", lambda: 7)
+        monkeypatch.setattr(cli, "blas_corename", lambda: "Other")
+        other = run("other")
+        for fmt in ("csv", "json"):
+            assert other[fmt][0] == stamped[fmt][0]
+            assert other[fmt][1] == dict(stamped[fmt][1], blas_threads=7, blas_corename="Other")
+
 
 # module-level tolerances no command runs into: numerics.principal_sqrt's,
 # which only the benchmark's tracer and a test oracle call

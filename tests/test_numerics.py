@@ -219,15 +219,67 @@ def test_outputs_independent_of_openblas_threads():
     assert two == unset
 
 
+def _fresh_interpreter(probe):
+    """Standard output of a fresh interpreter running probe, with the
+    package sources first on its path and OpenBLAS's thread count left to
+    its default."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+_THREAD_COUNT = "int(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+
+needs_proc_and_openblas = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status") or numerics._OPENBLAS_THREADS is None,
+    reason="needs /proc/self/status and numpy's OpenBLAS")
+
+
+@needs_proc_and_openblas
+@pytest.mark.parametrize("statement", ["import numpy; import ionmodes", "import ionmodes.cli"],
+                         ids=["numpy-then-ionmodes", "cli"])
+def test_import_leaves_one_thread(statement):
+    # pinned but not released, OpenBLAS's idle server thread stayed and
+    # busy-waited for ~0.1 s after numpy loaded, billing a short run's CPU
+    assert _fresh_interpreter("%s; print(%s)" % (statement, _THREAD_COUNT)).strip() == "1"
+
+
+# raises the released pool to two threads through the pin's own setter, then
+# pins it back; integer-valued factors make every partial sum exact, so the
+# product is the same float whatever the thread count splits
+_RAISED_PROBE = """
+import ctypes, json
+import numpy as np
+from ionmodes import numerics
+lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+set_threads = next(getattr(lib, calls[0]) for calls in numerics._OPENBLAS_THREAD_CALLS
+                   if all(hasattr(lib, name) for name in calls))
+a, b = np.random.default_rng(33).integers(-8, 9, (2, 600, 600)).astype(float)
+one = a @ b
+set_threads(2)
+two = a @ b
+raised = [numerics.blas_threads(), %s]
+set_threads(1)
+print(json.dumps({"raised": raised, "pinned": numerics.blas_threads(),
+                  "exact": bool(np.array_equal(one, a.astype(np.int64) @ b.astype(np.int64))),
+                  "equal": bool(np.array_equal(one, two))}))
+""" % _THREAD_COUNT
+
+
+@needs_proc_and_openblas
+def test_released_pool_restarts_when_raised():
+    got = json.loads(_fresh_interpreter(_RAISED_PROBE))
+    assert got == {"raised": [2, 2], "pinned": 1, "exact": True, "equal": True}
+
+
 def _loads_numpy_polynomial(statement):
     """Whether a fresh interpreter has numpy.polynomial loaded after the
-    statement, with the package sources first on its path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    statement."""
     probe = "import sys; %s; print('numpy.polynomial' in sys.modules)" % statement
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    return out.strip() == "True"
+    return _fresh_interpreter(probe).strip() == "True"
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -43,7 +43,6 @@ TOLERANCES = {
     "squeeze_search_ln_z": gaussian.LN_Z_TOL,
     "fock_pure_state_relative": fock.PURE_STATE_TOL,
     "fock_tail_relative": fock.TAIL_RELATIVE_TOL,
-    "fock_tail_stop_relative": fock.TAIL_STOP_TOL,
     "golden_z_star_abs": golden.Z_STAR_TOL,
     "golden_slack_default": golden.POLICY_SLACK["default"],
     "golden_slack_strict": golden.POLICY_SLACK["strict"],

@@ -1,10 +1,9 @@
 """Fock-space structure of zero-mean Gaussian states: Husimi-function data,
-density-matrix elements from a hafnian grid filled one axis at a time, the
-su(1,1) disentanglement behind two-mode squeezed vacua, and the probability
-weight outside finite qudit subspaces of a pure two-mode state, from an
-amplitude recurrence started from the state's (Phi, Pi) blocks in real
-arithmetic when its phi-pi cross block vanishes, and filled one row at a
-time until the occupancy shells beyond it no longer matter."""
+the hafnian grid filled one axis at a time, density-matrix elements read from
+it, the su(1,1) disentanglement behind two-mode squeezed vacua, and the
+probability weight outside finite qudit subspaces of a pure two-mode state,
+read from the same grid of its ket block, in real arithmetic when its phi-pi
+cross block vanishes."""
 
 import math
 from dataclasses import dataclass, field
@@ -30,17 +29,10 @@ DEFAULT_OCCUPANCY_CAP = 12
 # the shells beyond the occupancy cap may hold at most this share of a deficit
 TAIL_RELATIVE_TOL = 1e-13
 
-# the amplitude grid stops filling rows once the shells beyond are estimated
-# at no more than this share of the deficit at MAX_QUDIT_DIM, the smallest
-# a caller can ask for; the estimate runs low, but a grid stopped here is
-# within 1e-13 of the same sums to shell 300 on the test states
-TAIL_STOP_TOL = 1e-14
-
 # last occupancy shell the amplitude grid may reach: on the two-ion state
 # rotated by any equal angle and squeezed by z <= 2.5, the geometric
 # estimate of the shells beyond it stays below 1e-14 of a deficit (at 128
-# it exceeded TAIL_RELATIVE_TOL near a quarter turn); the table-7 states
-# stop by shell 24
+# it exceeded TAIL_RELATIVE_TOL near a quarter turn)
 TAIL_OCCUPANCY_CAP = 144
 
 MAX_QUDIT_DIM = 8
@@ -116,8 +108,11 @@ def _hafnian_grid(a, top):
     for every k <= top, indexed by k: G(k + e_i) = [sum_j a_ij sqrt(k_j)
     G(k - e_j)] / sqrt(k_i + 1) (Quesada et al. 2019), one axis at a time from
     the last, vectorized over the later ones.  An entry's terms depend on k
-    alone (an index at 0 adds none): it is one float in any grid holding it."""
-    grid = np.zeros(tuple(t + 1 for t in top), dtype=complex)
+    alone (an index at 0 adds none): it is one float in any grid holding it.
+    The grid takes a's dtype, and it divides by sqrt(k_i + 1) as a product
+    with the reciprocal, as numpy's complex division by a real does, so a
+    real a fills the real part of its complex fill bit for bit."""
+    grid = np.zeros(tuple(t + 1 for t in top), dtype=a.dtype)
     grid[(0,) * len(top)] = 1.0
     root = np.sqrt(np.arange(max(top) + 1))
     for i in reversed(range(len(top))):
@@ -129,7 +124,7 @@ def _hafnian_grid(a, top):
                 sub[s] += a[i, i] * root[s - 1] * sub[s - 2]
             for weight, view in cross:
                 view[s, ..., 1:] += weight * view[s - 1, ..., :-1]
-            sub[s] /= root[s]
+            sub[s] *= 1.0 / root[s]
     return grid
 
 
@@ -245,51 +240,6 @@ def _tail_estimate(shells):
     return math.inf
 
 
-def _pure_amplitudes(b, psi0):
-    """Fock amplitudes psi(m1, m2), up to a global phase, of the pure
-    two-mode state with ket block B and vacuum amplitude psi0, and the
-    probability of each occupancy shell max(m1, m2) they fill.
-
-    A pure state has a Husimi pair matrix B (+) conj(B), so its hafnians are
-    loop-free in B: psi(m + e_i) = sum_j B_ij sqrt(m_j) psi(m - e_j) /
-    sqrt(m_i + 1) (Quesada et al., J. Chem. Phys. 150, 164113 (2019)).
-    Row 0 raises mode 2 alone, so it holds the powers of B_11, one cumprod.
-    Row s raises mode 1 from rows s - 1 and s - 2 over the grid's full width:
-    the cross term B_01 sqrt(m2) psi(s - 1, m2 - 1), then
-    B_00 sqrt(s - 1) psi(s - 2, m2), then a division by sqrt(s).  Shell s is
-    row s up to the corner and column s above it, all filled by then.  Rows
-    are filled until the shells beyond are estimated at TAIL_STOP_TOL of the
-    deficit at MAX_QUDIT_DIM, or to shell TAIL_OCCUPANCY_CAP; no later row
-    is read.  The grid is float64 when B is.
-
-    Returns:
-        (the filled square psi[m1, m2] up to the last shell, shell probabilities)
-    """
-    (b00, b01), (_, b11) = b.tolist()
-    size = TAIL_OCCUPANCY_CAP + 1
-    root = np.sqrt(np.arange(size))
-    cross = b01 * root[1:]
-    psi = np.empty((size, size), dtype=b.dtype)
-    psi[0] = 0.0
-    psi[0, ::2] = np.cumprod(np.concatenate(([psi0], b11 * root[1:-1:2] / root[2::2])))
-    shells = [psi0 * psi0]
-    deficit = 0.0  # of the shells from MAX_QUDIT_DIM on
-    for s in range(1, size):
-        row = psi[s]
-        row[0] = 0.0
-        np.multiply(cross, psi[s - 1, :-1], out=row[1:])
-        if s > 1:
-            row += (b00 * root[s - 1]) * psi[s - 2]
-        row /= root[s]
-        to_corner, above = row[:s + 1], psi[:s, s]
-        shells.append(float(np.vdot(to_corner, to_corner).real + np.vdot(above, above).real))
-        if s >= MAX_QUDIT_DIM:
-            deficit += shells[-1]
-        if s >= MAX_QUDIT_DIM + 3 and _tail_estimate(shells) <= TAIL_STOP_TOL * deficit:
-            break
-    return psi[:s + 1, :s + 1], shells
-
-
 def qudit_subspace_deficit(sigma, dim):
     """Probability that a pure two-mode Gaussian state lies outside the
     D x D lowest-Fock subspace, P_out = sum_{max(m1, m2) >= D} |psi(m1, m2)|^2:
@@ -299,20 +249,19 @@ def qudit_subspace_deficit(sigma, dim):
     The dimensions and the state are checked before any grid is filled:
     a state that is not two-mode, or is mixed, raises ValueError
     (matrix_element covers mixed states), and an empty sequence of D then
-    gives [].  The sum runs over every occupancy shell of the grid from D
-    on; it has no cancellation, so small deficits keep their relative
-    accuracy.  The grid is filled row by row, each row completing a shell,
-    until the shells beyond are estimated at TAIL_STOP_TOL of the deficit
-    at MAX_QUDIT_DIM, so every D reads the same grid however it is asked
-    for.  The estimate is an extrapolation: a geometric series with the
-    ratio of the last two pairs of shells, which assumes that ratio holds
-    for every later pair.  A state that reaches shell TAIL_OCCUPANCY_CAP
-    first raises NumericalError unless the estimate is within
-    TAIL_RELATIVE_TOL of the smallest requested deficit.  The ratio of a
-    squeezed state's pairs still rises slowly towards its limit at the cap,
-    so the estimate is low: on the two-ion state rotated and squeezed by
-    z <= 2.5, the tail beyond the cap (from a 301-shell grid) exceeds it by
-    at most 0.06%.
+    gives [].  A pure state has a Husimi pair matrix B (+) conj(B), so its
+    hafnians are loop-free in its ket block B: psi = psi(0) G with G the
+    hafnian grid of B over every m1, m2 <= TAIL_OCCUPANCY_CAP, real when B
+    is.  The sum runs over every occupancy shell of that grid from D on; it
+    has no cancellation, so small deficits keep their relative accuracy.
+    The shells beyond the grid are estimated by a geometric series with the
+    ratio of its last two pairs of shells, which assumes that ratio holds
+    for every later pair; NumericalError is raised unless the estimate is
+    within TAIL_RELATIVE_TOL of the smallest requested deficit.  The ratio
+    of a squeezed state's pairs still rises slowly towards its limit at the
+    cap, so the estimate is low: on the two-ion state rotated and squeezed
+    by z <= 2.5, the tail beyond the cap (from a 301-shell grid) exceeds it
+    by at most 0.06%.
     """
     dims = integers(dim, "dim")
     if dims.ndim > 1:
@@ -322,7 +271,11 @@ def qudit_subspace_deficit(sigma, dim):
     b, psi0 = _ket_block(sigma)
     if not dims.size:
         return []
-    _, shells = _pure_amplitudes(b, psi0)
+    grid = _hafnian_grid(b, (TAIL_OCCUPANCY_CAP,) * 2)
+    shells = []
+    for s in range(len(grid)):
+        row, column = grid[s, :s + 1], grid[:s, s]  # shell s: row s to the corner, column s above
+        shells.append(psi0 * psi0 * float(np.vdot(row, row).real + np.vdot(column, column).real))
     totals = [math.fsum(shells[d:]) for d in dims.ravel().tolist()]
     if _tail_estimate(shells) > TAIL_RELATIVE_TOL * min(totals):
         raise NumericalError("occupancy tail beyond shell %d exceeds %.0e of the deficit"

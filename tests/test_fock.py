@@ -27,13 +27,14 @@ from conftest import (
 from ionmodes import experiments, fock
 from ionmodes.fock import (
     MAX_QUDIT_DIM,
+    TAIL_OCCUPANCY_CAP,
     check_fock_index,
     husimi_data,
     matrix_element,
     qudit_subspace_deficit,
     tmsv_disentangle,
+    _hafnian_grid,
     _ket_block,
-    _pure_amplitudes,
 )
 from ionmodes.gaussian import apply_symplectic, single_mode_rotation, single_mode_squeeze
 from ionmodes.numerics import NumericalError
@@ -43,6 +44,14 @@ def expand_matrix(a, reps):
     """Explicitly repeat row/column j of a symmetric matrix reps[j] times."""
     idx = [j for j, r in enumerate(reps) for _ in range(r)]
     return a[np.ix_(idx, idx)]
+
+
+def pure_amplitudes(sigma):
+    """psi(m1, m2), up to a global phase, of a pure two-mode state on the
+    grid the qudit deficit reads: psi(0) times the hafnian grid of its ket
+    block to TAIL_OCCUPANCY_CAP quanta per mode."""
+    b, psi0 = _ket_block(sigma)
+    return psi0 * _hafnian_grid(b, (TAIL_OCCUPANCY_CAP,) * 2)
 
 
 def husimi_grid(sigma, size):
@@ -238,6 +247,21 @@ class TestMatrixElements:
         assert h._axes == axes and h._grid is grid
         assert matrix_element(h, (1, 0), (1, 0)) == want
 
+    def test_grid_dtype_follows_the_matrix(self, two_ion_cm):
+        # a real ket block fills a real grid, bit-equal to the real part of
+        # its complex fill; Husimi grids and their elements stay complex
+        top = (TAIL_OCCUPANCY_CAP,) * 2
+        for sigma in list(experiments.two_ion_states()) + [np.eye(4), tmsv_cm(0.35)]:
+            b, _ = _ket_block(sigma)
+            grid, full = _hafnian_grid(b, top), _hafnian_grid(b.astype(complex), top)
+            assert grid.dtype == np.float64 and full.dtype == complex
+            assert grid.tobytes() == np.ascontiguousarray(full.real).tobytes()
+        rotated = apply_symplectic(two_ion_cm, single_mode_rotation(2, 0.7))
+        assert _hafnian_grid(_ket_block(rotated)[0], top).dtype == complex
+        h = husimi_data(two_ion_cm)
+        assert type(matrix_element(h, (2, 1), (1, 2))) is complex
+        assert h._grid.dtype == complex
+
     def test_requests_within_the_grid_modes_reuse_it(self, two_ion_cm):
         h = husimi_data(two_ion_cm)
         matrix_element(h, (2, 1), (1, 2))
@@ -415,11 +439,11 @@ class TestQuditDeficit:
     def test_rows_fill_one_grid_per_state(self, monkeypatch):
         fills = []
 
-        def counted(b, psi0, fill=_pure_amplitudes):
-            fills.append(b)
-            return fill(b, psi0)
+        def counted(a, top, fill=_hafnian_grid):
+            fills.append(a)
+            return fill(a, top)
 
-        monkeypatch.setattr(fock, "_pure_amplitudes", counted)
+        monkeypatch.setattr(fock, "_hafnian_grid", counted)
         rows = experiments.fock_rows(range(1, 9))
         assert len(fills) == 2 and len(rows) == 8
         fills.clear()
@@ -433,10 +457,10 @@ class TestQuditDeficit:
         assert qudit_subspace_deficit(two_ion_cm, []) == []
 
     def test_dims_refused_before_the_fill(self, two_ion_cm, monkeypatch):
-        def no_fill(b, psi0):
+        def no_fill(a, top):
             raise AssertionError("an amplitude grid was filled")
 
-        monkeypatch.setattr(fock, "_pure_amplitudes", no_fill)
+        monkeypatch.setattr(fock, "_hafnian_grid", no_fill)
         with pytest.raises(ValueError, match="qudit dimension must lie in"):
             qudit_subspace_deficit(two_ion_cm, [2, MAX_QUDIT_DIM + 1])
         with pytest.raises(ValueError, match="dim must be one integer or a sequence"):
@@ -497,16 +521,16 @@ class TestQuditDeficit:
             raise AssertionError("the state was read past its shape")
 
         monkeypatch.setattr(fock, "validate_cm", no_work)
-        monkeypatch.setattr(fock, "_pure_amplitudes", no_work)
+        monkeypatch.setattr(fock, "_hafnian_grid", no_work)
         for sigma, dims in ((np.eye(6), 2), (np.eye(3), 2), (np.eye(2), []), (np.ones(16), 2)):
             with pytest.raises(ValueError, match="two-mode states"):
                 qudit_subspace_deficit(sigma, dims)
 
     def test_empty_dims_validate_the_state_without_a_fill(self, two_ion_cm, monkeypatch):
-        def no_fill(b, psi0):
+        def no_fill(a, top):
             raise AssertionError("an amplitude grid was filled")
 
-        monkeypatch.setattr(fock, "_pure_amplitudes", no_fill)
+        monkeypatch.setattr(fock, "_hafnian_grid", no_fill)
         assert qudit_subspace_deficit(two_ion_cm, []) == []
         with pytest.raises(ValueError, match="pure states"):
             qudit_subspace_deficit(1.5 * np.eye(4), [])
@@ -521,37 +545,20 @@ class TestQuditDeficit:
 
         grids = []
 
-        def kept(b, psi0, fill=_pure_amplitudes):
-            grids.append(fill(b, psi0))
+        def kept(a, top, fill=_hafnian_grid):
+            grids.append(fill(a, top))
             return grids[-1]
 
         monkeypatch.setattr(fock, "husimi_data", no_husimi)
-        monkeypatch.setattr(fock, "_pure_amplitudes", kept)
+        monkeypatch.setattr(fock, "_hafnian_grid", kept)
         raw, squeezed = experiments.two_ion_states()
         for sigma in (raw, squeezed, np.eye(4), tmsv_cm(0.35)):
             qudit_subspace_deficit(sigma, list(range(1, MAX_QUDIT_DIM + 1)))
-        assert [amplitudes.dtype for amplitudes, _ in grids] == [np.float64] * 4
-        # the table-7 grids stop at shells 24 and 16
-        assert [len(shells) - 1 for _, shells in grids[:2]] == [24, 16]
+        assert [grid.dtype for grid in grids] == [np.float64] * 4
+        assert [grid.shape for grid in grids] == [(TAIL_OCCUPANCY_CAP + 1,) * 2] * 4
         assert np.array_equal(experiments.fock_rows(range(1, 9)),
                               [(d,) + tuple(qudit_subspace_deficit(s, d) for s in (raw, squeezed))
                                for d in range(1, 9)])
-
-    def test_unfilled_rows_never_read(self, two_ion_cm, monkeypatch):
-        # NaN in every entry the fill has not written reaches a deficit if
-        # any of them is read
-        s = single_mode_squeeze(2, 2.5) @ single_mode_rotation(2, 0.5 * math.pi)
-        states = list(experiments.two_ion_states()) + [apply_symplectic(two_ion_cm, s)]
-        dims = list(range(1, MAX_QUDIT_DIM + 1))
-        want = [qudit_subspace_deficit(sigma, dims) for sigma in states]
-
-        def poisoned(shape, dtype=float, empty=np.empty, **kwargs):
-            buffer = empty(shape, dtype, **kwargs)
-            buffer.fill(np.nan)
-            return buffer
-
-        monkeypatch.setattr(np, "empty", poisoned)
-        assert [qudit_subspace_deficit(sigma, dims) for sigma in states] == want
 
     def test_ket_block_matches_husimi_data(self, monkeypatch):
         states, _ = rotated_states(monkeypatch)
@@ -568,8 +575,8 @@ class TestQuditDeficit:
         rng = np.random.default_rng(seed)
         sigma = two_ion_cm if base == "two_ion" else tmsv_cm(rng.uniform(0.0, 0.5))
         sigma = apply_symplectic(sigma, random_local_symplectic(rng, 2))
-        _, shells = _pure_amplitudes(*_ket_block(sigma))
-        assert abs(math.fsum(shells) - 1.0) <= 1e-13
+        prob = np.abs(pure_amplitudes(sigma)) ** 2
+        assert abs(math.fsum(prob.ravel()) - 1.0) <= 1e-13
         got = qudit_subspace_deficit(sigma, dim)
         want = hafnian_deficit(sigma, dim)
         assert abs(got - want) <= 1e-9 * want
@@ -590,10 +597,10 @@ class TestQuditDeficit:
         pytest.param((2.0, 0.7, [0]), id="2.0-0.7-first-mode"),
         "raw", "squeezed"])
     def test_every_shell_against_wider_grid(self, two_ion_cm, state):
-        # stopping after two shells below 1e-13 of the total missed the
-        # first state by 2.8e-13 against the same sum to shell 300; the
-        # table-7 states stop far below the cap; a state acted on in its
-        # first mode alone has no mode-swap symmetry
+        # a fill that stopped after two shells below 1e-13 of the total
+        # missed the first state by 2.8e-13 against the same sum to shell
+        # 300; a state acted on in its first mode alone has no mode-swap
+        # symmetry
         if state in ("raw", "squeezed"):
             sigma = experiments.two_ion_states()[state == "squeezed"]
         else:
@@ -608,10 +615,12 @@ class TestQuditDeficit:
         for dim, value in zip(dims, got):
             want = math.fsum(prob[shell >= dim])
             assert abs(value - want) <= 1e-13 * want
-        # entry by entry, so that a row/column mix-up cannot hide in a shell
-        # sum; absolute, since some entries vanish in exact arithmetic
-        amplitudes, _ = _pure_amplitudes(*_ket_block(sigma))
-        size = len(amplitudes)
+        # entry by entry over the whole grid, so that a row/column mix-up
+        # cannot hide in a shell sum; absolute, since some entries vanish in
+        # exact arithmetic
+        amplitudes = pure_amplitudes(sigma)
+        size = TAIL_OCCUPANCY_CAP + 1
+        assert amplitudes.shape == (size, size)
         assert np.abs(np.abs(amplitudes) ** 2 - prob[:size, :size]).max() <= 1e-15
 
     def test_tail_beyond_cap_raises(self, two_ion_cm):
@@ -642,10 +651,11 @@ def mp_deficit(sigma, dim, size=60):
 
 
 class TestDeficitAgainstMpmath:
-    # squeezed at 7 and 8: the ~1e-13 and ~1e-14 cells table 7 checks at
-    # their printed 3 figures
-    @pytest.mark.parametrize("state,dim", [("raw", 5), ("raw", 6), ("squeezed", 3),
-                                           ("squeezed", 7), ("squeezed", 8)])
+    # every table-7 cell; squeezed at 7 and 8 are the ~1e-13 and ~1e-14
+    # cells table 7 checks at their printed 3 figures, and raw at 8 read
+    # 1.2e-14 low from a grid that stopped at shell 24
+    @pytest.mark.parametrize("state,dim", list(itertools.product(("raw", "squeezed"),
+                                                                 range(1, MAX_QUDIT_DIM + 1))))
     def test_table_cells(self, state, dim):
         raw, squeezed = experiments.two_ion_states()
         sigma = raw if state == "raw" else squeezed

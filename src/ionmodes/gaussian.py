@@ -348,13 +348,13 @@ def _validate_pair(source, target):
     return blocks[:2], blocks[2:]
 
 
-def _fidelity_from_aux(roots, logdet):
-    """F from the sqrt(w_k^2 - 1) and ln det((sigma_1 + sigma_2) / 2), after
-    checking that F does not exceed 1 beyond round-off; clamped to [0, 1]."""
-    f = np.exp(0.25 * (2.0 * float(np.arcsinh(roots).sum()) - logdet))
-    if f > 1.0 + 1e-6:
-        raise NumericalError("fidelity %.6f exceeds 1 beyond tolerance" % f)
-    return float(min(max(f, 0.0), 1.0))
+def _log_fidelity_from_aux(roots, logdet):
+    """ln F from the sqrt(w_k^2 - 1) and ln det((sigma_1 + sigma_2) / 2), after
+    checking that F does not exceed 1 beyond round-off; clamped to <= 0."""
+    ln_f = 0.25 * (2.0 * float(np.arcsinh(roots).sum()) - logdet)
+    if ln_f > math.log1p(1e-6):
+        raise NumericalError("fidelity exceeds 1 beyond tolerance: ln F = %.6g" % ln_f)
+    return min(ln_f, 0.0)
 
 
 def fidelity(state_1, state_2):
@@ -371,23 +371,25 @@ def fidelity(state_1, state_2):
     Every table pair is of this kind.  No matrix square root is taken; the
     result is clamped to [0, 1].
     """
-    return _cross_free_fidelity(*_validate_pair(state_1, state_2))(0.0)
+    return float(np.exp(_cross_free_fidelity(*_validate_pair(state_1, state_2))(0.0)))
 
 
 def _defect_factor(defect, basis, what):
     """F with basis^T D basis = F F^T for the defect D = Pi - Phi^-1 >= 0 of a
-    physical state, one column per positive eigenvalue; negative round-off is
-    dropped, and an eigenvalue below -AUX_UNIT_TOL max(1, the largest) raises."""
+    physical state, one column per eigenvalue above numpy.linalg.matrix_rank's
+    default cutoff n eps max(mu_max, 0): the rest, of either sign, is round-off
+    and dropped.  An eigenvalue below -AUX_UNIT_TOL max(1, the largest) raises."""
     mu, vecs = np.linalg.eigh(basis.T @ defect @ basis)
     low = float(mu[0])
     if low < -AUX_UNIT_TOL * max(1.0, float(np.abs(mu).max())):
         raise NumericalError("%s state is unphysical: Pi - Phi^-1 has eigenvalue %.3e "
                              "in the pencil basis" % (what, low))
-    return vecs[:, mu > 0.0] * np.sqrt(mu[mu > 0.0])
+    keep = mu > mu.size * np.finfo(float).eps * max(float(mu[-1]), 0.0)
+    return vecs[:, keep] * np.sqrt(mu[keep])
 
 
 def _cross_free_fidelity(source, target):
-    """F(S_z source S_z^T, target) as a function of ln z, for two validated
+    """ln F(S_z source S_z^T, target) as a function of ln z, for two validated
     (Phi, Pi) states of n modes: `fidelity` evaluates it at ln z = 0, the
     squeeze search at 0 and across its bracket.
 
@@ -395,9 +397,10 @@ def _cross_free_fidelity(source, target):
     and R = (Phi_1^-1 + Phi_2^-1)^-1 = L L^T, the sum of the pi blocks is
     Y = R^-1 + D_1 + D_2, and the w_k^2 - 1 are the eigenvalues of
     (1 + d_1 + d_2)^-1 d_2 d_1 with d_i = L^T D_i L = g_i g_i^T, g_i of
-    r_i = rank D_i columns.  Woodbury and push-through give them in Gram
-    form, real and non-negative by construction, with no 1 to cancel: one
-    Cholesky factorization of the Gram matrix K of M = [g_1 | g_2] gives all,
+    r_i = rank D_i columns (the numerical rank of `_defect_factor`).
+    Woodbury and push-through give them in Gram form, real and non-negative
+    by construction, with no 1 to cancel: one Cholesky factorization of the
+    Gram matrix K of M = [g_1 | g_2] gives all,
 
         K = 1 + M^T M = L_K L_K^T,  L_K = [[L_G, 0], [W^T, L_H]],  W = L_G^-1 g_1^T g_2,
         sqrt(w_k^2 - 1) = singular values of L_H^-1 W^T,  det(1 + d_1 + d_2) = det K.
@@ -412,7 +415,9 @@ def _cross_free_fidelity(source, target):
         ln det X Y = sum [log1p(s alpha) + log1p(1 / (s alpha))] + ln det K,
 
     where X is the sum of the phi blocks.  A step costs one Cholesky of the
-    (r_1 + r_2)-square K (0 x 0 for a pure pair), one solve and one svd.
+    (r_1 + r_2)-square K (0 x 0 for a pure pair), one solve and one svd, and
+    returns ln F clamped to <= 0: ln F is closer to quadratic in ln z than
+    F, which saves search steps.
     """
     (phi_1, pi_1), (phi_2, pi_2) = source, target
     n = phi_1.shape[0]
@@ -436,7 +441,7 @@ def _cross_free_fidelity(source, target):
         roots = np.linalg.svd(np.linalg.solve(chol_h, w_t), compute_uv=False)
         logdet = float(np.log1p(s_alpha).sum() + np.log1p(1.0 / s_alpha).sum())
         logdet += 2.0 * float(np.log(np.diag(chol_k)).sum())
-        return _fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))
+        return _log_fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))
 
     return objective
 
@@ -446,15 +451,15 @@ def optimize_global_squeeze(source, target):
 
     Maximizes F(S_z source S_z^T, target) over z in SQUEEZE_BRACKET
     (widened once if the maximum sits at an edge), with S_z = diag(z, 1/z)
-    on every mode, by bounded Brent search on ln z.  Both states are
+    on every mode, by bounded Brent search of ln F on ln z.  Both states are
     (Phi, Pi) pairs, as `fidelity` takes them; S_z maps the source to
     (z^2 Phi, Pi / z^2).  The objective is `fidelity`'s own route, factored
-    once per search (`_cross_free_fidelity`): f_raw, its value at
-    ln z = 0, is `fidelity`'s, and f_star is its value at ln z_star.
+    once per search (`_cross_free_fidelity`): f_raw, exp of its value at
+    ln z = 0, is `fidelity`'s, and f_star is exp of its value at ln z_star.
 
     Returns:
         (z_star, f_raw, f_star)
     """
     objective = _cross_free_fidelity(*_validate_pair(source, target))
-    ln_star, f_star = maximize_1d(objective, *np.log(SQUEEZE_BRACKET), tol=LN_Z_TOL)
-    return float(np.exp(ln_star)), objective(0.0), f_star
+    ln_star, ln_f_star = maximize_1d(objective, *np.log(SQUEEZE_BRACKET), tol=LN_Z_TOL)
+    return float(np.exp(ln_star)), float(np.exp(objective(0.0))), float(np.exp(ln_f_star))

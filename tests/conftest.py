@@ -199,7 +199,7 @@ AUX_IMAG_TOL = 1e-6
 def _fidelity_from_excess(excess, logdet):
     """F from the w_k^2 - 1 as a non-symmetric eigensolver returns them,
     after checking that they are real and not below -gaussian.AUX_UNIT_TOL,
-    by the formula of gaussian._fidelity_from_aux."""
+    by the formula of gaussian._log_fidelity_from_aux."""
     scale = max(1.0, float(np.abs(excess).max()))
     if float(np.abs(excess.imag).max()) > AUX_IMAG_TOL * scale:
         raise numerics.NumericalError("auxiliary symplectic spectrum is not real")
@@ -208,7 +208,8 @@ def _fidelity_from_excess(excess, logdet):
     if low < -gaussian.AUX_UNIT_TOL:
         raise numerics.NumericalError(
             "auxiliary symplectic eigenvalue below 1: w^2 - 1 = %.3e" % low)
-    return gaussian._fidelity_from_aux(np.sqrt(np.clip(excess, 0.0, None)), logdet)
+    return float(np.exp(gaussian._log_fidelity_from_aux(np.sqrt(np.clip(excess, 0.0, None)),
+                                                         logdet)))
 
 
 def interleaved_fidelity(sigma_1, sigma_2):
@@ -290,8 +291,9 @@ def two_pencil_objective(source, target):
 def two_cholesky_objective(source, target):
     """F(S_z source S_z^T, target) of two (Phi, Pi) states as a function of
     ln z, as gaussian._cross_free_fidelity computed it before its stacked
-    Gram matrix: full n-column defect factors F_i, whose clipped eigenvalues
-    leave zero columns, and per step two n x n Choleskys,
+    Gram matrix: full n-column defect factors F_i, whose eigenvalues at or
+    below the rank cutoff of `gaussian._defect_factor` leave zero columns,
+    and per step two n x n Choleskys,
 
         G = 1 + g_1^T g_1 = L_G L_G^T,  W = L_G^-1 g_1^T g_2,
         H = 1 + g_2^T g_2 - W^T W = L_H L_H^T,
@@ -310,7 +312,8 @@ def two_cholesky_objective(source, target):
     def full_factor(phi, pi):
         mu, vecs = np.linalg.eigh(basis.T @ gaussian._defect(phi, pi) @ basis)
         assert mu[0] >= -gaussian.AUX_UNIT_TOL * max(1.0, float(np.abs(mu).max()))
-        return vecs * np.sqrt(np.clip(mu, 0.0, None))
+        mu[mu <= n * np.finfo(float).eps * max(float(mu[-1]), 0.0)] = 0.0
+        return vecs * np.sqrt(mu)
 
     f_1, f_2 = full_factor(phi_1, pi_1), full_factor(phi_2, pi_2)
     eye = np.eye(n)
@@ -325,7 +328,7 @@ def two_cholesky_objective(source, target):
         roots = np.linalg.svd(np.linalg.solve(chol_h, w.T), compute_uv=False)
         logdet = float(np.log1p(s_alpha).sum() + np.log1p(1.0 / s_alpha).sum())
         logdet += 2.0 * float(np.log(np.diag(chol_g)).sum() + np.log(np.diag(chol_h)).sum())
-        return gaussian._fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))
+        return float(np.exp(gaussian._log_fidelity_from_aux(roots, logdet - 2 * n * np.log(2.0))))
 
     return objective
 

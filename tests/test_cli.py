@@ -100,6 +100,12 @@ class TestChain:
         assert abs(positions[1]) < 1e-12
         assert abs(positions[2] - edge) < 1e-7
 
+    def test_report_holds_the_cm_up_to_six_ions(self):
+        # experiments.chain_report includes the local-mode CM when n_ions <= 6
+        six, seven = experiments.chain_report(6), experiments.chain_report(7)
+        assert np.array_equal(six["cm"], experiments.chain_model(6).cm)
+        assert sorted(seven) == ["frequencies", "n_ions", "positions"]
+
 
 class TestNegativity:
     def test_ion_csv(self, capsys):

@@ -233,6 +233,18 @@ class TestMatrixElements:
                 matrix_element(h, bra, ket)
             assert h._grid is grid and grid.shape == (3, 3, 3, 3)
 
+    def test_occupation_at_the_cap_is_accepted(self, two_ion_cm):
+        # check_fock_index refuses k > cap: an element at exactly the cap, bra
+        # or ket, is served as the uncapped request serves it
+        cap = fock.DEFAULT_OCCUPANCY_CAP
+        h = husimi_data(two_ion_cm)
+        for bra, ket in (((cap, 0), (0, 1)), ((1, 0), (2, cap))):
+            want = matrix_element(husimi_data(two_ion_cm), bra, ket, cap=None)
+            assert matrix_element(h, bra, ket) == want
+        for bra, ket in (((cap + 1, 0), (0, 1)), ((1, 0), (2, cap + 1))):
+            with pytest.raises(ValueError, match="exceeds the cap %d" % cap):
+                matrix_element(h, bra, ket)
+
     def test_failed_fill_leaves_grid(self, two_ion_cm, monkeypatch):
         h = husimi_data(two_ion_cm)
         want = matrix_element(h, (1, 0), (1, 0))

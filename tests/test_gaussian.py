@@ -617,8 +617,9 @@ class TestFidelityRoutes:
         sigma_1 = block_state(rng, n, mix_1)
         sigma_2 = block_state(rng, n, mix_2)
         d = np.tile([np.exp(-ln_z), np.exp(ln_z)], n)
-        got = gaussian._cross_free_fidelity(cm_blocks(sigma_1 * np.outer(d, d)),
-                                            cm_blocks(sigma_2))(ln_z)
+        objective = gaussian._cross_free_fidelity(cm_blocks(sigma_1 * np.outer(d, d)),
+                                                  cm_blocks(sigma_2))
+        got = np.exp(objective(ln_z))
         rot = single_mode_rotation(n, angle)
         turned = [apply_symplectic(sigma, rot) for sigma in (sigma_1, sigma_2)]
         want = interleaved_fidelity(*turned)
@@ -638,30 +639,32 @@ def _mp_log_fidelity(phi_1, pi_1, phi_2, pi_2):
     return (total - mpmath.log(mpmath.det(x / 2)) - mpmath.log(mpmath.det(y / 2))) / 4
 
 
-def _mp_blocks(sigma, sectors):
-    """phi and pi blocks of sigma as mpmath matrices; with sectors, the even
-    and odd parts under the mode reversal of a centrosymmetric state."""
+def _mp_blocks(state, sectors):
+    """The (Phi, Pi) blocks of a state, float64 arrays or mpmath matrices, as
+    mpmath matrices; with sectors, the even and odd parts under the mode
+    reversal of a centrosymmetric state."""
     out = []
-    for block in (sigma[0::2, 0::2], sigma[1::2, 1::2]):
+    for block in state:
+        block = mpmath.matrix(block)
         if not sectors:
-            out.append((mpmath.matrix(block.tolist()),))
+            out.append((block,))
             continue
-        m = block.shape[0] // 2
-        near = mpmath.matrix(block[:m, :m].tolist())
-        far = mpmath.matrix(block[:m, m:][:, ::-1].tolist())
+        m = block.rows // 2
+        near = mpmath.matrix([[block[i, j] for j in range(m)] for i in range(m)])
+        far = mpmath.matrix([[block[i, 2 * m - 1 - j] for j in range(m)] for i in range(m)])
         out.append((near + far, near - far))
     return list(zip(*out))
 
 
-def _mp_fidelity(sigma_1, sigma_2, sectors=True):
-    """Fidelity at 30 digits of two exact float64 CMs with no phi-pi block.
+def _mp_fidelity(state_1, state_2, sectors=True):
+    """Fidelity at 30 digits of two exact (Phi, Pi) states.
 
     For centrosymmetric states of an even number of modes, the mode reversal
     is a passive symplectic that splits both states into even and odd
     sectors, so F is the product of two half-size fidelities (8x less work
     for mpmath's eigensolver)."""
     with mpmath.workdps(30):
-        pairs = zip(_mp_blocks(sigma_1, sectors), _mp_blocks(sigma_2, sectors))
+        pairs = zip(_mp_blocks(state_1, sectors), _mp_blocks(state_2, sectors))
         return mpmath.exp(mpmath.fsum(_mp_log_fidelity(p1, q1, p2, q2)
                                       for (p1, q1), (p2, q2) in pairs))
 
@@ -681,7 +684,21 @@ def _table_pair(chain_size, window, z):
     pair = []
     for sigma in (source * np.outer(d, d), scalar_field.scalar_vacuum_cm(window)):
         pair.append(0.5 * (sigma + sigma[np.ix_(flip, flip)]))
-    return pair[0], pair[1], _mp_fidelity(pair[0], pair[1])
+    return pair[0], pair[1], _mp_fidelity(cm_blocks(pair[0]), cm_blocks(pair[1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_chain_window_fidelity(chain_size, window, z):
+    """30-digit F of the centered window of the exactly pure chain
+    (`_mp_chain_blocks` at 40 digits) squeezed by z, against the float64
+    lattice vacuum window that `fidelity_cell` hands its search."""
+    phi, pi = _mp_chain_blocks(chain_size, 40)
+    sites = range((chain_size - window) // 2, (chain_size + window) // 2)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(z) ** 2
+        source = [mpmath.matrix([[block[i, j] for j in sites] for i in sites])
+                  for block in (phi * s, pi / s)]
+    return _mp_fidelity(source, fidelity_pair(chain_size, window)[1])
 
 
 MP_CASES = [(30, 10), (30, 30), (50, 50), (150, 50)]
@@ -692,10 +709,14 @@ def _mp_bound(chain_size, window):
 
     A full-chain window is the whole pure chain state, pure only to
     round-off in float64: at 40 digits the D_1 of 30/30 has eigenvalues from
-    -9.2e-14 to 2.8e-14.  F is then fixed only up to where negative ones are
-    clipped, at the ~5e-9 level.  The package clips negative eigenvalues of
-    each defect D_i in the pencil basis; the reference clips negative
-    w_k^2 - 1 of the auxiliary spectrum.  Those windows keep 1e-8.
+    -9.2e-14 to 2.8e-14.  F is then fixed only up to where round-off is
+    cut, at the ~5e-9 level.  The package keeps the eigenvalues of each
+    defect D_i in the pencil basis above the rank cutoff n eps mu_max, but
+    for these windows mu_max is itself round-off, so round-off columns
+    stay; the reference clips negative w_k^2 - 1 of the auxiliary spectrum.
+    Those windows keep 1e-8.  (The near-full windows 24/30 to 28/30, whose
+    round-off the cutoff does remove, meet the exactly pure chain to 1e-12:
+    `test_near_full_window_meets_exact_chain`.)
     """
     return 1e-12 if window < chain_size else 1e-8
 
@@ -703,7 +724,7 @@ def _mp_bound(chain_size, window):
 class TestFidelityAgainstMpmath:
     def test_sector_split_matches_full_computation(self):
         source, target, want = _table_pair(30, 10, 6.0)
-        full = _mp_fidelity(source, target, sectors=False)
+        full = _mp_fidelity(cm_blocks(source), cm_blocks(target), sectors=False)
         assert abs(full / want - 1) < 1e-20
 
     @pytest.mark.parametrize("z", [1.0, 6.0])
@@ -712,6 +733,18 @@ class TestFidelityAgainstMpmath:
         source, target, want = _table_pair(chain_size, window, z)
         got = fidelity(cm_blocks(source), cm_blocks(target))
         assert abs(got / float(want) - 1.0) < _mp_bound(chain_size, window)
+
+    @pytest.mark.parametrize("z", [1.0, 6.0])
+    @pytest.mark.parametrize("window", [24, 26, 28])
+    def test_near_full_window_meets_exact_chain(self, window, z):
+        # against the exactly pure chain, not its float64 CM: the defect of a
+        # near-full window holds positive round-off eigenvalues, and keeping
+        # those at or below the rank cutoff of `_defect_factor` left the
+        # window off by 6e-12 (24/30) to 1.3e-9 (28/30); the cutoff leaves
+        # at most 1.7e-14
+        source, target = fidelity_pair(30, window)
+        got = fidelity(_squeezed(source, z), target)
+        assert abs(got / float(_mp_chain_window_fidelity(30, window, z)) - 1.0) < 1e-12
 
     def test_sqrtm_route_misses_on_large_windows(self):
         # the route the package used before, off by ~sqrt(eps) per near-unit w_k
@@ -822,28 +855,32 @@ class TestSqueezeObjective:
             old_objective = two_pencil_objective(source, target)
             for z in WIDENED_Z:
                 want = fidelity(_squeezed(source, z), target)
-                got = objective(np.log(z))
+                got = np.exp(objective(np.log(z)))
                 assert abs(got / want - 1.0) <= 1e-8
                 assert abs(old_objective(np.log(z)) / got - 1.0) <= 1e-8
             pairs += 1
         assert pairs == 65
 
     def test_matches_two_cholesky_objective_on_table_windows(self):
-        # dropping the zero columns of the clipped defect eigenvalues and
-        # stacking the two Gram matrices into one moved no table window by
-        # more than 1.4e-14 relative
+        # dropping the zero columns of the defect eigenvalues at or below the
+        # rank cutoff and stacking the two Gram matrices into one moved no
+        # table window by more than 1.4e-14 relative
         pairs = 0
         for source, target in _table_windows():
             objective = gaussian._cross_free_fidelity(source, target)
             old_objective = two_cholesky_objective(source, target)
             for z in WIDENED_Z:
-                got = objective(np.log(z))
+                got = np.exp(objective(np.log(z)))
                 assert abs(got / old_objective(np.log(z)) - 1.0) <= 1e-12
             pairs += 1
         assert pairs == 65
 
     def test_defect_factor_keeps_positive_columns(self):
-        dropped = 0
+        # a column is kept when its eigenvalue is above numpy.linalg.matrix_rank's
+        # default cutoff, n eps max(mu_max, 0); the positive eigenvalues at or
+        # below it are round-off too, and dropping them moved the near-full
+        # windows towards the exact chain (test_near_full_window_meets_exact_chain)
+        dropped = positive_dropped = 0
         for source, target in _table_windows():
             n = source[0].shape[0]
             basis = np.linalg.cholesky(target[0])  # any congruence will do
@@ -851,12 +888,24 @@ class TestSqueezeObjective:
                 defect = gaussian._defect(phi, pi)
                 factor = gaussian._defect_factor(defect, basis, "table")
                 mu, vecs = np.linalg.eigh(basis.T @ defect @ basis)
-                keep = mu > 0.0
+                keep = mu > n * np.finfo(float).eps * max(mu[-1], 0.0)
                 assert factor.shape == (n, int(keep.sum()))
                 assert np.array_equal(factor, vecs[:, keep] * np.sqrt(mu[keep]))
                 assert (np.abs(factor).max(axis=0) > 0.0).all()
                 dropped += n - factor.shape[1]
-        assert dropped > 0  # the larger windows clip round-off eigenvalues
+                positive_dropped += int((mu > 0.0).sum()) - factor.shape[1]
+        # the larger windows drop round-off eigenvalues of either sign
+        assert positive_dropped > 0 and dropped > positive_dropped
+
+    def test_overshoot_is_clamped_up_to_its_tolerance(self):
+        # ln F = -logdet / 4 with no roots: log1p(1e-6) exactly is clamped to
+        # 0, one ulp more raises, however far (no exp to overflow)
+        edge = math.log1p(1e-6)
+        assert gaussian._log_fidelity_from_aux(np.zeros(0), -4.0 * edge) == 0.0
+        for ln_f in (np.nextafter(edge, 1.0), 1e3):
+            with pytest.raises(NumericalError, match="exceeds 1 beyond tolerance"):
+                gaussian._log_fidelity_from_aux(np.zeros(0), -4.0 * ln_f)
+        assert gaussian._log_fidelity_from_aux(np.zeros(0), 4.0) == -1.0
 
     def test_pure_pairs_have_unit_fidelity(self, two_ion_cm, chain30, monkeypatch):
         ranks = []
@@ -886,7 +935,8 @@ class TestSqueezeObjective:
     def test_table_window_within_1e8_of_mpmath(self, chain_size, window, z):
         source, target, _ = _table_pair(chain_size, window, 1.0)
         want = _table_pair(chain_size, window, z)[2]
-        got = gaussian._cross_free_fidelity(cm_blocks(source), cm_blocks(target))(np.log(z))
+        objective = gaussian._cross_free_fidelity(cm_blocks(source), cm_blocks(target))
+        got = np.exp(objective(np.log(z)))
         assert abs(got / float(want) - 1.0) < _mp_bound(chain_size, window)
 
     def test_f_star_is_objective_at_z_star(self, monkeypatch):
@@ -903,8 +953,10 @@ class TestSqueezeObjective:
             z_star, f_raw, f_star = optimize_global_squeeze(source, target)
             ln_star = found[-1][0]
             assert z_star == np.exp(ln_star)
-            assert f_star == gaussian._cross_free_fidelity(source, target)(ln_star)
-            assert f_raw == gaussian._cross_free_fidelity(source, target)(0.0)
+            objective = gaussian._cross_free_fidelity(source, target)
+            assert found[-1][1] == objective(ln_star)  # the search runs on ln F
+            assert f_star == np.exp(objective(ln_star))
+            assert f_raw == np.exp(objective(0.0))
             # the squeezed source factored afresh rounds differently
             assert abs(fidelity(_squeezed(source, z_star), target) / f_star - 1.0) <= 1e-8
         assert len(found) == 2
@@ -930,8 +982,9 @@ class TestGlobalSqueezeOptimizer:
             chain_size = golden.TABLES[table][1]["chain_size"]
             for row in golden.load_table(table):
                 experiments.fidelity_cell(chain_size, int(row["region_size"]))
+        # on ln F, 9 or 10 per window and 594 in all (722 and up to 12 on F)
         assert len(counts) == 65
-        assert 3 <= min(counts) and max(counts) <= 32
+        assert 3 <= min(counts) and max(counts) <= 10 and sum(counts) <= 600
 
     def test_one_factorization_per_window(self, monkeypatch):
         # the raw F comes from the search's own objective at ln z = 0, so

@@ -3,6 +3,7 @@
 import csv
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from ionmodes import gaussian, golden, ion_chain, scalar_field
@@ -40,6 +41,19 @@ def test_cells_are_the_shipped_grid_at_printed_figures(table):
                     if c.column == "p_out_squeezed"}
         assert squeezed["qudit_dim=7"] == pytest.approx(6e-16, rel=1e-12)
         assert squeezed["qudit_dim=8"] == pytest.approx(6e-17, rel=1e-12)
+
+
+@pytest.mark.parametrize("policy,tolerance", [("default", 6.0), ("strict", 5.0)])
+def test_cell_exactly_at_its_tolerance_passes(policy, tolerance):
+    # a one-figure "3e1" has the tolerance slack x 10, exact in float64, so
+    # |computed - printed| meets it exactly; one ulp beyond fails
+    assert golden.cell_tolerance("3e1", policy) == tolerance
+    for computed in (30.0 + tolerance, 30.0 - tolerance):
+        cell = golden._check_cell(5, "region_size=2", "fidelity_raw", "3e1", computed, policy)
+        assert cell.passed and cell.margin == 1.0
+        beyond = np.nextafter(computed, 30.0 + 2.0 * (computed - 30.0))
+        assert not golden._check_cell(5, "region_size=2", "fidelity_raw", "3e1", beyond,
+                                      policy).passed
 
 
 def test_fidelity_table_builds_no_interleaved_cm(monkeypatch):
